@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -570,30 +569,25 @@ class _Emitter:
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.created: list[Path] = []
-        self.lock = threading.Lock()
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
-        with self.lock:
-            self.created.append(p)
+        self.created.append(p)
         return p
 
     def table(self, name, header, columns, metadata) -> Path:
         p = self.path(name)
-        with self.lock:
-            write_table(p, header, columns, metadata)
+        write_table(p, header, columns, metadata)
         return p
 
     def field(self, name, field, grid, tgrid, metadata) -> Path:
         p = self.path(name)
-        with self.lock:
-            write_field_csv(p, field, grid, tgrid, metadata)
+        write_field_csv(p, field, grid, tgrid, metadata)
         return p
 
     def json_file(self, name, payload: dict) -> Path:
         p = self.path(name)
-        with self.lock:
-            p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
     def cleanup(self) -> None:
@@ -603,8 +597,10 @@ class _Emitter:
 
 def _solve_gate(cfg: OCPConfig, tol: float):
     sol = solve_ocp(cfg)
-    if sol.residual > tol:
+    if not sol.residual <= tol:
         raise NumericError(f"solver residual {sol.residual:.3e} exceeds the gate {tol:.1e}")
+    if not all(np.all(np.isfinite(a)) for a in (sol.x, sol.lam, sol.u)):
+        raise NumericError("solver returned non-finite trajectories")
     return sol
 
 

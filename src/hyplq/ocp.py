@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import splu
 
 from .characteristics import NumericError, VelocityField
 from .geometry import Grid1D, GridFunction, IntervalUnion, TimeGrid, indicator_on_grid, smooth_bump
@@ -115,6 +115,8 @@ class OCPSolution:
     x and lam hold the state and adjoint on the M+1 time levels; u is the
     recovered control u = alpha^-2 B* lam + u_ref on the same levels.
     residual is the relative sup-norm defect of the assembled linear system.
+    ordering names the factorization that produced the solution:
+    "nested-dissection" (pivot-free) or "colamd" (the fallback).
     """
 
     x: np.ndarray
@@ -122,6 +124,7 @@ class OCPSolution:
     u: np.ndarray
     objective: float
     residual: float
+    ordering: str
 
 
 def build_advection_matrix(grid: Grid1D, vel: VelocityField) -> sparse.csr_matrix:
@@ -222,23 +225,113 @@ def assemble_kkt(
     return K, rhs
 
 
-def _solve_linear(
-    K: sparse.csc_matrix, rhs: np.ndarray, method: str, tol: float
-) -> np.ndarray:
-    if method == "direct":
-        try:
-            return splu(K).solve(rhs)
-        except RuntimeError as exc:
-            raise NumericError(
-                f"sparse factorization failed on a {K.shape[0]}x{K.shape[1]} "
-                f"system with {K.nnz} nonzeros: {exc}"
-            ) from exc
-    if method == "iterative":
-        z, info = gmres(K, rhs, rtol=tol, atol=0.0, maxiter=20 * K.shape[0])
-        if info != 0:
-            raise NumericError(f"gmres stalled (info={info}) at tolerance {tol}")
+# Relative defect a pivot-free solve must reach to be accepted.
+_DEFECT_GATE = 1e-10
+
+# Rectangles of at most this many grid points are not dissected further.
+_ND_LEAF = 32
+
+
+def _nested_dissection_order(N: int, M: int) -> np.ndarray:
+    """Symmetric permutation of K's unknowns in nested-dissection order.
+
+    Unknown x^k_i sits in column k*N + i and lam^k_i in column N(M+1) + k*N + i;
+    both are paired with rows of the same index.  The grid points (k, i) of
+    the (M+1) x N level-by-node grid couple only to neighbours with |dk|, |di|
+    <= 1 (periodically in i), so one grid line separates a rectangle.  The
+    ring is cut at nodes 0 and N/2 and those two columns go last; each
+    remaining rectangle is bisected along its longer side with the separator
+    line ordered after both halves, down to leaves of at most _ND_LEAF points
+    kept in natural order.  x and lam alternate at every grid point.
+    """
+    half = N * (M + 1)
+    blocks: list[np.ndarray] = []
+
+    def points(k0: int, k1: int, i0: int, i1: int) -> np.ndarray:
+        return (np.arange(k0, k1)[:, None] * N + np.arange(i0, i1)).ravel()
+
+    def dissect(k0: int, k1: int, i0: int, i1: int) -> None:
+        nk, ni = k1 - k0, i1 - i0
+        if nk <= 0 or ni <= 0:
+            return
+        if nk * ni <= _ND_LEAF or max(nk, ni) < 3:
+            blocks.append(points(k0, k1, i0, i1))
+        elif nk >= ni:
+            km = k0 + nk // 2
+            dissect(k0, km, i0, i1)
+            dissect(km + 1, k1, i0, i1)
+            blocks.append(points(km, km + 1, i0, i1))
+        else:
+            im = i0 + ni // 2
+            dissect(k0, k1, i0, im)
+            dissect(k0, k1, im + 1, i1)
+            blocks.append(points(k0, k1, im, im + 1))
+
+    cuts = sorted({0, N // 2})
+    for a, b in zip(cuts, cuts[1:] + [N]):
+        dissect(0, M + 1, a + 1, b)
+    for c in cuts:
+        blocks.append(points(0, M + 1, c, c + 1))
+    g = np.concatenate(blocks)
+    p = np.empty(2 * half, dtype=np.intp)
+    p[0::2] = g
+    p[1::2] = g + half
+    return p
+
+
+def _factor_pivot_free(K: sparse.csc_matrix, p: np.ndarray):
+    """LU of the symmetrically permuted K, taking every pivot on the diagonal."""
+    return splu(
+        K[p][:, p],
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
+def _defect(K: sparse.csc_matrix, z: np.ndarray, rhs: np.ndarray) -> float:
+    """Relative sup-norm defect of K z = rhs; NaN when z is not finite."""
+    return float(np.max(np.abs(K @ z - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
+
+
+def _solve_nested_dissection(
+    K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
+) -> Optional[np.ndarray]:
+    """Pivot-free solve plus at most one refinement step; None if it fails."""
+    p = _nested_dissection_order(N, M)
+    try:
+        lu = _factor_pivot_free(K, p)
+    except RuntimeError:
+        return None
+    z = np.empty_like(rhs)
+    z[p] = lu.solve(rhs[p])
+    if _defect(K, z, rhs) <= _DEFECT_GATE:
         return z
-    raise ValueError(f"unknown solve method {method!r}")
+    z[p] += lu.solve((rhs - K @ z)[p])
+    if _defect(K, z, rhs) <= _DEFECT_GATE:
+        return z
+    return None
+
+
+def _solve_linear(
+    K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
+) -> tuple[np.ndarray, str]:
+    """Solve K z = rhs; returns z and the ordering that produced it.
+
+    Nested dissection without pivoting is tried first; the defect decides
+    whether its result stands, and COLAMD with partial pivoting is the
+    fallback.
+    """
+    z = _solve_nested_dissection(K, rhs, N, M)
+    if z is not None:
+        return z, "nested-dissection"
+    try:
+        return splu(K).solve(rhs), "colamd"
+    except RuntimeError as exc:
+        raise NumericError(
+            f"sparse factorization failed on a {K.shape[0]}x{K.shape[1]} "
+            f"system with {K.nnz} nonzeros: {exc}"
+        ) from exc
 
 
 def discrete_objective(
@@ -264,8 +357,14 @@ def discrete_objective(
     )
 
 
-def _as_solution(config: OCPConfig, z: np.ndarray, residual: float) -> OCPSolution:
+def _solve(
+    config: OCPConfig, perturbation: Optional[PerturbationSpec]
+) -> OCPSolution:
+    """Assemble, solve and recover the control; the one path behind the solves."""
+    K, rhs = assemble_kkt(config, perturbation)
     N, M = config.grid.N, config.tgrid.M
+    z, ordering = _solve_linear(K, rhs, N, M)
+    residual = _defect(K, z, rhs)
     half = N * (M + 1)
     x = z[:half].reshape(M + 1, N)
     lam = z[half:].reshape(M + 1, N)
@@ -274,37 +373,25 @@ def _as_solution(config: OCPConfig, z: np.ndarray, residual: float) -> OCPSoluti
     if config.u_ref is not None:
         u = u + config.u_ref.values
     obj = discrete_objective(config, x, _midpoints(u))
-    return OCPSolution(x=x, lam=lam, u=u, objective=obj, residual=residual)
+    return OCPSolution(
+        x=x, lam=lam, u=u, objective=obj, residual=residual, ordering=ordering
+    )
 
 
-def solve_ocp(
-    config: OCPConfig, method: str = "direct", tol: float = 1e-10
-) -> OCPSolution:
+def solve_ocp(config: OCPConfig) -> OCPSolution:
     """Solve the optimality system in one shot and recover the control."""
-    K, rhs = assemble_kkt(config, None)
-    z = _solve_linear(K, rhs, method, tol)
-    defect = float(np.max(np.abs(K @ z - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
-    return _as_solution(config, z, defect)
+    return _solve(config, None)
 
 
 def solve_perturbed(
-    config: OCPConfig,
-    perturbation: PerturbationSpec,
-    method: str = "direct",
-    tol: float = 1e-10,
+    config: OCPConfig, perturbation: PerturbationSpec
 ) -> OCPSolution:
     """Solve the optimality system with injected residuals."""
-    K, rhs = assemble_kkt(config, perturbation)
-    z = _solve_linear(K, rhs, method, tol)
-    defect = float(np.max(np.abs(K @ z - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
-    return _as_solution(config, z, defect)
+    return _solve(config, perturbation)
 
 
 def solve_error_system(
-    config: OCPConfig,
-    perturbation: PerturbationSpec,
-    method: str = "direct",
-    tol: float = 1e-10,
+    config: OCPConfig, perturbation: PerturbationSpec
 ) -> OCPSolution:
     """Response of the optimality system to the residuals alone.
 
@@ -319,7 +406,7 @@ def solve_error_system(
         u_ref=None,
         forcing=None,
     )
-    return solve_perturbed(zero, perturbation, method=method, tol=tol)
+    return solve_perturbed(zero, perturbation)
 
 
 def rollout_midpoint(

@@ -261,6 +261,33 @@ def test_partial_outputs_removed(tmp_path, monkeypatch):
     assert leftovers == []
 
 
+@pytest.mark.parametrize(
+    "residual, bad_x", [(np.nan, False), (np.inf, False), (0.0, True)]
+)
+def test_non_finite_solve_exits_2(tmp_path, monkeypatch, residual, bad_x):
+    import hyplq.cli as cli_mod
+    from hyplq.ocp import OCPSolution
+
+    def fake_solve(cfg):
+        shape = (cfg.tgrid.M + 1, cfg.grid.N)
+        x = np.full(shape, np.nan) if bad_x else np.zeros(shape)
+        return OCPSolution(
+            x=x,
+            lam=np.zeros(shape),
+            u=np.zeros(shape),
+            objective=0.0,
+            residual=residual,
+            ordering="nested-dissection",
+        )
+
+    monkeypatch.setattr(cli_mod, "solve_ocp", fake_solve)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(small_config()))
+    out = tmp_path / "run"
+    assert main(["solve-ocp", "--config", str(p), "--out", str(out)]) == 2
+    assert list(out.glob("*")) == []
+
+
 # ------------------------------------------------------------- subcommands
 
 

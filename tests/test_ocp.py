@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+import hyplq.ocp as ocp_mod
 from hyplq.characteristics import VelocityField
 from hyplq.geometry import Grid1D, GridFunction, IntervalUnion, TimeGrid, indicator_on_grid
 from hyplq.ocp import (
@@ -209,6 +213,103 @@ def test_objective_gradient_probe():
             cfg, rollout_midpoint(cfg, controls=v_star - eps * d), v_star - eps * d
         )
         assert abs(jp - jm) / (2 * eps) / (1.0 + j_star) < 1e-6
+
+
+# ------------------------------------------------- nested-dissection solves
+
+
+def sinusoidal_velocity(mean, amplitude, L):
+    k = 2 * np.pi / L
+    return VelocityField.variable(
+        lambda w: mean + amplitude * math.sin(k * w),
+        mean - amplitude,
+        mean + amplitude,
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.01, 10.0])
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize(
+    "layout",
+    [
+        IntervalUnion(prefix=((0.3, 0.7),)),
+        IntervalUnion(tail=(0.5, ((0.0, 0.1),))),
+    ],
+    ids=["finite", "periodic"],
+)
+def test_nested_dissection_matches_colamd(alpha, steps, layout):
+    L, N = 2.0, 48
+    grid = Grid1D(L, N)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(1.0, steps),
+        velocity=sinusoidal_velocity(2.0, 1.8, L),
+        alpha=alpha,
+        control_domain=layout,
+        x0=bump_initial(0.8, 0.6, grid),
+    )
+    K, rhs = assemble_kkt(cfg, None)
+    p = ocp_mod._nested_dissection_order(N, steps)
+    z = np.empty_like(rhs)
+    z[p] = ocp_mod._factor_pivot_free(K, p).solve(rhs[p])
+    assert ocp_mod._defect(K, z, rhs) <= 1e-10
+    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection"
+    assert sol.residual <= 1e-10
+
+
+@given(
+    N=st.integers(min_value=4, max_value=70),
+    M=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_nested_dissection_order_is_bijection(N, M):
+    p = ocp_mod._nested_dissection_order(N, M)
+    half = N * (M + 1)
+    assert np.array_equal(np.sort(p), np.arange(2 * half))
+    # x and lam of one grid point are neighbours in the order
+    assert np.all(p[1::2] - p[0::2] == half)
+
+
+def test_refinement_rescues_inexact_factor(monkeypatch):
+    # a factor of a slightly scaled matrix misses the gate on the first
+    # solve; one refinement step brings it back under
+    exact = ocp_mod._factor_pivot_free
+    monkeypatch.setattr(
+        ocp_mod, "_factor_pivot_free", lambda K, p: exact(K * (1 + 1e-6), p)
+    )
+    cfg = make_config(N=32, M=16, alpha=0.3)
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection"
+    assert sol.residual <= 1e-10
+
+
+class _ConstantFactor:
+    def __init__(self, value):
+        self.value = value
+
+    def solve(self, rhs):
+        return np.full_like(rhs, self.value)
+
+
+def _singular(K, p):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [_singular, lambda K, p: _ConstantFactor(0.0), lambda K, p: _ConstantFactor(np.nan)],
+    ids=["raises", "wrong", "nan"],
+)
+def test_colamd_fallback(monkeypatch, fake):
+    cfg = make_config(N=32, M=16, alpha=0.3)
+    want = solve_ocp(cfg)
+    monkeypatch.setattr(ocp_mod, "_factor_pivot_free", fake)
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "colamd"
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.x - want.x)) < 1e-10
 
 
 # ------------------------------------------------------------------- rollouts
