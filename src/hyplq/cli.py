@@ -87,7 +87,6 @@ _PLAN_KEYS = {
     "alpha_values",
     "out_dir",
     "plot",
-    "seed",
     "feedback_gain",
     "comment",
 }
@@ -130,7 +129,6 @@ class ExperimentPlan:
     alpha_values: tuple[float, ...] = ()
     out_dir: str = "hyplq-out"
     plot: bool = False
-    seed: int = 0
     feedback_gain: float = 1.0
 
     def __post_init__(self):
@@ -158,10 +156,6 @@ class ExperimentPlan:
             raise ValueError("alpha-sweep needs a nonempty alpha_values list")
         if any(v <= 0 for v in self.l_values + self.alpha_values):
             raise ValueError("sweep values must be positive")
-
-    @property
-    def base(self) -> OCPConfig:
-        return self.realize()
 
     def realize(self, L: Optional[float] = None, alpha: Optional[float] = None) -> OCPConfig:
         """Build the OCPConfig for this plan at an optional overridden size."""
@@ -290,7 +284,6 @@ def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan
         alpha_values=tuple(float(v) for v in obj.get("alpha_values", ())),
         out_dir=str(out_dir if out_dir is not None else obj.get("out_dir", "hyplq-out")),
         plot=bool(obj.get("plot", False)),
-        seed=int(obj.get("seed", 0)),
         feedback_gain=float(obj.get("feedback_gain", 1.0)),
     )
 
@@ -312,7 +305,6 @@ def plan_to_config(plan: ExperimentPlan) -> dict:
         "alpha_values": list(plan.alpha_values),
         "out_dir": plan.out_dir,
         "plot": plan.plot,
-        "seed": plan.seed,
         "feedback_gain": plan.feedback_gain,
     }
     if plan.steps is not None:
@@ -564,11 +556,27 @@ def _thin(n: int, limit: int = 120) -> np.ndarray:
 
 
 class _Emitter:
-    """Tracks files written by one experiment so failures leave nothing behind."""
+    """Tracks files written by one run so failures leave nothing behind.
 
-    def __init__(self, out_dir):
+    As a context manager it creates the output directory; an exception in
+    the block removes the run's files and re-raises as ExperimentError
+    naming `what`.
+    """
+
+    def __init__(self, out_dir, what: str):
         self.out_dir = Path(out_dir)
+        self.what = what
         self.created: list[Path] = []
+
+    def __enter__(self) -> "_Emitter":
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, Exception):
+            for p in self.created:
+                p.unlink(missing_ok=True)
+            raise ExperimentError(f"{self.what} failed: {exc}") from exc
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -590,10 +598,6 @@ class _Emitter:
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
-    def cleanup(self) -> None:
-        for p in self.created:
-            p.unlink(missing_ok=True)
-
 
 def _solve_gate(cfg: OCPConfig, tol: float):
     sol = solve_ocp(cfg)
@@ -608,7 +612,6 @@ def _grid_meta(plan: ExperimentPlan, cfg: OCPConfig) -> dict:
     return {
         "experiment": plan.experiment,
         "alpha": cfg.alpha,
-        "seed": plan.seed,
     }
 
 
@@ -618,7 +621,7 @@ def _initial_center(plan: ExperimentPlan) -> float:
     return plan.L / 2.0
 
 
-def _heatmap_series(field: np.ndarray, grid: Grid1D, tgrid: TimeGrid):
+def _heatmap_series(grid: Grid1D, tgrid: TimeGrid, field: np.ndarray):
     ridx = _thin(tgrid.M + 1)
     cidx = _thin(grid.N)
     return [
@@ -626,8 +629,26 @@ def _heatmap_series(field: np.ndarray, grid: Grid1D, tgrid: TimeGrid):
     ]
 
 
+def _fit_payload(fit) -> dict:
+    return {
+        "amplitude": fit.amplitude,
+        "rate": fit.rate,
+        "center": fit.center,
+        "residual": fit.residual,
+        "nodes_used": len(fit.window),
+    }
+
+
+def _verdict(dom: IntervalUnion):
+    """(certificate, None) for a certified layout, else (None, reason)."""
+    cert = certify_rates(dom)
+    if cert is not None:
+        return cert, None
+    return None, check_condition_ii(dom, 1.0, 2.0).reason or "no-certificate-found"
+
+
 def _exp_space_time_field(plan, em, workers, tol) -> int:
-    cfg = plan.base
+    cfg = plan.realize()
     sol = _solve_gate(cfg, tol)
     meta = _grid_meta(plan, cfg)
     em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
@@ -644,12 +665,11 @@ def _exp_space_time_field(plan, em, workers, tol) -> int:
             "T": cfg.tgrid.T,
             "M": cfg.tgrid.M,
             "alpha": cfg.alpha,
-            "seed": plan.seed,
         },
     )
     if plan.plot:
         emit_plot(
-            _heatmap_series(sol.x, cfg.grid, cfg.tgrid),
+            _heatmap_series(cfg.grid, cfg.tgrid, sol.x),
             "heatmap",
             em.path("x.svg"),
             xlabel="w",
@@ -660,7 +680,7 @@ def _exp_space_time_field(plan, em, workers, tol) -> int:
 
 
 def _exp_sliced_norms(plan, em, workers, tol) -> int:
-    cfg = plan.base
+    cfg = plan.realize()
     sol = _solve_gate(cfg, tol)
     meta = _grid_meta(plan, cfg)
     em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
@@ -668,18 +688,8 @@ def _exp_sliced_norms(plan, em, workers, tol) -> int:
     table_meta = dict(meta)
     table_meta.update({"L": cfg.grid.L, "N": cfg.grid.N, "T": cfg.tgrid.T, "M": cfg.tgrid.M})
     em.table("profile.csv", ["w", "value"], [cfg.grid.nodes, prof.values], table_meta)
-    center = _initial_center(plan)
-    fit = fit_decay_rate(prof, center, floor=1e-8)
-    em.json_file(
-        "fit.json",
-        {
-            "amplitude": fit.amplitude,
-            "rate": fit.rate,
-            "center": fit.center,
-            "residual": fit.residual,
-            "nodes_used": len(fit.window),
-        },
-    )
+    fit = fit_decay_rate(prof, _initial_center(plan), floor=1e-8)
+    em.json_file("fit.json", _fit_payload(fit))
     if plan.plot:
         emit_plot(
             [("profile", cfg.grid.nodes, prof.values)],
@@ -718,7 +728,6 @@ def _exp_domain_sweep(plan, em, workers, tol) -> int:
         "fit_center": center,
         "alpha": plan.alpha,
         "T": plan.T,
-        "seed": plan.seed,
     }
     if len(sizes) >= 3:
         cert = localization_certificate(list(zip(sizes, reports)), mu)
@@ -770,7 +779,7 @@ def _exp_alpha_sweep(plan, em, workers, tol) -> int:
             np.array([r[1] for r in rows]),
             np.array([r[2] for r in rows]),
         ],
-        {"experiment": plan.experiment, "T": plan.T, "L": plan.L, "seed": plan.seed},
+        {"experiment": plan.experiment, "T": plan.T, "L": plan.L},
     )
     if plan.plot:
         emit_plot(
@@ -789,11 +798,9 @@ def _exp_alpha_sweep(plan, em, workers, tol) -> int:
 
 def _exp_stabilizability_demo(plan, em, workers, tol) -> int:
     dom = plan.control_domain
-    cert = certify_rates(dom)
+    cert, reason = _verdict(dom)
     if cert is not None:
-        c_ref = plan.velocity[1] if plan.velocity[0] == "constant" else (
-            plan.velocity[1] - abs(plan.velocity[2])
-        )
+        c_ref = _velocity_field(plan.velocity, plan.L).c_min
         overshoot, rate = guaranteed_decay(dom, plan.feedback_gain, c_ref)
         em.json_file(
             "verdict.json",
@@ -811,14 +818,9 @@ def _exp_stabilizability_demo(plan, em, workers, tol) -> int:
             },
         )
         return 0
-    probe = check_condition_ii(dom, 1.0, 2.0)
     em.json_file(
         "verdict.json",
-        {
-            "stabilizable": False,
-            "reason": probe.reason or "no-certificate-found",
-            "domain": domain_to_config(dom),
-        },
+        {"stabilizable": False, "reason": reason, "domain": domain_to_config(dom)},
     )
     return 1
 
@@ -838,13 +840,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) ->
     Any failure removes the files this run created and re-raises as
     ExperimentError carrying the experiment id.
     """
-    em = _Emitter(plan.out_dir)
-    em.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _Emitter(plan.out_dir, f"experiment {plan.experiment}") as em:
         return _EXPERIMENTS[plan.experiment](plan, em, workers, tol)
-    except Exception as exc:
-        em.cleanup()
-        raise ExperimentError(f"experiment {plan.experiment} failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -852,43 +849,33 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) ->
 # ---------------------------------------------------------------------------
 
 _EQUATIONS = ("transport", "transport-var", "continuity", "wave")
+# Plan keys whose simulate default differs from the plan's: no control.
+_SIMULATE_DEFAULTS = {"control_domain": {"finite": []}, "feedback_gain": 0.0}
 
 
-def _simulate(cfg: dict, out_dir: str) -> int:
-    unknown = set(cfg) - (_PLAN_KEYS | {"equation"})
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    eq = cfg.get("equation")
+def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
+    """Evolve the config's equation on the grids of its plan keys."""
+    cfg = {**_SIMULATE_DEFAULTS, **cfg}
+    eq = cfg.pop("equation", None)
     if eq not in _EQUATIONS:
         raise ValueError(f"equation must be one of {_EQUATIONS}, got {eq!r}")
-    grid_cfg = cfg.get("grid", {})
-    time_cfg = cfg.get("time", {})
-    L = float(grid_cfg.get("L", 4.0))
-    grid = Grid1D(L, int(round(L * float(grid_cfg.get("nodes_per_unit", 128)))))
-    vspec = _velocity_from_config(cfg.get("velocity", {"type": "constant", "value": 2.0}))
-    vel = _velocity_field(vspec, L)
-    steps = time_cfg.get("steps")
-    T = float(time_cfg.get("T", 5.0))
-    tgrid = TimeGrid(T, int(steps) if steps is not None else max(1, math.ceil(T * vel.c_max / grid.h)))
-    dom = domain_from_config(cfg.get("control_domain", {"finite": []}))
-    gain = float(cfg.get("feedback_gain", 0.0))
-    x0 = GridFunction(grid, _initial_values(_initial_from_config(
-        cfg.get("initial", {"type": "bump", "width": 0.8, "center": 0.6})
-    ), grid))
+    plan = plan_from_config(cfg, out_dir=out_dir)
+    if eq in ("transport", "wave") and plan.velocity[0] != "constant":
+        raise ValueError(f"{eq} uses a constant velocity; use transport-var")
+    ocp = plan.realize()
+    grid, tgrid, x0, vel = ocp.grid, ocp.tgrid, ocp.x0, ocp.velocity
+    L, c = grid.L, plan.velocity[1]  # c: the speed of transport and wave
+    dom, gain = plan.control_domain, plan.feedback_gain
     fb = FeedbackProfile.uniform(dom, gain)
 
-    em = _Emitter(out_dir)
-    em.out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"equation": eq, "feedback_gain": gain, "seed": int(cfg.get("seed", 0))}
-    try:
+    meta = {"equation": eq, "feedback_gain": gain}
+    with _Emitter(plan.out_dir, f"simulate {eq}") as em:
         if eq == "wave":
-            if vspec[0] != "constant":
-                raise ValueError("the wave evolution uses a constant velocity")
             x1 = GridFunction(grid, np.zeros(grid.N))
             disp = np.empty((tgrid.M + 1, grid.N))
             velo = np.empty((tgrid.M + 1, grid.N))
             for m, t in enumerate(tgrid.times):
-                state = wave_damped(x0, x1, float(t), vspec[1], gain, dom, L)
+                state = wave_damped(x0, x1, float(t), c, gain, dom, L)
                 disp[m] = state.displacement.values
                 velo[m] = state.velocity.values
             em.field("displacement.csv", disp, grid, tgrid, meta)
@@ -898,28 +885,16 @@ def _simulate(cfg: dict, out_dir: str) -> int:
             for m, t in enumerate(tgrid.times):
                 t = float(t)
                 if eq == "transport":
-                    if vspec[0] != "constant":
-                        raise ValueError(
-                            "transport uses a constant velocity; use transport-var"
-                        )
                     if gain > 0:
-                        row = transport_damped(x0, t, vspec[1], fb, L)
+                        row = transport_damped(x0, t, c, fb, L)
                     else:
-                        row = transport_free(x0, t, vspec[1], L)
+                        row = transport_free(x0, t, c, L)
                 elif eq == "transport-var":
                     row = transport_variable(x0, t, vel, L, fb if gain > 0 else None)
                 else:
-                    cvel = vel
-                    if cvel.derivative is None:
-                        cvel = VelocityField.variable(
-                            vel.eval, vel.c_min, vel.c_max, derivative=lambda w: 0.0
-                        )
-                    row = continuity_damped(x0, t, cvel, fb, L)
+                    row = continuity_damped(x0, t, vel, fb, L)
                 field[m] = row.values
             em.field("field.csv", field, grid, tgrid, meta)
-    except Exception as exc:
-        em.cleanup()
-        raise ExperimentError(f"simulate {eq} failed: {exc}") from exc
     return 0
 
 
@@ -928,27 +903,39 @@ def _simulate(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+# What parsing a malformed config raises: a missing key, or a value of the
+# wrong type or range.
+_BAD_CONFIG = (ValueError, KeyError, TypeError, AttributeError)
+
+
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
 def _plan_of(args, forced_experiment: Optional[str] = None) -> ExperimentPlan:
-    if not args.config:
-        raise ConfigError("this subcommand needs --config <file>")
     cfg = _load_json(args.config)
     if forced_experiment is not None:
         cfg["experiment"] = forced_experiment
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
     try:
-        return plan_from_config(cfg, out_dir=getattr(args, "out", None))
-    except (ValueError, KeyError, TypeError) as exc:
+        return plan_from_config(cfg, out_dir=args.out)
+    except _BAD_CONFIG as exc:
         raise ConfigError(f"bad plan config: {exc}") from exc
+
+
+def _print_verdict(cert, reason) -> int:
+    if cert is None:
+        print(f"stabilizable: no ({reason})")
+        return 1
+    print(f"stabilizable: yes (k={cert.k:.6g}, K={cert.K:.6g}, M={cert.M:.6g})")
+    return 0
 
 
 def _cmd_check_domain(args) -> int:
@@ -961,48 +948,27 @@ def _cmd_check_domain(args) -> int:
         cfg = _load_json(args.config)
         try:
             dom = domain_from_config(cfg.get("control_domain", cfg))
-        except ValueError as exc:
+        except _BAD_CONFIG as exc:
             raise ConfigError(f"bad domain config: {exc}") from exc
     else:
         raise ConfigError("provide --domain <text> or --config <file>")
 
     if (args.k is None) != (args.K is None):
         raise ConfigError("pass both --k and --K or neither")
-    if args.k is not None:
-        try:
-            verdict = check_condition_ii(dom, args.k, args.K)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if verdict.stabilizable:
-            cert = verdict.certificate
-            print(
-                f"stabilizable: yes (k={cert.k:.6g}, K={cert.K:.6g}, M={cert.M:.6g})"
-            )
-            return 0
-        print(f"stabilizable: no ({verdict.reason})")
-        return 1
-
-    cert = certify_rates(dom)
-    if cert is not None:
-        print(f"stabilizable: yes (k={cert.k:.6g}, K={cert.K:.6g}, M={cert.M:.6g})")
-        return 0
-    probe = check_condition_ii(dom, 1.0, 2.0)
-    print(f"stabilizable: no ({probe.reason or 'no-certificate-found'})")
-    return 1
+    if args.k is None:
+        return _print_verdict(*_verdict(dom))
+    try:
+        verdict = check_condition_ii(dom, args.k, args.K)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _print_verdict(verdict.certificate, verdict.reason)
 
 
 def _cmd_simulate(args) -> int:
-    if not args.config:
-        raise ConfigError("simulate needs --config <file>")
     cfg = _load_json(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = args.out or cfg.get("out_dir", "hyplq-out")
     try:
-        return _simulate(cfg, out)
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, ExperimentError):
-            raise
+        return _simulate(cfg, args.out)
+    except _BAD_CONFIG as exc:
         raise ConfigError(f"bad simulate config: {exc}") from exc
 
 
@@ -1032,14 +998,7 @@ def _cmd_decay_fit(args) -> int:
         raise ConfigError("profile table needs (w, value) columns")
     profile = GridFunction(grid, cols[1])
     fit = fit_decay_rate(profile, args.center, floor=args.floor)
-    payload = {
-        "amplitude": fit.amplitude,
-        "rate": fit.rate,
-        "center": fit.center,
-        "residual": fit.residual,
-        "nodes_used": len(fit.window),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_fit_payload(fit), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -1048,24 +1007,15 @@ def _cmd_decay_fit(args) -> int:
 
 def _cmd_plot(args) -> int:
     try:
-        meta, header, cols = read_table(args.infile)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read table: {exc}") from exc
-    if args.style == "heatmap":
-        if header == ["t", "w", "value"] and {"M", "N"} <= set(meta):
-            M, N = int(meta["M"]), int(meta["N"])
-            tvals = cols[0].reshape(M + 1, N)[:, 0]
-            wvals = cols[1][:N]
-            field = cols[2].reshape(M + 1, N)
-            ridx = _thin(M + 1)
-            cidx = _thin(N)
-            series = [(f"{tvals[r]:.4g}", wvals[cidx], field[r][cidx]) for r in ridx]
+        if args.style == "heatmap":
+            series = _heatmap_series(*read_field_csv(args.infile))
         else:
-            raise ConfigError("heatmap needs a long-format (t, w, value) field table")
-    else:
-        if len(cols) < 2:
-            raise ConfigError("line plot needs at least two columns")
-        series = [(header[j], cols[0], cols[j]) for j in range(1, len(cols))]
+            _, header, cols = read_table(args.infile)
+            series = [(header[j], cols[0], cols[j]) for j in range(1, len(cols))]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {args.style} table: {exc}") from exc
+    if not series:
+        raise ConfigError("line plot needs at least two columns")
     emit_plot(series, args.style, args.out)
     return 0
 
@@ -1097,19 +1047,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="evolve one equation without optimization")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", help="output directory")
-    sim.add_argument("--seed", type=int)
 
     so = sub.add_parser("solve-ocp", help="solve one optimal control problem")
     so.add_argument("--config", required=True)
     so.add_argument("--out", help="output directory")
-    so.add_argument("--seed", type=int)
     so.add_argument("--tol", type=float, default=1e-8, help="residual acceptance gate")
 
     sw = sub.add_parser("sweep", help="run the experiment plan in a config file")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--workers", type=int, default=1)
-    sw.add_argument("--seed", type=int)
     sw.add_argument("--tol", type=float, default=1e-8)
 
     df = sub.add_parser("decay-fit", help="fit an exponential profile from a CSV")

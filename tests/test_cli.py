@@ -8,6 +8,7 @@ import pytest
 from hyplq.cli import (
     ExperimentError,
     ExperimentPlan,
+    _heatmap_series,
     emit_plot,
     main,
     plan_from_config,
@@ -32,7 +33,6 @@ def small_config(**over):
         "alpha": 0.25,
         "control_domain": {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}},
         "initial": {"type": "bump", "width": 0.4, "center": 0.5},
-        "seed": 0,
     }
     cfg.update(over)
     return cfg
@@ -67,9 +67,26 @@ def test_plan_validation():
         plan_from_config(small_config(alpha=-1.0))
 
 
+@pytest.mark.parametrize("command", ["solve-ocp", "sweep", "simulate"])
+def test_seed_is_not_a_plan_key(tmp_path, capsys, command):
+    cfg = small_config(seed=0)
+    if command == "simulate":
+        del cfg["experiment"]
+        cfg["equation"] = "transport"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 3
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
+    del cfg["seed"]
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p), "--out", str(out), "--seed", "1"]) == 3
+    assert list(out.glob("*")) == []
+
+
 def test_plan_realize_matches_grid():
     plan = plan_from_config(small_config())
-    cfg = plan.base
+    cfg = plan.realize()
     assert cfg.grid.N == 32
     assert cfg.tgrid.M == 16
     assert cfg.alpha == 0.25
@@ -82,7 +99,7 @@ def test_plan_cfl_default_steps():
     cfg = small_config()
     del cfg["time"]["steps"]
     plan = plan_from_config(cfg)
-    base = plan.base
+    base = plan.realize()
     assert base.velocity.c_max * base.tgrid.dt <= base.grid.h * (1 + 1e-12)
 
 
@@ -163,7 +180,7 @@ def test_space_time_field_artifacts(tmp_path):
     assert grid.N == 32
     assert tgrid.M == 16
     assert field.shape == (17, 32)
-    x0 = plan.base.x0.values
+    x0 = plan.realize().x0.values
     # level 0 of the stored field is the initial state up to solver roundoff;
     # bitwise CSV fidelity is covered by the table round-trip test
     assert np.max(np.abs(field[0] - x0)) < 1e-10
@@ -315,6 +332,44 @@ def test_check_domain_config_file(tmp_path, capsys):
     assert main(["check-domain", "--config", str(p)]) == 0
 
 
+@pytest.mark.parametrize(
+    "layout, reason",
+    [
+        ({"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}}, None),
+        ({"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "start": 0.3}}, "first-interval-offset"),
+        ({"finite": [[0.0, 0.2], [1.0, 1.2]]}, "finite-measure"),
+        # one interval, then a long gap before the tail: no (k, K) certifies
+        # it, and at k = 1, K = 2 the tail density 0.2 < k / K
+        (
+            {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "prefix": [[0.0, 0.2]], "start": 200.0}},
+            "density-deficit",
+        ),
+    ],
+    ids=["certified", "offset-start", "finite-prefix", "density-deficit"],
+)
+def test_check_domain_agrees_with_stabilizability_demo(tmp_path, capsys, layout, reason):
+    dom_file = tmp_path / "dom.json"
+    dom_file.write_text(json.dumps({"control_domain": layout}))
+    code = main(["check-domain", "--config", str(dom_file)])
+    printed = capsys.readouterr().out.strip()
+
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(small_config(experiment="stabilizability-demo", control_domain=layout)))
+    out = tmp_path / "demo"
+    assert main(["sweep", "--config", str(plan_file), "--out", str(out)]) == code
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["reason"] == reason
+    assert code == (0 if reason is None else 1)
+    if reason is None:
+        assert verdict["stabilizable"] is True
+        assert printed == (
+            f"stabilizable: yes (k={verdict['k']:.6g}, K={verdict['K']:.6g}, M={verdict['M']:.6g})"
+        )
+    else:
+        assert verdict["stabilizable"] is False
+        assert printed == f"stabilizable: no ({reason})"
+
+
 def test_solve_ocp_subcommand(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(small_config()))
@@ -380,6 +435,72 @@ def test_simulate_wave(tmp_path):
     assert np.max(np.abs(disp[:, 0])) < 1e-10
 
 
+def test_simulate_failure_removes_partial_outputs(tmp_path, monkeypatch):
+    import hyplq.cli as cli_mod
+
+    # the wave run writes displacement.csv, then fails on velocity.csv
+    real_field = cli_mod.write_field_csv
+
+    def second_write_fails(path, *a, **k):
+        if path.name == "velocity.csv":
+            raise OSError("disk full")
+        real_field(path, *a, **k)
+
+    monkeypatch.setattr(cli_mod, "write_field_csv", second_write_fails)
+    cfg = {
+        "equation": "wave",
+        "grid": {"L": 1.0, "nodes_per_unit": 16},
+        "time": {"T": 0.25, "steps": 2},
+        "velocity": {"type": "constant", "value": 1.0},
+    }
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert out.is_dir()
+    assert list(out.glob("*")) == []
+
+
+def test_simulate_defaults_free_transport_on_cfl_steps(tmp_path):
+    # no control_domain, feedback_gain or time.steps: simulate's own defaults
+    # give the free evolution, on the c_max * dt <= h step count
+    cfg = {
+        "equation": "transport",
+        "grid": {"L": 1.0, "nodes_per_unit": 32},
+        "time": {"T": 0.25},
+        "velocity": {"type": "constant", "value": 2.0},
+        "initial": {"type": "sine", "mode": 1},
+    }
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    meta, _, _ = read_table(out / "field.csv")
+    assert meta["feedback_gain"] == "0.0"
+    grid, tgrid, field = read_field_csv(out / "field.csv")
+    assert tgrid.M == 16  # ceil(T * c / h) = ceil(0.25 * 2 * 32)
+    x0 = GridFunction(grid, np.sin(2 * np.pi * grid.nodes))
+    for m in range(tgrid.M + 1):
+        want = transport_free(x0, tgrid.times[m], 2.0, 1.0).values
+        assert np.array_equal(field[m], want)
+
+
+@pytest.mark.parametrize("equation", ["transport", "wave"])
+def test_simulate_constant_speed_equation_rejects_variable_velocity(tmp_path, capsys, equation):
+    cfg = {
+        "equation": equation,
+        "grid": {"L": 1.0, "nodes_per_unit": 16},
+        "time": {"T": 0.25, "steps": 2},
+        "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5},
+    }
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 3
+    assert "constant velocity" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
 def test_decay_fit_subcommand(tmp_path, capsys):
     grid = Grid1D(1.0, 64)
     y = 3.0 * np.exp(-2.0 * np.abs(0.5 - grid.nodes))
@@ -434,6 +555,18 @@ def test_plot_subcommand_heatmap(tmp_path):
     assert "<rect" in svg.read_text()
 
 
+def test_plot_heatmap_of_solved_field_matches_library(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(small_config()))
+    out = tmp_path / "run"
+    assert main(["solve-ocp", "--config", str(p), "--out", str(out)]) == 0
+    svg = tmp_path / "cli.svg"
+    assert main(["plot", "--in", str(out / "x.csv"), "--style", "heatmap", "--out", str(svg)]) == 0
+    want = tmp_path / "lib.svg"
+    emit_plot(_heatmap_series(*read_field_csv(out / "x.csv")), "heatmap", want)
+    assert svg.read_bytes() == want.read_bytes()
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["solve-ocp", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -442,6 +575,30 @@ def test_invalid_json_is_config_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["solve-ocp", "--config", str(p)]) == 3
+
+
+@pytest.mark.parametrize("command", ["solve-ocp", "sweep", "simulate", "check-domain"])
+def test_non_object_config_is_config_error(tmp_path, capsys, command):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    assert main([command, "--config", str(p)]) == 3
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("solve-ocp", small_config(grid=5)),
+        ("sweep", small_config(velocity={"type": "constant"})),
+        ("simulate", {"equation": "wave", "time": [1.0]}),
+        ("check-domain", {"control_domain": {"finite": 5}}),
+    ],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, command, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p)]) == 3
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_config_error():
