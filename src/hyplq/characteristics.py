@@ -1,33 +1,42 @@
 """Characteristic flows and path integrals for periodized velocity fields.
 
 The velocity c lives on [0, L] and is extended periodically to the line.
-Forward/backward characteristics are computed by travel-time inversion:
-the time to move from a to b is the integral of 1/c along [a, b], which is
-strictly increasing in b, so positions are recovered with a bracketed root
-solve instead of ODE stepping.  One period always takes the same time, so
-long flights reduce to a remainder search inside a single period.
+Characteristics are resolved in travel-time coordinates: tau(x), the
+integral of 1/c from 0 to x, is strictly increasing, one period always
+takes the same time tau_L, and the characteristic through x after time t
+sits at tau^{-1}(tau(x) +- t).  A cached one-period table of tau makes both
+directions vectorized lookups: a panel search plus a Gauss-Legendre partial
+panel for tau, and a few Newton steps seeded from the table for its
+inverse, on whole node arrays at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "VelocityField",
     "FlowResult",
     "NumericError",
+    "flow",
     "flow_forward",
     "flow_backward",
+    "invert_travel_time",
+    "log_speed_integral",
     "path_integral",
+    "travel_time",
 ]
 
+# accuracy reported for numeric flows
 _FLOW_TOL = 1e-10
+# Newton on tau(x) = s stops once every step is below this relative size;
+# the table seed is within one panel, so a handful of steps suffice
+_NEWTON_TOL = 1e-13
+_NEWTON_STEPS = 8
 
 # 16-point Gauss-Legendre rule, reused for all panel quadratures
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -42,9 +51,13 @@ class VelocityField:
     """Positive wave speed with certified bounds 0 < c_min <= c <= c_max.
 
     Use the ``constant`` / ``variable`` constructors.  ``evaluator`` takes a
-    single position in [0, L); periodization is handled by the flow and
-    integral routines.  ``derivative`` is optional and only needed by
-    consumers that differentiate the speed (e.g. conservative transport).
+    single position in [0, L) and returns one float; periodization is
+    handled by the flow and integral routines.  It is sampled at the
+    Gauss-Legendre nodes of each panel of the one-period tables (built
+    once per field and period, and kept on the field in ``_tables``) and
+    at the points the array routines resolve, one call per point.
+    ``derivative`` is optional and only needed by consumers that
+    differentiate the speed (e.g. the continuity equation's c'/c table).
     """
 
     evaluator: Callable[[float], float] = field(compare=False)
@@ -55,6 +68,9 @@ class VelocityField:
     )
     breakpoints: tuple = ()
     is_constant: bool = False
+    # tables keyed by (kind, L); equality ignores the evaluator, so a cache
+    # keyed on field equality would hand one field's table to another
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.c_min <= self.c_max):
@@ -133,75 +149,126 @@ class FlowResult:
 
 
 # --------------------------------------------------------------------------
-# cached one-period travel-time table
+# one-period cumulative tables, cached on the velocity field
 
 
-@lru_cache(maxsize=32)
-def _period_table(vel: VelocityField, L: float):
-    """Cumulative integral of 1/c over [0, L], panel by panel.
+class _Table(NamedTuple):
+    """Cumulative integral of ``f`` over [0, L], panel by panel.
 
-    Returns (edges, cumulative, tau_L) where cumulative[i] is the travel
-    time from 0 to edges[i] and tau_L the full-period travel time.  Panels
-    are split at the velocity's breakpoints so every panel is smooth.
+    ``cum[i]`` is the integral from 0 to ``edges[i]``; ``total`` the
+    integral over one period.
     """
-    cuts = {0.0, L}
-    for b in vel.breakpoints:
-        cuts.add(b % L)
-    base = sorted(cuts)
+
+    f: Callable[[float], float]
+    edges: np.ndarray
+    cum: np.ndarray
+    total: float
+
+
+def _sample(f: Callable[[float], float], pts: np.ndarray) -> np.ndarray:
+    """f at every entry of pts; f takes and returns one float."""
+    flat = pts.ravel().tolist()
+    return np.fromiter(map(f, flat), dtype=float, count=len(flat)).reshape(pts.shape)
+
+
+def _gl(f: Callable[[float], float], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre integral of f over each panel [lo_i, hi_i]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = _sample(f, mid[:, None] + half[:, None] * _GL_NODES)
+    return half * (vals @ _GL_WEIGHTS)
+
+
+def _table(vel: VelocityField, L: float, kind: str) -> _Table:
+    """The ``kind`` table of this field on [0, L], built once per field.
+
+    ``"time"`` integrates 1/c (travel time), ``"log_speed"`` integrates
+    c'/c.  Panels of width about L/256 are split at the velocity's
+    breakpoints so every panel is smooth.
+    """
+    key = (kind, float(L))
+    tab = vel._tables.get(key)
+    if tab is not None:
+        return tab
+    ev = vel.evaluator
+    if kind == "time":
+        f = lambda y: 1.0 / ev(y)
+    else:
+        dv = vel.derivative
+        f = lambda y: dv(y) / ev(y)
+    base = sorted({0.0, L} | {b % L for b in vel.breakpoints})
     edges = [0.0]
     for lo, hi in zip(base[:-1], base[1:]):
         n = max(1, int(math.ceil((hi - lo) / (L / 256.0))))
         edges.extend(np.linspace(lo, hi, n + 1)[1:])
     edges = np.asarray(edges)
-    cum = np.zeros(len(edges))
-    for i in range(len(edges) - 1):
-        cum[i + 1] = cum[i] + _gl_panel(
-            lambda y: 1.0 / vel.eval(y), edges[i], edges[i + 1]
-        )
-    return edges, cum, float(cum[-1])
+    cum = np.concatenate([[0.0], np.cumsum(_gl(f, edges[:-1], edges[1:]))])
+    tab = vel._tables[key] = _Table(f, edges, cum, float(cum[-1]))
+    return tab
 
 
-def _gl_panel(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    acc = 0.0
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * f(mid + half * x)
-    return acc * half
+def _wrap(y: np.ndarray, period: float):
+    """(j, r) with y = j * period + r and 0 <= r < period."""
+    j = np.floor(y / period)
+    r = y - j * period
+    seam = r >= period  # floating guard at the seam
+    j[seam] += 1
+    r[seam] = 0.0
+    return j, r
 
 
-def _travel_time(x: float, vel: VelocityField, L: float) -> float:
-    """Integral of 1/c_periodized from 0 to x, for any real x."""
-    edges, cum, tau_L = _period_table(vel, L)
-    j = math.floor(x / L)
-    r = x - j * L
-    if r >= L:  # floating guard at the seam
-        j, r = j + 1, 0.0
-    idx = int(np.searchsorted(edges, r, side="right")) - 1
-    idx = min(max(idx, 0), len(edges) - 2)
-    part = cum[idx] + _gl_panel(lambda y: 1.0 / vel.eval(y), edges[idx], r)
-    return j * tau_L + part
+def _periodic_cumulative(x: np.ndarray, tab: _Table, L: float) -> np.ndarray:
+    """Integral of the L-periodized table integrand from 0 to each x."""
+    j, r = _wrap(x, L)
+    idx = np.searchsorted(tab.edges, r, side="right") - 1
+    idx = np.clip(idx, 0, len(tab.edges) - 2)
+    return j * tab.total + (tab.cum[idx] + _gl(tab.f, tab.edges[idx], r))
 
 
-def _invert_travel_time(
-    p0: float, t: float, vel: VelocityField, L: float, direction: int
-) -> float:
-    """Solve travel_time(x) - travel_time(p0) = direction * t for x."""
-    target = _travel_time(p0, vel, L) + direction * t
-    if direction > 0:
-        lo = p0 + vel.c_min * t
-        hi = p0 + vel.c_max * t
-    else:
-        lo = p0 - vel.c_max * t
-        hi = p0 - vel.c_min * t
-    # widen slightly so roundoff at the bracket ends cannot lose the root
-    pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
-    g = lambda x: _travel_time(x, vel, L) - target
-    try:
-        return float(brentq(g, lo - pad, hi + pad, xtol=1e-13, rtol=8.9e-16))
-    except ValueError as exc:
-        raise NumericError(f"travel-time inversion failed: {exc}") from exc
+def travel_time(x, vel: VelocityField, L: float) -> np.ndarray:
+    """tau(x): the integral of 1/c_periodized from 0 to each x (any reals)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _periodic_cumulative(x, _table(vel, L, "time"), L)
+
+
+def log_speed_integral(x, vel: VelocityField, L: float) -> np.ndarray:
+    """The integral of c'/c, both periodized, from 0 to each x."""
+    if vel.derivative is None:
+        raise ValueError("velocity field has no derivative evaluator")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _periodic_cumulative(x, _table(vel, L, "log_speed"), L)
+
+
+def invert_travel_time(s, vel: VelocityField, L: float) -> np.ndarray:
+    """The positions x with tau(x) = s, for an array of travel times s.
+
+    The table brackets each root between two panel edges and interpolates
+    a seed there; Newton steps (tau' = 1/c) kept inside the bracket then
+    converge on all entries at once.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    tab = _table(vel, L, "time")
+    j, rem = _wrap(s, tab.total)
+    i = np.clip(np.searchsorted(tab.cum, rem, side="right") - 1, 0, len(tab.cum) - 2)
+    lo, hi = j * L + tab.edges[i], j * L + tab.edges[i + 1]
+    x = lo + (rem - tab.cum[i]) / (tab.cum[i + 1] - tab.cum[i]) * (hi - lo)
+    for _ in range(_NEWTON_STEPS):
+        step = (travel_time(x, vel, L) - s) * _sample(vel.evaluator, np.mod(x, L))
+        x = np.clip(x - step, lo, hi)
+        if np.all(np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(x))):
+            return x
+    raise NumericError("travel-time inversion did not converge")
+
+
+def flow(x, t: float, vel: VelocityField, L: float, direction: int) -> np.ndarray:
+    """Positions reached after time t by the characteristics through x:
+    forward (direction +1) or backward (-1), unwrapped (not reduced mod L).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if vel.is_constant:
+        return x + direction * vel.c_min * t
+    if t == 0.0:
+        return x.copy()
+    return invert_travel_time(travel_time(x, vel, L) + direction * t, vel, L)
 
 
 def _check_flow_args(p0: float, t: float, L: float):
@@ -213,28 +280,23 @@ def _check_flow_args(p0: float, t: float, L: float):
         raise ValueError(f"time must be nonnegative, got {t}")
 
 
+def _flow_one(x0: float, t: float, vel: VelocityField, L: float, direction: int) -> FlowResult:
+    _check_flow_args(x0, t, L)
+    x = float(flow(x0, t, vel, L, direction)[0])
+    if vel.is_constant:
+        return FlowResult(x, t, "analytic")
+    tau = travel_time([x0, x], vel, L)
+    return FlowResult(x, float(direction * (tau[1] - tau[0])), "numeric", _FLOW_TOL)
+
+
 def flow_forward(p0: float, t: float, vel: VelocityField, L: float) -> FlowResult:
     """Position reached at time t by the characteristic starting at p0."""
-    _check_flow_args(p0, t, L)
-    if vel.is_constant:
-        return FlowResult(p0 + vel.c_min * t, t, "analytic")
-    if t == 0.0:
-        return FlowResult(p0, 0.0, "numeric", _FLOW_TOL)
-    x = _invert_travel_time(p0, t, vel, L, +1)
-    elapsed = _travel_time(x, vel, L) - _travel_time(p0, vel, L)
-    return FlowResult(x, elapsed, "numeric", _FLOW_TOL)
+    return _flow_one(p0, t, vel, L, +1)
 
 
 def flow_backward(q0: float, t: float, vel: VelocityField, L: float) -> FlowResult:
     """Position at time 0 of the characteristic that reaches q0 at time t."""
-    _check_flow_args(q0, t, L)
-    if vel.is_constant:
-        return FlowResult(q0 - vel.c_min * t, t, "analytic")
-    if t == 0.0:
-        return FlowResult(q0, 0.0, "numeric", _FLOW_TOL)
-    x = _invert_travel_time(q0, t, vel, L, -1)
-    elapsed = _travel_time(q0, vel, L) - _travel_time(x, vel, L)
-    return FlowResult(x, elapsed, "numeric", _FLOW_TOL)
+    return _flow_one(q0, t, vel, L, -1)
 
 
 # --------------------------------------------------------------------------
@@ -285,8 +347,7 @@ def path_integral(
                 continue
             n = max(1, int(math.ceil((e - s) / (L / 64.0))))
             sub = np.linspace(s, e, n + 1)
-            for u, v in zip(sub[:-1], sub[1:]):
-                acc += _gl_panel(integrand, u, v)
+            acc += float(np.sum(_gl(integrand, sub[:-1], sub[1:])))
         return acc
 
     j_lo = math.floor(frm / L)

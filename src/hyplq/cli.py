@@ -18,8 +18,10 @@ chosen so c_max * dt <= h unless the config pins "steps" explicitly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -90,6 +92,10 @@ _PLAN_KEYS = {
     "feedback_gain",
     "comment",
 }
+
+
+# The layout of a plan that names none.
+_DEFAULT_CONTROL_DOMAIN = {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}}
 
 
 class ConfigError(Exception):
@@ -273,9 +279,7 @@ def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan
         steps=None if steps is None else int(steps),
         velocity=_velocity_from_config(obj.get("velocity", {"type": "constant", "value": 2.0})),
         alpha=float(obj.get("alpha", 0.125)),
-        control_domain=domain_from_config(
-            obj.get("control_domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}})
-        ),
+        control_domain=domain_from_config(obj.get("control_domain", _DEFAULT_CONTROL_DOMAIN)),
         observation_domain=None if obs is None else domain_from_config(obs),
         initial=_initial_from_config(
             obj.get("initial", {"type": "bump", "width": 0.8, "center": 0.6})
@@ -317,13 +321,39 @@ def plan_to_config(plan: ExperimentPlan) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_TMP_IDS = itertools.count()
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and
+    os.replace, so the target never holds a partial write; the temp file
+    is removed when writing fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{next(_TMP_IDS)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _format_column(c: np.ndarray) -> list[str]:
+    """repr of every float of c, computed once per distinct bit pattern
+    (not per distinct value, so -0.0 and each NaN keep their own text)."""
+    bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
 def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) -> None:
     """Write a float table with `# key: value` metadata comment lines.
 
     Floats are written with shortest round-trip repr, so reading the file
     back reproduces the exact binary values.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [np.ascontiguousarray(c, dtype=float).reshape(-1) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} names for {len(cols)} columns")
     n = cols[0].size
@@ -335,9 +365,8 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
     for key in sorted(metadata):
         lines.append(f"# {key}: {metadata[key]}")
     lines.append(",".join(header))
-    for i in range(n):
-        lines.append(",".join(repr(float(c[i])) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(*(_format_column(c) for c in cols)))
+    _write_atomic(path, "\n".join(itertools.chain(lines, rows)) + "\n")
 
 
 def read_table(path) -> tuple[dict, list[str], list[np.ndarray]]:
@@ -542,7 +571,7 @@ def emit_plot(series, style: str, path, xlabel: str = "", ylabel: str = "", titl
                     f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{color}"/>'
                 )
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_atomic(path, "\n".join(out) + "\n")
 
 
 def _thin(n: int, limit: int = 120) -> np.ndarray:
@@ -595,7 +624,7 @@ class _Emitter:
 
     def json_file(self, name, payload: dict) -> Path:
         p = self.path(name)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(p, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
 
@@ -946,8 +975,12 @@ def _cmd_check_domain(args) -> int:
             raise ConfigError(f"bad domain text: {exc}") from exc
     elif args.config:
         cfg = _load_json(args.config)
+        if "control_domain" in cfg:
+            cfg = cfg["control_domain"]
+        elif _PLAN_KEYS & cfg.keys():  # a plan that keeps the default layout
+            cfg = _DEFAULT_CONTROL_DOMAIN
         try:
-            dom = domain_from_config(cfg.get("control_domain", cfg))
+            dom = domain_from_config(cfg)
         except _BAD_CONFIG as exc:
             raise ConfigError(f"bad domain config: {exc}") from exc
     else:
@@ -1000,7 +1033,7 @@ def _cmd_decay_fit(args) -> int:
     fit = fit_decay_rate(profile, args.center, floor=args.floor)
     text = json.dumps(_fit_payload(fit), indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_atomic(args.out, text + "\n")
     print(text)
     return 0
 

@@ -17,7 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .characteristics import VelocityField, flow_backward, flow_forward, path_integral
+from .characteristics import VelocityField, invert_travel_time, log_speed_integral, travel_time
+
+# Unused here, but perfbench/spans.py wraps these names on this module.
+from .characteristics import flow_backward, flow_forward, path_integral  # noqa: F401
 from .domain_check import RateCertificate
 from .geometry import (
     Grid1D,
@@ -130,14 +133,6 @@ class FeedbackProfile:
 
         return gain_at
 
-    def breakpoints_on(self, L: float) -> tuple:
-        edges = set()
-        for a, b, _ in self.segments(L):
-            edges.add(a % L)
-            if b < L:
-                edges.add(b)
-        return tuple(sorted(edges))
-
 
 def _periodized_window_gain(segs, L: float, p: np.ndarray, q: np.ndarray):
     """Sum of gain * |interval-copies ∩ [p, q]| over the L-periodized segments."""
@@ -201,6 +196,19 @@ def transport_damped(
     return GridFunction(grid, np.exp(-expo / c) * shifted.values)
 
 
+def _time_segments(fb: FeedbackProfile, vel: VelocityField, L: float):
+    """The feedback segments with their ends mapped through tau, and tau_L.
+
+    In travel-time coordinates the speed is 1, so int gain/c over a window
+    of x is the gain-weighted overlap of the window's tau-image with these
+    segments, periodized with period tau_L.
+    """
+    segs = fb.segments(L)
+    ends = travel_time([e for a, b, _ in segs for e in (a, b)] + [L], vel, L)
+    tau_segs = [(ends[2 * i], ends[2 * i + 1], g) for i, (_, _, g) in enumerate(segs)]
+    return tau_segs, float(ends[-1])
+
+
 def transport_variable(
     x0: GridFunction,
     t: float,
@@ -209,25 +217,20 @@ def transport_variable(
     fb: Optional[FeedbackProfile] = None,
 ) -> GridFunction:
     """Variable-speed transport: trace each node back along its
-    characteristic, evaluate the periodized initial state there, and apply
-    the attenuation exp(-int_q^w gain/c) when a feedback profile is given.
+    characteristic, q = tau^{-1}(tau(w) - t), evaluate the periodized
+    initial state there, and apply the attenuation exp(-int_q^w gain/c)
+    when a feedback profile is given.
     """
     _require_grid(x0, L)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
     grid = x0.grid
-    q = np.array(
-        [flow_backward(w, t, vel, L).position for w in grid.nodes]
-    )
+    tau_w = travel_time(grid.nodes, vel, L)
+    q = invert_travel_time(tau_w - t, vel, L)
     vals = sample_periodic(x0, q)
     if fb is not None and fb.sup_gain > 0.0 and t > 0.0:
-        gain_at = fb.sample_on(L)
-        brk = fb.breakpoints_on(L)
-        atten = np.array(
-            [
-                math.exp(-path_integral(gain_at, qi, w, vel, L, f_breakpoints=brk))
-                for qi, w in zip(q, grid.nodes)
-            ]
-        )
-        vals = vals * atten
+        segs, tau_L = _time_segments(fb, vel, L)
+        vals = vals * np.exp(-_periodized_window_gain(segs, tau_L, tau_w - t, tau_w))
     return GridFunction(grid, vals)
 
 
@@ -247,8 +250,10 @@ def continuity_damped(
 
         x(w, t) = (c(0)/c(L))^{N_L} * exp(int_w^{p} (c' - gain)/c) * x0(p mod L)
 
-    with p = p(t, w) the forward characteristic and N_L = floor(p/L) the
-    number of seam crossings (the flux-periodic boundary factor).
+    with p = tau^{-1}(tau(w) + t) the forward characteristic and
+    N_L = floor(p/L) the number of seam crossings (the flux-periodic
+    boundary factor).  The c'/c part comes from a cumulative table, the
+    gain part from the tau-space window.
     """
     _require_grid(x0, L)
     if vel.derivative is None:
@@ -257,19 +262,13 @@ def continuity_damped(
         raise ValueError(f"time must be nonnegative, got {t}")
     grid = x0.grid
     c0, cL = vel.eval(0.0), vel.eval(L)
-    gain_at = fb.sample_on(L)
-    brk = tuple(fb.breakpoints_on(L)) + tuple(vel.breakpoints)
-
-    def k_comp(r: float) -> float:
-        return vel.derivative_at(r) - gain_at(r)
-
-    vals = np.empty(grid.N)
-    for i, w in enumerate(grid.nodes):
-        p = flow_forward(w, t, vel, L).position
-        n_cross = math.floor(p / L)
-        boundary = (c0 / cL) ** n_cross
-        expo = path_integral(k_comp, w, p, vel, L, f_breakpoints=brk)
-        vals[i] = boundary * math.exp(expo) * sample_periodic(x0, p % L)
+    tau_w = travel_time(grid.nodes, vel, L)
+    p = invert_travel_time(tau_w + t, vel, L)
+    boundary = (c0 / cL) ** np.floor(p / L)
+    expo = log_speed_integral(p, vel, L) - log_speed_integral(grid.nodes, vel, L)
+    segs, tau_L = _time_segments(fb, vel, L)
+    expo -= _periodized_window_gain(segs, tau_L, tau_w, tau_w + t)
+    vals = boundary * np.exp(expo) * sample_periodic(x0, p % L)
     return GridFunction(grid, vals)
 
 

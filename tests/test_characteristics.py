@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from hyplq.characteristics import (
     FlowResult,
     NumericError,
     VelocityField,
+    flow,
     flow_backward,
     flow_forward,
+    invert_travel_time,
     path_integral,
+    travel_time,
 )
 
 L = 1.0
@@ -120,6 +126,56 @@ def test_flow_validates_inputs():
         flow_forward(-0.5, 1.0, SIN_VEL, L)
     with pytest.raises(ValueError):
         flow_forward(0.2, -1.0, SIN_VEL, L)
+
+
+def _sinusoid(mean: float, amp: float, L: float) -> VelocityField:
+    k = 2.0 * math.pi / L
+    return VelocityField.variable(
+        lambda w: mean + amp * math.sin(k * w),
+        c_min=mean - abs(amp),
+        c_max=mean + abs(amp),
+        derivative=lambda w: amp * k * math.cos(k * w),
+    )
+
+
+def test_fields_with_equal_bounds_keep_their_own_tables():
+    # +-amplitude fields compare equal (the evaluator is not compared), so a
+    # table cache keyed on field equality would serve one the other's table
+    L, p0, t = 2.0, 0.3, 0.4
+    plus, minus = _sinusoid(2.0, 0.5, L), _sinusoid(2.0, -0.5, L)
+    assert plus == minus
+
+    def reference(vel):
+        tau = lambda x: quad(lambda y: 1.0 / vel.eval(y), p0, x, epsabs=1e-14)[0]
+        return brentq(lambda x: tau(x) - t, p0 + 1.5 * t, p0 + 2.5 * t, xtol=1e-14)
+
+    for vel in (plus, minus, plus):
+        assert flow_forward(p0, t, vel, L).position == pytest.approx(reference(vel), abs=1e-12)
+    assert flow_forward(p0, t, minus, L).position == pytest.approx(0.9408, abs=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    amp=st.floats(-0.9, 0.9),
+    L=st.sampled_from([0.5, 1.0, 2.0]),
+    t=st.floats(0.0, 50.0),
+    xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_array_flows_round_trip(amp, L, t, xs):
+    vel = _sinusoid(1.0, amp, L)
+    x = np.array(xs) * L
+    fwd = flow(x, t, vel, L, +1)
+    back = flow(fwd, t, vel, L, -1)
+    assert np.allclose(back, x, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(fwd))))
+    # the elapsed travel time is t for every start
+    assert np.allclose(travel_time(fwd, vel, L) - travel_time(x, vel, L), t, rtol=0.0, atol=1e-12 * (1.0 + t))
+    # each entry agrees with its one-element call
+    assert fwd[-1] == pytest.approx(flow_forward(float(x[-1]), t, vel, L).position, rel=1e-14, abs=1e-14)
+
+
+def test_travel_time_inverse_is_exact_on_table_edges():
+    s = np.arange(-3, 4) * PERIOD_TRAVEL_TIME
+    assert np.allclose(invert_travel_time(s, SIN_VEL, L), np.arange(-3, 4) * L, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------- path integral

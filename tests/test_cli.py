@@ -16,6 +16,7 @@ from hyplq.cli import (
     read_field_csv,
     read_table,
     run_experiment,
+    write_field_csv,
     write_table,
 )
 from hyplq.geometry import Grid1D, GridFunction, TimeGrid
@@ -117,6 +118,91 @@ def test_table_round_trip(tmp_path):
     assert meta["note"] == "demo"
     assert np.array_equal(cols[0], x)
     assert np.array_equal(cols[1], y)
+
+
+def _per_cell_table(header, columns, metadata):
+    """The table text as formatted one cell at a time (reference format)."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    lines = ["# hyplq-table"] + [f"# {k}: {metadata[k]}" for k in sorted(metadata)]
+    lines.append(",".join(header))
+    for i in range(cols[0].size):
+        lines.append(",".join(repr(float(c[i])) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def test_table_bytes_match_per_cell_format(tmp_path):
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 0.1])
+    # a NaN with a payload: its own bit pattern, but the same text
+    odd_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)
+    repeated = np.repeat(np.array([1.0 / 3.0, -0.0, 2.5]), 7)
+    rng = np.random.default_rng(5)
+    a = np.concatenate([special, odd_nan, repeated, rng.standard_normal(9)])
+    b = np.concatenate([repeated, special[::-1], odd_nan, rng.integers(-3, 3, 9) * 0.5])
+    c = np.full(a.size, -0.0)
+    header, meta = ["a", "b", "c"], {"L": 2.0, "note": "x"}
+    path = tmp_path / "t.csv"
+    write_table(path, header, [a, b, c], meta)
+    assert path.read_text() == _per_cell_table(header, [a, b, c], meta)
+    _, _, cols = read_table(path)
+    for got, want in zip(cols, (a, b, c)):
+        finite = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~finite)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+def test_field_csv_round_trip_exact(tmp_path):
+    grid, tgrid = Grid1D(1.0, 8), TimeGrid(0.5, 3)
+    rng = np.random.default_rng(11)
+    field = rng.standard_normal((tgrid.M + 1, grid.N))
+    field[1, 2], field[2, 5], field[3] = -0.0, 5e-324, field[0]
+    path = tmp_path / "f.csv"
+    write_field_csv(path, field, grid, tgrid, {"equation": "demo"})
+    t = np.repeat(tgrid.times, grid.N)
+    w = np.tile(grid.nodes, tgrid.M + 1)
+    meta = {"equation": "demo", "L": grid.L, "N": grid.N, "T": tgrid.T, "M": tgrid.M}
+    assert path.read_text() == _per_cell_table(["t", "w", "value"], [t, w, field.ravel()], meta)
+    g2, tg2, back = read_field_csv(path)
+    assert (g2, tg2) == (grid, tgrid)
+    assert np.array_equal(back.view(np.int64), field.view(np.int64))
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # a lone surrogate cannot be encoded: the write itself raises midway
+    with pytest.raises(UnicodeEncodeError):
+        write_table(tmp_path / "t.csv", ["x"], [np.arange(3.0)], {"note": "\ud800"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_replace_keeps_old_target(tmp_path, monkeypatch):
+    import hyplq.cli as cli_mod
+
+    path = tmp_path / "t.csv"
+    write_table(path, ["x"], [np.arange(3.0)], {})
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli_mod.os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_table(path, ["x"], [np.arange(5.0)], {})
+    with pytest.raises(OSError):
+        emit_plot([("s", np.arange(3.0), np.arange(3.0))], "line", tmp_path / "p.svg")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert path.read_bytes() == before
+
+
+def test_emitter_failure_empties_directory(tmp_path):
+    from hyplq.cli import _Emitter
+
+    out = tmp_path / "run"
+    with pytest.raises(ExperimentError):
+        with _Emitter(out, "demo") as em:
+            em.json_file("summary.json", {"a": 1})
+            em.table("a.csv", ["x"], [np.arange(3.0)], {})
+            em.table("b.csv", ["x"], [np.arange(3.0)], {"note": "\ud800"})
+    assert out.is_dir()
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------------------------------- plots
@@ -368,6 +454,20 @@ def test_check_domain_agrees_with_stabilizability_demo(tmp_path, capsys, layout,
     else:
         assert verdict["stabilizable"] is False
         assert printed == f"stabilizable: no ({reason})"
+
+
+def test_check_domain_plan_without_layout_uses_plan_default(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"experiment": "stabilizability-demo", "alpha": 0.5}))
+    code = main(["check-domain", "--config", str(plan_file)])
+    printed = capsys.readouterr().out.strip()
+    out = tmp_path / "demo"
+    assert main(["sweep", "--config", str(plan_file), "--out", str(out)]) == code == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["stabilizable"] is True
+    assert printed == (
+        f"stabilizable: yes (k={verdict['k']:.6g}, K={verdict['K']:.6g}, M={verdict['M']:.6g})"
+    )
 
 
 def test_solve_ocp_subcommand(tmp_path, capsys):
