@@ -45,13 +45,16 @@ from .geometry import (
 )
 from .ocp import OCPConfig, bump_initial, solve_ocp
 from .semigroup import (
+    LEVEL_BLOCK,
     FeedbackProfile,
     continuity_damped,
-    transport_damped,
-    transport_free,
+    transport_levels,
     transport_variable,
-    wave_damped,
+    wave_levels,
 )
+
+# Unused here, but perfbench/spans.py wraps these names on this module.
+from .semigroup import transport_damped, transport_free, wave_damped  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -324,15 +327,18 @@ def plan_to_config(plan: ExperimentPlan) -> dict:
 _TMP_IDS = itertools.count()
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write text to path through a temp file in the same directory and
-    os.replace, so the target never holds a partial write; the temp file
-    is removed when writing fails."""
+def _write_atomic(path, chunks) -> None:
+    """Write the text chunks (a list or iterator of str) to path through a
+    temp file in the same directory and os.replace, so the target never
+    holds a partial write; the temp file is removed when writing fails."""
+    if isinstance(chunks, str):
+        raise TypeError("pass the text as a list or iterator of chunks")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{next(_TMP_IDS)}.tmp")
     try:
         with open(tmp, "x") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -345,6 +351,10 @@ def _format_column(c: np.ndarray) -> list[str]:
     bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse.reshape(-1)].tolist()
+
+
+# Rows formatted and written per chunk, so no table is ever held whole as text.
+_TABLE_BLOCK = 32768
 
 
 def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) -> None:
@@ -365,8 +375,14 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
     for key in sorted(metadata):
         lines.append(f"# {key}: {metadata[key]}")
     lines.append(",".join(header))
-    rows = map(",".join, zip(*(_format_column(c) for c in cols)))
-    _write_atomic(path, "\n".join(itertools.chain(lines, rows)) + "\n")
+
+    def chunks():
+        yield "\n".join(lines) + "\n"
+        for lo in range(0, n, _TABLE_BLOCK):
+            block = (_format_column(c[lo : lo + _TABLE_BLOCK]) for c in cols)
+            yield "\n".join(map(",".join, zip(*block))) + "\n"
+
+    _write_atomic(path, chunks())
 
 
 def read_table(path) -> tuple[dict, list[str], list[np.ndarray]]:
@@ -571,7 +587,7 @@ def emit_plot(series, style: str, path, xlabel: str = "", ylabel: str = "", titl
                     f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{color}"/>'
                 )
     out.append("</svg>")
-    _write_atomic(path, "\n".join(out) + "\n")
+    _write_atomic(path, ["\n".join(out) + "\n"])
 
 
 def _thin(n: int, limit: int = 120) -> np.ndarray:
@@ -624,7 +640,7 @@ class _Emitter:
 
     def json_file(self, name, payload: dict) -> Path:
         p = self.path(name)
-        _write_atomic(p, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(p, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
         return p
 
 
@@ -882,6 +898,36 @@ _EQUATIONS = ("transport", "transport-var", "continuity", "wave")
 _SIMULATE_DEFAULTS = {"control_domain": {"finite": []}, "feedback_gain": 0.0}
 
 
+def _mem_available() -> Optional[int]:
+    """MemAvailable of /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_simulate_memory(eq: str, n_nodes: int, n_levels: int) -> None:
+    """Refuse a run whose level arrays cannot fit in the available memory.
+
+    The estimate counts the (levels, N) float arrays alive at once (the
+    wave's two, one otherwise, plus the t and w columns of the table
+    writer), about sixteen (LEVEL_BLOCK, 2N) temporaries of one kernel
+    block and about 256 bytes of text per row of one table block.
+    """
+    arrays = (2 if eq == "wave" else 1) + 2
+    need = 8 * (arrays * n_levels + 32 * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ExperimentError(
+            f"simulate {eq} needs about {need / 2**20:.0f} MiB for {n_levels} levels "
+            f"of {n_nodes} nodes; {avail / 2**20:.0f} MiB is available"
+        )
+
+
 def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     """Evolve the config's equation on the grids of its plan keys."""
     cfg = {**_SIMULATE_DEFAULTS, **cfg}
@@ -897,31 +943,24 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     dom, gain = plan.control_domain, plan.feedback_gain
     fb = FeedbackProfile.uniform(dom, gain)
 
+    _check_simulate_memory(eq, grid.N, tgrid.M + 1)
     meta = {"equation": eq, "feedback_gain": gain}
     with _Emitter(plan.out_dir, f"simulate {eq}") as em:
         if eq == "wave":
             x1 = GridFunction(grid, np.zeros(grid.N))
-            disp = np.empty((tgrid.M + 1, grid.N))
-            velo = np.empty((tgrid.M + 1, grid.N))
-            for m, t in enumerate(tgrid.times):
-                state = wave_damped(x0, x1, float(t), c, gain, dom, L)
-                disp[m] = state.displacement.values
-                velo[m] = state.velocity.values
+            disp, velo = wave_levels(x0, x1, tgrid.times, c, gain, dom, L)
             em.field("displacement.csv", disp, grid, tgrid, meta)
             em.field("velocity.csv", velo, grid, tgrid, meta)
+        elif eq == "transport":
+            field = transport_levels(x0, tgrid.times, c, L, fb if gain > 0 else None)
+            em.field("field.csv", field, grid, tgrid, meta)
         else:
             field = np.empty((tgrid.M + 1, grid.N))
             for m, t in enumerate(tgrid.times):
-                t = float(t)
-                if eq == "transport":
-                    if gain > 0:
-                        row = transport_damped(x0, t, c, fb, L)
-                    else:
-                        row = transport_free(x0, t, c, L)
-                elif eq == "transport-var":
-                    row = transport_variable(x0, t, vel, L, fb if gain > 0 else None)
+                if eq == "transport-var":
+                    row = transport_variable(x0, float(t), vel, L, fb if gain > 0 else None)
                 else:
-                    row = continuity_damped(x0, t, vel, fb, L)
+                    row = continuity_damped(x0, float(t), vel, fb, L)
                 field[m] = row.values
             em.field("field.csv", field, grid, tgrid, meta)
     return 0
@@ -1033,7 +1072,7 @@ def _cmd_decay_fit(args) -> int:
     fit = fit_decay_rate(profile, args.center, floor=args.floor)
     text = json.dumps(_fit_payload(fit), indent=2, sort_keys=True)
     if args.out:
-        _write_atomic(args.out, text + "\n")
+        _write_atomic(args.out, [text + "\n"])
     print(text)
     return 0
 

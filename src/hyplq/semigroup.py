@@ -36,11 +36,13 @@ __all__ = [
     "sample_periodic",
     "transport_free",
     "transport_damped",
+    "transport_levels",
     "transport_variable",
     "continuity_damped",
     "continuity_stabilizing_gain",
     "wave_dalembert",
     "wave_damped",
+    "wave_levels",
     "wave_energy",
     "estimate_operator_norm",
 ]
@@ -158,21 +160,79 @@ def _require_grid(x0: GridFunction, L: float):
         raise ValueError(f"grid length {x0.grid.L} does not match domain {L}")
 
 
+# Time levels resolved per block: enough levels to amortize the per-call
+# work, few enough that a block's (levels, 2N) temporaries stay in cache.
+LEVEL_BLOCK = 128
+
+
+def _level_blocks(n: int) -> list:
+    return [slice(lo, min(lo + LEVEL_BLOCK, n)) for lo in range(0, n, LEVEL_BLOCK)]
+
+
+def _check_times(times, c: float) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if not c > 0 or not np.all(times >= 0):
+        raise ValueError(f"need c > 0 and t >= 0, got c={c}, t={times.min(initial=0.0)}")
+    return times
+
+
+def _require_finite(rows: np.ndarray) -> None:
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("grid function values must be finite")
+
+
+def _shift_rows(x0: GridFunction, times: np.ndarray, c: float, segs, L: float) -> np.ndarray:
+    """One row per time: exp(-(1/c) * int_{w-ct}^{w} gain) * x0((w - ct) mod L).
+
+    Integer shifts (ct/h in Z) gather the node values exactly; other times
+    interpolate linearly.  The exponent is the exact measure of the
+    periodized segments inside each window, weighted per segment.
+    """
+    grid = x0.grid
+    cells = c * times / grid.h
+    s = np.rint(cells)
+    exact = np.abs(cells - s) <= 1e-9 * np.maximum(1.0, np.abs(cells))
+    feet = grid.nodes - (c * times)[:, None]
+    rows = np.empty_like(feet)
+    if exact.any():
+        shift = np.mod(s[exact], grid.N).astype(np.int64)
+        rows[exact] = x0.values[(np.arange(grid.N) - shift[:, None]) % grid.N]
+    if not exact.all():
+        rows[~exact] = sample_periodic(x0, feet[~exact])
+    if segs:
+        rows *= np.exp(-_periodized_window_gain(segs, L, feet, grid.nodes) / c)
+    _require_finite(rows)
+    return rows
+
+
+def transport_levels(
+    x0: GridFunction,
+    times,
+    c: float,
+    L: float,
+    fb: Optional[FeedbackProfile] = None,
+) -> np.ndarray:
+    """Rows x(., t) of the constant-speed transport for every t of times,
+    damped by fb when given (see transport_damped), resolved LEVEL_BLOCK
+    levels at a time."""
+    times = _check_times(times, c)
+    _require_grid(x0, L)
+    segs = fb.segments(L) if fb is not None else ()
+    out = np.empty((times.size, x0.grid.N))
+    for block in _level_blocks(times.size):
+        out[block] = _shift_rows(x0, times[block], c, segs, L)
+    return out
+
+
 def transport_free(x0: GridFunction, t: float, c: float, L: float) -> GridFunction:
     """Periodized shift x(w, t) = x0((w - ct) mod L).
 
     Integer shifts (ct/h in Z) permute the node values exactly; other
     times interpolate linearly.
     """
-    if c <= 0 or t < 0:
-        raise ValueError(f"need c > 0 and t >= 0, got c={c}, t={t}")
-    _require_grid(x0, L)
-    grid = x0.grid
-    cells = c * t / grid.h
-    s = round(cells)
-    if abs(cells - s) <= 1e-9 * max(1.0, abs(cells)):
-        return GridFunction(grid, np.roll(x0.values, int(s) % grid.N))
-    return GridFunction(grid, sample_periodic(x0, grid.nodes - c * t))
+    return GridFunction(x0.grid, transport_levels(x0, [t], c, L)[0])
 
 
 def transport_damped(
@@ -184,16 +244,7 @@ def transport_damped(
     The exponent is the exact measure of the periodized damping set inside
     the window, weighted per interval.
     """
-    if c <= 0 or t < 0:
-        raise ValueError(f"need c > 0 and t >= 0, got c={c}, t={t}")
-    _require_grid(x0, L)
-    grid = x0.grid
-    shifted = transport_free(x0, t, c, L)
-    segs = fb.segments(L)
-    if not segs or t == 0.0:
-        return shifted
-    expo = _periodized_window_gain(segs, L, grid.nodes - c * t, grid.nodes)
-    return GridFunction(grid, np.exp(-expo / c) * shifted.values)
+    return GridFunction(x0.grid, transport_levels(x0, [t], c, L, fb)[0])
 
 
 def _time_segments(fb: FeedbackProfile, vel: VelocityField, L: float):
@@ -344,7 +395,8 @@ def _cumtrapz_periodic(g: np.ndarray, h: float) -> np.ndarray:
 
 
 def _central_diff(vals: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+    """Periodic central difference along the last axis."""
+    return (np.roll(vals, -1, axis=-1) - np.roll(vals, 1, axis=-1)) / (2.0 * h)
 
 
 def _check_wave_inputs(x0: GridFunction, x1: GridFunction, c: float, t: float):
@@ -412,6 +464,70 @@ def _mirror_segments(dom: IntervalUnion, L: float):
     return merged
 
 
+def _wave_blocks(x0, x1, times, c: float, gain: float, dom: IntervalUnion, L: float):
+    """Yield (levels, folded, displacement, velocity) per block of levels.
+
+    The fold data (initial fold, damping indicator, mirrored segments) is
+    built once; each block is one run of the shift kernel on the doubled
+    circle, unfolded into displacement and velocity rows.
+    """
+    times = _check_times(times, c)
+    _check_wave_inputs(x0, x1, c, 0.0)
+    _require_grid(x0, L)
+    if not (math.isfinite(gain) and gain >= 0):
+        raise ValueError(f"gain must be finite and nonnegative, got {gain}")
+    grid = x0.grid
+    n, h = grid.N, grid.h
+    grid2 = Grid1D(2.0 * L, 2 * n)
+
+    chi = np.zeros(n)
+    for a, b in restrict_domain(dom, L).prefix:
+        chi[(grid.nodes >= a) & (grid.nodes < b)] = 1.0
+
+    ext = _odd_extension(x0.values)
+    g_ext = _odd_extension(x1.values + gain * chi * x0.values)
+    v_cum = _cumtrapz_periodic(g_ext, h)
+    fold0 = GridFunction(grid2, 0.5 * (c * ext - v_cum))
+
+    # a piece shorter than one ulp of 2L mirrors to an empty one: drop it
+    segs = tuple((a, b, gain) for a, b in _mirror_segments(dom, L) if b > a)
+    refl = (2 * n - np.arange(2 * n)) % (2 * n)
+    damp = gain * chi
+
+    for block in _level_blocks(times.size):
+        w = _shift_rows(fold0, times[block], c, segs, 2.0 * L)
+        zeta2 = w[:, refl]
+        disp = (w[:, :n] - zeta2[:, :n]) / c
+        xi2 = w + zeta2
+        veloc = -_central_diff(xi2, h)[:, :n] - damp * disp
+        _require_finite(disp)
+        _require_finite(veloc)
+        scale = 1.0 + np.max(np.abs(disp), axis=1)
+        if np.any(np.abs(disp[:, 0]) > 1e-9 * scale):
+            raise ValueError("displacement must vanish at the boundary")
+        yield block, w, disp, veloc
+
+
+def wave_levels(
+    x0: GridFunction,
+    x1: GridFunction,
+    times,
+    c: float,
+    gain: float,
+    dom: IntervalUnion,
+    L: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement and velocity rows of the interval-damped Dirichlet wave
+    (see wave_damped) for every t of times, from one fold."""
+    n_levels = np.asarray(times).size
+    disp = np.empty((n_levels, x0.grid.N))
+    veloc = np.empty((n_levels, x0.grid.N))
+    for block, _, d, v in _wave_blocks(x0, x1, times, c, gain, dom, L):
+        disp[block] = d
+        veloc[block] = v
+    return disp, veloc
+
+
 def wave_damped(
     x0: GridFunction,
     x1: GridFunction,
@@ -429,38 +545,11 @@ def wave_damped(
     image.  Displacement, velocity, and boundary conditions are recovered
     from the unfolded pair.
     """
-    _check_wave_inputs(x0, x1, c, t)
-    _require_grid(x0, L)
-    if gain < 0:
-        raise ValueError(f"gain must be nonnegative, got {gain}")
-    grid = x0.grid
-    n, h = grid.N, grid.h
-    grid2 = Grid1D(2.0 * L, 2 * n)
-
-    chi = np.zeros(n)
-    for a, b in restrict_domain(dom, L).prefix:
-        chi[(grid.nodes >= a) & (grid.nodes < b)] = 1.0
-
-    ext = _odd_extension(x0.values)
-    g_ext = _odd_extension(x1.values + gain * chi * x0.values)
-    v_cum = _cumtrapz_periodic(g_ext, h)
-    fold0 = GridFunction(grid2, 0.5 * (c * ext - v_cum))
-
-    merged = _mirror_segments(dom, L)
-    if merged:
-        fb2 = FeedbackProfile.uniform(IntervalUnion(prefix=tuple(merged)), gain)
-    else:
-        fb2 = FeedbackProfile.uniform(IntervalUnion(), 0.0)
-    folded = transport_damped(fold0, t, c, fb2, 2.0 * L)
-
-    w = folded.values
-    refl = (2 * n - np.arange(2 * n)) % (2 * n)
-    zeta2 = w[refl]
-    disp_full = (w - zeta2) / c
-    xi2 = w + zeta2
-    disp = disp_full[:n]
-    veloc = -_central_diff(xi2, h)[:n] - gain * chi * disp
-    return WaveState(GridFunction(grid, disp), GridFunction(grid, veloc), folded)
+    _, folded, disp, veloc = next(_wave_blocks(x0, x1, [t], c, gain, dom, L))
+    grid2 = Grid1D(2.0 * L, 2 * x0.grid.N)
+    return WaveState(
+        GridFunction(x0.grid, disp[0]), GridFunction(x0.grid, veloc[0]), GridFunction(grid2, folded[0])
+    )
 
 
 def wave_energy(state: WaveState) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hyplq.cli import (
     ExperimentError,
     ExperimentPlan,
+    _TABLE_BLOCK,
     _heatmap_series,
     emit_plot,
     main,
@@ -190,6 +191,45 @@ def test_failed_replace_keeps_old_target(tmp_path, monkeypatch):
         emit_plot([("s", np.arange(3.0), np.arange(3.0))], "line", tmp_path / "p.svg")
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
     assert path.read_bytes() == before
+
+
+B = _TABLE_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_streamed_table_bytes_match_one_string_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal(rows)
+    b = np.repeat(np.arange(4.0), -(-rows // 4))[:rows]
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324])
+    # place the special values on both sides of the first block edge
+    for k, v in enumerate(special):
+        for i in (_TABLE_BLOCK - 1 - k, _TABLE_BLOCK + k, k):
+            if 0 <= i < rows:
+                a[i], b[rows - 1 - i] = v, v
+    header, meta = ["a", "b"], {"N": rows}
+    path = tmp_path / "t.csv"
+    write_table(path, header, [a, b], meta)
+    assert path.read_text() == _per_cell_table(header, [a, b], meta)
+
+
+def test_failed_chunk_keeps_old_target(tmp_path):
+    from hyplq.cli import _write_atomic
+
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new first chunk\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        _write_atomic(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert path.read_text() == "old\n"
+    with pytest.raises(TypeError):
+        _write_atomic(path, "one string")
+    assert path.read_text() == "old\n"
 
 
 def test_emitter_failure_empties_directory(tmp_path):
@@ -583,6 +623,41 @@ def test_simulate_defaults_free_transport_on_cfl_steps(tmp_path):
     for m in range(tgrid.M + 1):
         want = transport_free(x0, tgrid.times[m], 2.0, 1.0).values
         assert np.array_equal(field[m], want)
+
+
+@pytest.mark.parametrize("equation", ["transport", "transport-var", "continuity", "wave"])
+def test_simulate_memory_preflight_exits_2_without_files(tmp_path, capsys, monkeypatch, equation):
+    import hyplq.cli as cli_mod
+
+    velocity = {"type": "constant", "value": 2.0}
+    if equation in ("transport-var", "continuity"):
+        velocity = {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5}
+    cfg = {
+        "equation": equation,
+        "grid": {"L": 1.0, "nodes_per_unit": 16},
+        "time": {"T": 0.25, "steps": 2},
+        "velocity": velocity,
+    }
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli_mod, "_mem_available", lambda: 1 << 20)
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert "MiB is available" in capsys.readouterr().err
+    assert not out.exists()
+    # an unreadable meminfo skips the check
+    monkeypatch.setattr(cli_mod, "_mem_available", lambda: None)
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+
+
+def test_mem_available_unreadable_is_none(monkeypatch):
+    import hyplq.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("no meminfo")
+
+    monkeypatch.setattr(cli_mod, "open", refuse, raising=False)
+    assert cli_mod._mem_available() is None
 
 
 @pytest.mark.parametrize("equation", ["transport", "wave"])
