@@ -50,20 +50,22 @@ class NumericError(RuntimeError):
 class VelocityField:
     """Positive wave speed with certified bounds 0 < c_min <= c <= c_max.
 
-    Use the ``constant`` / ``variable`` constructors.  ``evaluator`` takes a
-    single position in [0, L) and returns one float; periodization is
-    handled by the flow and integral routines.  It is sampled at the
-    Gauss-Legendre nodes of each panel of the one-period tables (built
-    once per field and period, and kept on the field in ``_tables``) and
-    at the points the array routines resolve, one call per point.
-    ``derivative`` is optional and only needed by consumers that
+    Use the ``constant`` / ``variable`` constructors.  ``evaluator`` is
+    numpy-style: it takes an ndarray of positions in [0, L) and returns the
+    speeds in an array of the same shape (a scalar result is broadcast, so
+    ``lambda w: 2.0`` is a valid field); periodization is handled by the
+    flow and integral routines.  Each array of positions is one call: the
+    Gauss-Legendre nodes of all panels of a one-period table (built once
+    per field and period, and kept on the field in ``_tables``), or all
+    points an array routine resolves at once.  ``derivative`` follows the
+    same contract; it is optional and only needed by consumers that
     differentiate the speed (e.g. the continuity equation's c'/c table).
     """
 
-    evaluator: Callable[[float], float] = field(compare=False)
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     c_min: float
     c_max: float
-    derivative: Optional[Callable[[float], float]] = field(
+    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
     breakpoints: tuple = ()
@@ -93,10 +95,10 @@ class VelocityField:
 
     @staticmethod
     def variable(
-        evaluator: Callable[[float], float],
+        evaluator: Callable[[np.ndarray], np.ndarray],
         c_min: float,
         c_max: float,
-        derivative: Optional[Callable[[float], float]] = None,
+        derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         breakpoints: tuple = (),
         check_span: Optional[float] = None,
     ) -> "VelocityField":
@@ -115,21 +117,25 @@ class VelocityField:
         )
         if check_span is not None:
             slack = 1e-9 * (1.0 + vel.c_max)
-            for w in np.linspace(0.0, check_span, 2048):
-                v = evaluator(float(w))
-                if not (vel.c_min - slack <= v <= vel.c_max + slack):
-                    raise ValueError(
-                        f"speed {v} at w={w} escapes [{c_min}, {c_max}]"
-                    )
+            w = np.linspace(0.0, check_span, 2048)
+            v = vel.eval(w)
+            bad = ~((vel.c_min - slack <= v) & (v <= vel.c_max + slack))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"speed {v[i]} at w={w[i]} escapes [{c_min}, {c_max}]"
+                )
         return vel
 
-    def eval(self, w: float) -> float:
-        return float(self.evaluator(w))
+    def eval(self, w):
+        """The speed at w: a float for a float, an array of w's shape for an array."""
+        return _sample(self.evaluator, w)
 
-    def derivative_at(self, w: float) -> float:
+    def derivative_at(self, w):
+        """The speed's derivative at w, shaped like ``eval``."""
         if self.derivative is None:
             raise ValueError("velocity field has no derivative evaluator")
-        return float(self.derivative(w))
+        return _sample(self.derivative, w)
 
 
 @dataclass(frozen=True)
@@ -159,22 +165,25 @@ class _Table(NamedTuple):
     integral over one period.
     """
 
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     edges: np.ndarray
     cum: np.ndarray
     total: float
 
 
-def _sample(f: Callable[[float], float], pts: np.ndarray) -> np.ndarray:
-    """f at every entry of pts; f takes and returns one float."""
-    flat = pts.ravel().tolist()
-    return np.fromiter(map(f, flat), dtype=float, count=len(flat)).reshape(pts.shape)
+def _sample(f: Callable[[np.ndarray], np.ndarray], pts):
+    """f at every entry of pts in one call; a scalar result is broadcast.
+    A float for a float, else an array of pts' shape."""
+    pts = np.asarray(pts, dtype=float)
+    vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
-def _gl(f: Callable[[float], float], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """16-point Gauss-Legendre integral of f over each panel [lo_i, hi_i]."""
+def _gl(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre integral of f over each panel [lo, hi]; lo and
+    hi are arrays of one shape, e.g. (levels, N)."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = _sample(f, mid[:, None] + half[:, None] * _GL_NODES)
+    vals = _sample(f, mid[..., None] + half[..., None] * _GL_NODES)
     return half * (vals @ _GL_WEIGHTS)
 
 
@@ -243,7 +252,10 @@ def invert_travel_time(s, vel: VelocityField, L: float) -> np.ndarray:
 
     The table brackets each root between two panel edges and interpolates
     a seed there; Newton steps (tau' = 1/c) kept inside the bracket then
-    converge on all entries at once.
+    converge on all entries at once.  Each row (the last axis, e.g. one
+    time level of a (levels, N) block) stops after the first step that
+    leaves all its entries converged, so a row of a block gets the same
+    bits as a call on that row alone.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     tab = _table(vel, L, "time")
@@ -251,11 +263,16 @@ def invert_travel_time(s, vel: VelocityField, L: float) -> np.ndarray:
     i = np.clip(np.searchsorted(tab.cum, rem, side="right") - 1, 0, len(tab.cum) - 2)
     lo, hi = j * L + tab.edges[i], j * L + tab.edges[i + 1]
     x = lo + (rem - tab.cum[i]) / (tab.cum[i + 1] - tab.cum[i]) * (hi - lo)
+    s, lo, hi, x = (a.reshape(-1, a.shape[-1]) for a in (s, lo, hi, x))
+    live = np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
-        step = (travel_time(x, vel, L) - s) * _sample(vel.evaluator, np.mod(x, L))
-        x = np.clip(x - step, lo, hi)
-        if np.all(np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(x))):
-            return x
+        xl = x[live]
+        step = (travel_time(xl, vel, L) - s[live]) * vel.eval(np.mod(xl, L))
+        xl = np.clip(xl - step, lo[live], hi[live])
+        x[live] = xl
+        live = live[~np.all(np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(xl)), axis=1)]
+        if live.size == 0:
+            return x.reshape(j.shape)
     raise NumericError("travel-time inversion did not converge")
 
 
@@ -331,8 +348,10 @@ def path_integral(
         cuts.add(b % L)
     base = sorted(cuts)
 
-    def integrand(r: float) -> float:
-        return f(r) / vel.eval(r)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        # f is a scalar function: one call per point, c one call per array
+        fr = np.fromiter(map(f, r.ravel().tolist()), dtype=float, count=r.size)
+        return fr.reshape(r.shape) / vel.eval(r)
 
     def over_cell(lo: float, hi: float) -> float:
         """Integral over [lo, hi] contained in a single period copy."""

@@ -47,13 +47,14 @@ from .ocp import OCPConfig, bump_initial, solve_ocp
 from .semigroup import (
     LEVEL_BLOCK,
     FeedbackProfile,
-    continuity_damped,
+    continuity_levels,
     transport_levels,
-    transport_variable,
+    transport_variable_levels,
     wave_levels,
 )
 
 # Unused here, but perfbench/spans.py wraps these names on this module.
+from .semigroup import continuity_damped, transport_variable  # noqa: F401
 from .semigroup import transport_damped, transport_free, wave_damped  # noqa: F401
 
 __all__ = [
@@ -147,6 +148,13 @@ class ExperimentPlan:
             )
         if not (self.L > 0 and self.T > 0 and self.alpha > 0):
             raise ValueError("L, T and alpha must be positive")
+        # json reads NaN, Infinity and 1e400; none of them is a usable size
+        numbers = (self.L, self.T, self.alpha, self.feedback_gain) + self.velocity[1:] + self.initial[1:]
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError(
+                f"plan numbers must be finite: L={self.L}, T={self.T}, alpha={self.alpha}, "
+                f"feedback_gain={self.feedback_gain}, velocity={self.velocity}, initial={self.initial}"
+            )
         if self.nodes_per_unit < 1:
             raise ValueError(f"nodes_per_unit must be >= 1, got {self.nodes_per_unit}")
         if self.steps is not None and self.steps < 1:
@@ -163,8 +171,8 @@ class ExperimentPlan:
             raise ValueError("domain-sweep needs a nonempty l_values list")
         if self.experiment == "alpha-sweep" and not self.alpha_values:
             raise ValueError("alpha-sweep needs a nonempty alpha_values list")
-        if any(v <= 0 for v in self.l_values + self.alpha_values):
-            raise ValueError("sweep values must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.l_values + self.alpha_values):
+            raise ValueError("sweep values must be positive and finite")
 
     def realize(self, L: Optional[float] = None, alpha: Optional[float] = None) -> OCPConfig:
         """Build the OCPConfig for this plan at an optional overridden size."""
@@ -210,15 +218,13 @@ def _velocity_field(spec, L: float) -> VelocityField:
     if spec[0] == "constant":
         return VelocityField.constant(spec[1])
     _, mean, amp = spec
-    two_pi = 2.0 * math.pi / L
-
-    def ev(w, _m=mean, _a=amp, _k=two_pi):
-        return _m + _a * math.sin(_k * w)
-
-    def dv(w, _a=amp, _k=two_pi):
-        return _a * _k * math.cos(_k * w)
-
-    return VelocityField.variable(ev, mean - abs(amp), mean + abs(amp), derivative=dv)
+    k = 2.0 * math.pi / L
+    return VelocityField.variable(
+        lambda w: mean + amp * np.sin(k * w),
+        mean - abs(amp),
+        mean + abs(amp),
+        derivative=lambda w: amp * k * np.cos(k * w),
+    )
 
 
 def _initial_values(spec, grid: Grid1D) -> np.ndarray:
@@ -916,10 +922,13 @@ def _check_simulate_memory(eq: str, n_nodes: int, n_levels: int) -> None:
     The estimate counts the (levels, N) float arrays alive at once (the
     wave's two, one otherwise, plus the t and w columns of the table
     writer), about sixteen (LEVEL_BLOCK, 2N) temporaries of one kernel
-    block and about 256 bytes of text per row of one table block.
+    block, for the variable-speed equations about four more
+    (LEVEL_BLOCK, N, 16) Gauss-Legendre temporaries, and about 256 bytes
+    of text per row of one table block.
     """
     arrays = (2 if eq == "wave" else 1) + 2
-    need = 8 * (arrays * n_levels + 32 * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
+    block = 32 + (64 if eq in ("transport-var", "continuity") else 0)
+    need = 8 * (arrays * n_levels + block * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
     avail = _mem_available()
     if avail is not None and need > avail:
         raise ExperimentError(
@@ -954,14 +963,11 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
         elif eq == "transport":
             field = transport_levels(x0, tgrid.times, c, L, fb if gain > 0 else None)
             em.field("field.csv", field, grid, tgrid, meta)
+        elif eq == "transport-var":
+            field = transport_variable_levels(x0, tgrid.times, vel, L, fb if gain > 0 else None)
+            em.field("field.csv", field, grid, tgrid, meta)
         else:
-            field = np.empty((tgrid.M + 1, grid.N))
-            for m, t in enumerate(tgrid.times):
-                if eq == "transport-var":
-                    row = transport_variable(x0, float(t), vel, L, fb if gain > 0 else None)
-                else:
-                    row = continuity_damped(x0, float(t), vel, fb, L)
-                field[m] = row.values
+            field = continuity_levels(x0, tgrid.times, vel, fb, L)
             em.field("field.csv", field, grid, tgrid, meta)
     return 0
 
@@ -972,8 +978,8 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
 
 
 # What parsing a malformed config raises: a missing key, or a value of the
-# wrong type or range.
-_BAD_CONFIG = (ValueError, KeyError, TypeError, AttributeError)
+# wrong type or range (int() of an infinite number overflows).
+_BAD_CONFIG = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _load_json(path) -> dict:

@@ -134,8 +134,7 @@ def build_advection_matrix(grid: Grid1D, vel: VelocityField) -> sparse.csr_matri
     makes the midpoint step an isometry of the grid l2 norm.
     """
     N, h = grid.N, grid.h
-    c = np.array([vel.eval(w) for w in grid.nodes], dtype=float)
-    coef = c / (2.0 * h)
+    coef = vel.eval(grid.nodes) / (2.0 * h)
     rows = np.concatenate([np.arange(N), np.arange(N)])
     cols = np.concatenate([(np.arange(N) + 1) % N, (np.arange(N) - 1) % N])
     data = np.concatenate([-coef, coef])

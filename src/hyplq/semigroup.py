@@ -38,7 +38,9 @@ __all__ = [
     "transport_damped",
     "transport_levels",
     "transport_variable",
+    "transport_variable_levels",
     "continuity_damped",
+    "continuity_levels",
     "continuity_stabilizing_gain",
     "wave_dalembert",
     "wave_damped",
@@ -137,14 +139,15 @@ class FeedbackProfile:
 
 
 def _periodized_window_gain(segs, L: float, p: np.ndarray, q: np.ndarray):
-    """Sum of gain * |interval-copies ∩ [p, q]| over the L-periodized segments."""
+    """Sum of gain * |interval-copies ∩ [p, q]| over the L-periodized segments;
+    p and q broadcast against each other (e.g. (levels, N) against (N,))."""
 
     def upto(y, a, b):
         j = np.floor(y / L)
         r = y - j * L
         return j * (b - a) + np.clip(r - a, 0.0, b - a)
 
-    total = np.zeros_like(p)
+    total = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
     for a, b, g in segs:
         total += g * (upto(q, a, b) - upto(p, a, b))
     return total
@@ -260,6 +263,40 @@ def _time_segments(fb: FeedbackProfile, vel: VelocityField, L: float):
     return tau_segs, float(ends[-1])
 
 
+def transport_variable_levels(
+    x0: GridFunction,
+    times,
+    vel: VelocityField,
+    L: float,
+    fb: Optional[FeedbackProfile] = None,
+) -> np.ndarray:
+    """Rows x(., t) of the variable-speed transport for every t of times.
+
+    Each node is traced back along its characteristic,
+    q = tau^{-1}(tau(w) - t), the periodized initial state is evaluated
+    there, and the attenuation exp(-int_q^w gain/c) is applied when a
+    feedback profile is given.  tau at the nodes and the tau-mapped
+    feedback segments are computed once; levels are resolved LEVEL_BLOCK
+    at a time.
+    """
+    times = _check_times(times, vel.c_min)
+    _require_grid(x0, L)
+    grid = x0.grid
+    tau_w = travel_time(grid.nodes, vel, L)
+    damped = fb is not None and fb.sup_gain > 0.0
+    if damped:
+        segs, tau_L = _time_segments(fb, vel, L)
+    out = np.empty((times.size, grid.N))
+    for block in _level_blocks(times.size):
+        feet = tau_w - times[block, None]
+        rows = sample_periodic(x0, invert_travel_time(feet, vel, L))
+        if damped:
+            rows *= np.exp(-_periodized_window_gain(segs, tau_L, feet, tau_w))
+        _require_finite(rows)
+        out[block] = rows
+    return out
+
+
 def transport_variable(
     x0: GridFunction,
     t: float,
@@ -267,27 +304,51 @@ def transport_variable(
     L: float,
     fb: Optional[FeedbackProfile] = None,
 ) -> GridFunction:
-    """Variable-speed transport: trace each node back along its
-    characteristic, q = tau^{-1}(tau(w) - t), evaluate the periodized
-    initial state there, and apply the attenuation exp(-int_q^w gain/c)
-    when a feedback profile is given.
-    """
-    _require_grid(x0, L)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = x0.grid
-    tau_w = travel_time(grid.nodes, vel, L)
-    q = invert_travel_time(tau_w - t, vel, L)
-    vals = sample_periodic(x0, q)
-    if fb is not None and fb.sup_gain > 0.0 and t > 0.0:
-        segs, tau_L = _time_segments(fb, vel, L)
-        vals = vals * np.exp(-_periodized_window_gain(segs, tau_L, tau_w - t, tau_w))
-    return GridFunction(grid, vals)
+    """Variable-speed transport at one time (see transport_variable_levels)."""
+    return GridFunction(x0.grid, transport_variable_levels(x0, [t], vel, L, fb)[0])
 
 
 # ---------------------------------------------------------------------------
 # continuity equation
 # ---------------------------------------------------------------------------
+
+
+def continuity_levels(
+    x0: GridFunction,
+    times,
+    vel: VelocityField,
+    fb: FeedbackProfile,
+    L: float,
+) -> np.ndarray:
+    """Rows of the damped continuity solution for every t of times, by the
+    composite characteristic formula:
+
+        x(w, t) = (c(0)/c(L))^{N_L} * exp(int_w^{p} (c' - gain)/c) * x0(p mod L)
+
+    with p = tau^{-1}(tau(w) + t) the forward characteristic and
+    N_L = floor(p/L) the number of seam crossings (the flux-periodic
+    boundary factor).  The c'/c part comes from a cumulative table, the
+    gain part from the tau-space window.  tau and the c'/c integral at the
+    nodes and the tau-mapped segments are computed once; levels are
+    resolved LEVEL_BLOCK at a time.
+    """
+    times = _check_times(times, vel.c_min)
+    _require_grid(x0, L)
+    grid = x0.grid
+    log_w = log_speed_integral(grid.nodes, vel, L)
+    seam = vel.eval(0.0) / vel.eval(L)
+    tau_w = travel_time(grid.nodes, vel, L)
+    segs, tau_L = _time_segments(fb, vel, L)
+    out = np.empty((times.size, grid.N))
+    for block in _level_blocks(times.size):
+        heads = tau_w + times[block, None]
+        p = invert_travel_time(heads, vel, L)
+        expo = log_speed_integral(p, vel, L) - log_w
+        expo -= _periodized_window_gain(segs, tau_L, tau_w, heads)
+        rows = seam ** np.floor(p / L) * np.exp(expo) * sample_periodic(x0, p % L)
+        _require_finite(rows)
+        out[block] = rows
+    return out
 
 
 def continuity_damped(
@@ -297,30 +358,8 @@ def continuity_damped(
     fb: FeedbackProfile,
     L: float,
 ) -> GridFunction:
-    """Damped continuity solution by the composite characteristic formula:
-
-        x(w, t) = (c(0)/c(L))^{N_L} * exp(int_w^{p} (c' - gain)/c) * x0(p mod L)
-
-    with p = tau^{-1}(tau(w) + t) the forward characteristic and
-    N_L = floor(p/L) the number of seam crossings (the flux-periodic
-    boundary factor).  The c'/c part comes from a cumulative table, the
-    gain part from the tau-space window.
-    """
-    _require_grid(x0, L)
-    if vel.derivative is None:
-        raise ValueError("continuity propagation needs a velocity derivative")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = x0.grid
-    c0, cL = vel.eval(0.0), vel.eval(L)
-    tau_w = travel_time(grid.nodes, vel, L)
-    p = invert_travel_time(tau_w + t, vel, L)
-    boundary = (c0 / cL) ** np.floor(p / L)
-    expo = log_speed_integral(p, vel, L) - log_speed_integral(grid.nodes, vel, L)
-    segs, tau_L = _time_segments(fb, vel, L)
-    expo -= _periodized_window_gain(segs, tau_L, tau_w, tau_w + t)
-    vals = boundary * np.exp(expo) * sample_periodic(x0, p % L)
-    return GridFunction(grid, vals)
+    """Damped continuity solution at one time (see continuity_levels)."""
+    return GridFunction(x0.grid, continuity_levels(x0, [t], vel, fb, L)[0])
 
 
 def continuity_stabilizing_gain(

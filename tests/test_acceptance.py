@@ -200,10 +200,10 @@ def test_04_convergence_order():
 
 def test_05_characteristics_roundtrip():
     vel = VelocityField.variable(
-        lambda w: 2.0 + 0.5 * math.sin(2.0 * math.pi * w),
+        lambda w: 2.0 + 0.5 * np.sin(2.0 * math.pi * w),
         1.5,
         2.5,
-        derivative=lambda w: math.pi * math.cos(2.0 * math.pi * w),
+        derivative=lambda w: math.pi * np.cos(2.0 * math.pi * w),
     )
     rng = np.random.default_rng(42)
     t0 = time.perf_counter()

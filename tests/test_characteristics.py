@@ -21,10 +21,10 @@ from hyplq.characteristics import (
 
 L = 1.0
 SIN_VEL = VelocityField.variable(
-    lambda w: 2.0 + 0.5 * math.sin(2.0 * math.pi * w),
+    lambda w: 2.0 + 0.5 * np.sin(2.0 * math.pi * w),
     c_min=1.5,
     c_max=2.5,
-    derivative=lambda w: math.pi * math.cos(2.0 * math.pi * w),
+    derivative=lambda w: math.pi * np.cos(2.0 * math.pi * w),
 )
 
 # frozen independent oracle: RK4 with dt = 1e-6 on p' = c(p), p(0) = 0,
@@ -131,10 +131,10 @@ def test_flow_validates_inputs():
 def _sinusoid(mean: float, amp: float, L: float) -> VelocityField:
     k = 2.0 * math.pi / L
     return VelocityField.variable(
-        lambda w: mean + amp * math.sin(k * w),
+        lambda w: mean + amp * np.sin(k * w),
         c_min=mean - abs(amp),
         c_max=mean + abs(amp),
-        derivative=lambda w: amp * k * math.cos(k * w),
+        derivative=lambda w: amp * k * np.cos(k * w),
     )
 
 

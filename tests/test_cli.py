@@ -21,7 +21,7 @@ from hyplq.cli import (
     write_table,
 )
 from hyplq.geometry import Grid1D, GridFunction, TimeGrid
-from hyplq.semigroup import transport_free
+from hyplq.semigroup import LEVEL_BLOCK, transport_free
 
 EQUIDISTANT = "periodic: {period: 1, pattern: [[0, 0.2]]}"
 
@@ -645,6 +645,15 @@ def test_simulate_memory_preflight_exits_2_without_files(tmp_path, capsys, monke
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
     assert "MiB is available" in capsys.readouterr().err
     assert not out.exists()
+    if equation in ("transport-var", "continuity"):
+        # 16 nodes, 3 levels; the variable-speed block also holds about four
+        # (LEVEL_BLOCK, N, 16) Gauss-Legendre temporaries
+        shared = 8 * (3 * 3 + 32 * LEVEL_BLOCK) * 16 + 256 * _TABLE_BLOCK
+        quadrature = 8 * 64 * LEVEL_BLOCK * 16
+        monkeypatch.setattr(cli_mod, "_mem_available", lambda: shared + quadrature // 2)
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+        assert "MiB is available" in capsys.readouterr().err
+        assert not out.exists()
     # an unreadable meminfo skips the check
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: None)
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
@@ -774,6 +783,35 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, cfg):
     p.write_text(json.dumps(cfg))
     assert main([command, "--config", str(p)]) == 3
     assert "config error" in capsys.readouterr().err
+
+
+SIM_SINE = {"equation": "transport-var", "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, number",
+    [
+        ("solve-ocp", small_config(time={"T": 0.5, "steps": "@"}), "1e400"),
+        ("solve-ocp", small_config(initial={"type": "sine", "mode": "@"}), "1e400"),
+        ("solve-ocp", small_config(grid={"L": "@", "nodes_per_unit": 32}), "Infinity"),
+        ("solve-ocp", small_config(grid={"L": 1.0, "nodes_per_unit": "@"}), "1e400"),
+        ("solve-ocp", small_config(velocity={"type": "constant", "value": "@"}), "NaN"),
+        ("solve-ocp", small_config(velocity={"type": "sinusoidal", "mean": "@", "amplitude": 0.5}), "NaN"),
+        ("solve-ocp", small_config(initial={"type": "bump", "width": "@", "center": 0.5}), "NaN"),
+        ("sweep", small_config(experiment="domain-sweep", l_values=[1.0, "@"]), "Infinity"),
+        ("simulate", {**SIM_SINE, "grid": {"L": "@"}}, "Infinity"),
+        ("simulate", {**SIM_SINE, "time": {"T": "@"}}, "Infinity"),
+        ("simulate", {**SIM_SINE, "feedback_gain": "@"}, "NaN"),
+    ],
+)
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, command, cfg, number):
+    # json reads NaN, Infinity and overflowing literals such as 1e400
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"@"', number))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_config_error():

@@ -1,25 +1,32 @@
 """Block-wise level routines against the one-level propagators and against
 an in-test per-level reference that redoes the shift, the damping exponent
-and the wave fold one time level at a time.  Every comparison is bit for
-bit (int64 views), since the level routines do the same arithmetic.
+and the wave fold (or, at variable speed, the characteristic feet) one time
+level at a time.  Every comparison is bit for bit (int64 views), since the
+level routines do the same arithmetic.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyplq.characteristics import VelocityField, invert_travel_time, log_speed_integral, travel_time
 from hyplq.cli import main, plan_from_config, read_field_csv
 from hyplq.geometry import Grid1D, GridFunction, IntervalUnion, TimeGrid, restrict_domain
 from hyplq.semigroup import (
     LEVEL_BLOCK,
     FeedbackProfile,
+    continuity_damped,
+    continuity_levels,
     sample_periodic,
     transport_damped,
     transport_free,
     transport_levels,
+    transport_variable,
+    transport_variable_levels,
     wave_damped,
     wave_levels,
 )
@@ -85,6 +92,40 @@ def ref_wave(x0, x1, t, c, gain, dom, L):
     xi2 = w + zeta2
     dxi = (np.roll(xi2, -1) - np.roll(xi2, 1)) / (2.0 * h)
     return disp, -dxi[:n] - gain * chi * disp
+
+
+def _tau_segments(fb, vel, L):
+    segs = fb.segments(L)
+    ends = travel_time([e for a, b, _ in segs for e in (a, b)] + [L], vel, L)
+    return [(ends[2 * i], ends[2 * i + 1], g) for i, (_, _, g) in enumerate(segs)], float(ends[-1])
+
+
+def ref_transport_variable(x0, t, vel, L, fb):
+    """One level: feet q = tau^{-1}(tau(w) - t), exp(-tau-window overlap)."""
+    tau_w = travel_time(x0.grid.nodes, vel, L)
+    vals = sample_periodic(x0, invert_travel_time(tau_w - t, vel, L))
+    if fb is None or fb.sup_gain == 0.0 or t == 0.0:
+        return vals
+    segs, tau_L = _tau_segments(fb, vel, L)
+    expo = np.zeros_like(tau_w)
+    for a, b, g in segs:
+        expo += g * (_upto(tau_w, a, b, tau_L) - _upto(tau_w - t, a, b, tau_L))
+    return vals * np.exp(-expo)
+
+
+def ref_continuity(x0, t, vel, fb, L):
+    """One level: heads p = tau^{-1}(tau(w) + t), seam factor, c'/c and gain."""
+    nodes = x0.grid.nodes
+    tau_w = travel_time(nodes, vel, L)
+    p = invert_travel_time(tau_w + t, vel, L)
+    boundary = (vel.eval(0.0) / vel.eval(L)) ** np.floor(p / L)
+    expo = log_speed_integral(p, vel, L) - log_speed_integral(nodes, vel, L)
+    segs, tau_L = _tau_segments(fb, vel, L)
+    gain = np.zeros_like(tau_w)
+    for a, b, g in segs:
+        gain += g * (_upto(tau_w + t, a, b, tau_L) - _upto(tau_w, a, b, tau_L))
+    expo -= gain
+    return boundary * np.exp(expo) * sample_periodic(x0, p % L)
 
 
 def same_bits(a, b) -> bool:
@@ -175,13 +216,122 @@ def test_level_counts_across_block_edges(levels):
         assert same_bits(veloc[m], want_v)
 
 
+_FIELDS = {}
+
+
+def sinusoid(amp, L=L1):
+    """2 + amp sin(2 pi w / L), one field per amplitude so its tables are
+    built once for the module."""
+    if amp not in _FIELDS:
+        k = 2.0 * math.pi / L
+        _FIELDS[amp] = VelocityField.variable(
+            lambda w: 2.0 + amp * np.sin(k * w),
+            2.0 - abs(amp),
+            2.0 + abs(amp),
+            derivative=lambda w: amp * k * np.cos(k * w),
+        )
+    return _FIELDS[amp]
+
+
+@pytest.mark.parametrize("amp", [0.5, -0.5])
+@pytest.mark.parametrize("layout", ["finite", "periodic"])
+@pytest.mark.parametrize("gain", [0.0, 1.5])
+@pytest.mark.parametrize("levels", [1, LEVEL_BLOCK, LEVEL_BLOCK + 1])
+def test_variable_speed_levels_match_one_level_calls(levels, gain, layout, amp):
+    grid, vel = Grid1D(L1, 16), sinusoid(amp)
+    fb = FeedbackProfile.uniform(LAYOUTS[layout], gain)
+    times = np.arange(levels) * 0.0173  # t = 0 first, then past one period
+    x0 = bump(grid)
+    rows = transport_variable_levels(x0, times, vel, L1, fb)
+    free = transport_variable_levels(x0, times, vel, L1)
+    cont = continuity_levels(x0, times, vel, fb, L1)
+    assert rows.shape == free.shape == cont.shape == (levels, grid.N)
+    for m, t in enumerate(times):
+        t = float(t)
+        assert same_bits(rows[m], transport_variable(x0, t, vel, L1, fb).values)
+        assert same_bits(rows[m], ref_transport_variable(x0, t, vel, L1, fb))
+        assert same_bits(free[m], transport_variable(x0, t, vel, L1).values)
+        assert same_bits(free[m], ref_transport_variable(x0, t, vel, L1, None))
+        assert same_bits(cont[m], continuity_damped(x0, t, vel, fb, L1).values)
+        assert same_bits(cont[m], ref_continuity(x0, t, vel, fb, L1))
+
+
+# (amplitude, time step, levels) at which a level's Newton iteration on
+# (levels, 16) arrays converges a step before the slowest one; one more step
+# there moves last bits, so each level must stop on its own
+NEWTON_CASES = [
+    (0.9, 0.025450336163043732, 48),
+    (0.5, 0.030373925815291424, 32),
+    (0.5, 0.04186743516100267, 97),
+    (-0.5, 0.009835862851486847, 132),
+]
+
+
+@pytest.mark.parametrize("amp, dt, levels", NEWTON_CASES)
+def test_variable_speed_levels_stop_newton_per_level(amp, dt, levels):
+    grid, vel = Grid1D(L1, 16), sinusoid(amp)
+    fb = FeedbackProfile.uniform(LAYOUTS["finite"], 1.5)
+    times = np.arange(levels) * dt
+    x0 = GridFunction(grid, 1.5 + np.sin(2.0 * np.pi * grid.nodes))
+    rows = transport_variable_levels(x0, times, vel, L1, fb)
+    cont = continuity_levels(x0, times, vel, fb, L1)
+    for m, t in enumerate(times):
+        assert same_bits(rows[m], transport_variable(x0, float(t), vel, L1, fb).values)
+        assert same_bits(cont[m], continuity_damped(x0, float(t), vel, fb, L1).values)
+
+
 def test_level_routines_reject_negative_times():
     grid = Grid1D(L1, 16)
     x0 = bump(grid)
+    vel = sinusoid(0.5)
+    fb = FeedbackProfile.uniform(LAYOUTS["finite"], 1.0)
     with pytest.raises(ValueError, match="t >= 0"):
         transport_levels(x0, [0.0, 0.1, -0.1], 1.0, L1)
     with pytest.raises(ValueError, match="t >= 0"):
         wave_levels(x0, x0, [0.2, -1e-3], 1.0, 0.0, IntervalUnion(), L1)
+    with pytest.raises(ValueError, match="t >= 0"):
+        transport_variable_levels(x0, [0.0, -0.1], vel, L1, fb)
+    with pytest.raises(ValueError, match="t >= 0"):
+        continuity_levels(x0, [0.3, -1e-3], vel, fb, L1)
+    with pytest.raises(ValueError, match="t >= 0"):
+        transport_variable(x0, -0.1, vel, L1)
+    with pytest.raises(ValueError, match="t >= 0"):
+        continuity_damped(x0, -0.1, vel, fb, L1)
+
+
+def test_continuity_levels_keep_the_finite_check():
+    # where c(p) > c(w) the c'/c factor exp(int_w^p c'/c) pushes 1e308 past
+    # the largest float; the t = 0 row alone stays finite
+    grid, vel = Grid1D(L1, 16), sinusoid(0.9)
+    fb = FeedbackProfile.uniform(IntervalUnion(), 0.0)
+    x0 = GridFunction(grid, np.full(grid.N, 1e308))
+    with pytest.raises(ValueError, match="must be finite"):
+        continuity_levels(x0, [0.0, 0.25], vel, fb, L1)
+    with pytest.raises(ValueError, match="must be finite"):
+        continuity_damped(x0, 0.25, vel, fb, L1)
+    continuity_damped(x0, 0.0, vel, fb, L1)
+
+
+def test_variable_speed_tables_take_a_handful_of_evaluator_calls():
+    # one call per array: the tau table is one call over all its panels and
+    # tau at the nodes one more; a per-point evaluator would be called
+    # (panels + N) * 16 times
+    calls = []
+
+    def ev(w):
+        calls.append(np.shape(w))
+        return 2.0 + 0.5 * np.sin(2.0 * math.pi * w)
+
+    vel = VelocityField.variable(ev, 1.5, 2.5)
+    grid = Grid1D(L1, 64)
+    travel_time(grid.nodes, vel, L1)
+    assert len(calls) == 2
+    assert calls[0][-1] == calls[1][-1] == 16
+    assert calls[1] == (grid.N, 16)
+    calls.clear()
+    transport_variable_levels(bump(grid), np.arange(LEVEL_BLOCK + 1) * 0.01, vel, L1)
+    # tau(nodes) once, then per block at most 8 Newton steps of two calls
+    assert 0 < len(calls) <= 1 + 2 * 2 * 8
 
 
 def test_wave_levels_keep_the_finite_check():
@@ -266,6 +416,31 @@ def test_simulate_damped_transport_equals_per_level_reference(tmp_path, steps):
     segs = FeedbackProfile.uniform(dom, 1.5).segments(1.0)
     for m, t in enumerate(tgrid.times):
         assert same_bits(field[m], ref_transport(x0, float(t), 2.0, segs, 1.0))
+
+
+@pytest.mark.parametrize("equation", ["transport-var", "continuity"])
+def test_simulate_variable_speed_equals_one_level_calls(tmp_path, equation):
+    cfg = {
+        "equation": equation,
+        "grid": {"L": 1.0, "nodes_per_unit": 32},
+        "time": {"T": 3.0},
+        "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": -0.5},
+        "control_domain": SIM_DOMAIN,
+        "initial": {"type": "bump", "width": 0.4, "center": 0.5},
+        "feedback_gain": 1.5,
+    }
+    out, x0 = _simulate(tmp_path, cfg)
+    grid, tgrid, field = read_field_csv(out / "field.csv")
+    assert tgrid.M + 1 > LEVEL_BLOCK  # more than one block of levels
+    vel = plan_from_config({k: v for k, v in cfg.items() if k != "equation"}).realize().velocity
+    dom = IntervalUnion(prefix=tuple(tuple(iv) for iv in SIM_DOMAIN["finite"]))
+    fb = FeedbackProfile.uniform(dom, 1.5)
+    for m, t in enumerate(tgrid.times):
+        if equation == "transport-var":
+            want = transport_variable(x0, float(t), vel, 1.0, fb)
+        else:
+            want = continuity_damped(x0, float(t), vel, fb, 1.0)
+        assert same_bits(field[m], want.values)
 
 
 def test_simulate_wave_equals_per_level_reference(tmp_path):

@@ -221,7 +221,7 @@ def test_objective_gradient_probe():
 def sinusoidal_velocity(mean, amplitude, L):
     k = 2 * np.pi / L
     return VelocityField.variable(
-        lambda w: mean + amplitude * math.sin(k * w),
+        lambda w: mean + amplitude * np.sin(k * w),
         mean - amplitude,
         mean + amplitude,
     )

@@ -24,10 +24,10 @@ TIMES = (0.0, 0.37, 5.0, 40.0)
 def _field(amp: float, L: float) -> VelocityField:
     k = 2.0 * math.pi / L
     return VelocityField.variable(
-        lambda w: MEAN + amp * math.sin(k * w),
+        lambda w: MEAN + amp * np.sin(k * w),
         c_min=MEAN - abs(amp),
         c_max=MEAN + abs(amp),
-        derivative=lambda w: amp * k * math.cos(k * w),
+        derivative=lambda w: amp * k * np.cos(k * w),
     )
 
 

@@ -22,10 +22,10 @@ from hyplq.semigroup import (
 )
 
 SIN_VEL = VelocityField.variable(
-    lambda w: 2.0 + 0.5 * math.sin(2.0 * math.pi * w),
+    lambda w: 2.0 + 0.5 * np.sin(2.0 * math.pi * w),
     c_min=1.5,
     c_max=2.5,
-    derivative=lambda w: math.pi * math.cos(2.0 * math.pi * w),
+    derivative=lambda w: math.pi * np.cos(2.0 * math.pi * w),
 )
 
 
