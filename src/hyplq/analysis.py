@@ -34,6 +34,10 @@ __all__ = [
     "weighted_spacetime_norms",
 ]
 
+# Largest growth of the weighted norm per doubling of the domain that
+# localization_certificate still counts as bounded.
+GROWTH_PER_DOUBLING = 0.1
+
 
 @dataclass(frozen=True)
 class NormReport:
@@ -174,13 +178,12 @@ def fit_decay_rate(
 def localization_certificate(
     reports: Sequence[tuple[float, NormReport]],
     mu: float,
-    growth_per_doubling: float = 0.1,
 ) -> LocalizationCertificate:
     """Decide whether weighted norms stay bounded as the domain grows.
 
     The trend is the least-squares slope of log(norm) against log2(L): the
     average factor (in log) the norm picks up per doubling of the domain.
-    bounded holds when that factor stays below 1 + growth_per_doubling.
+    bounded holds when that factor stays below 1 + GROWTH_PER_DOUBLING.
     Zero norms are clamped away from log(0); a family that collapses to
     zero is trivially bounded.
     """
@@ -194,7 +197,7 @@ def localization_certificate(
     ylog = np.log(np.maximum(norms, 1e-300))
     trend = float(np.polyfit(x, ylog, 1)[0])
     return LocalizationCertificate(
-        bounded=bool(trend < math.log1p(growth_per_doubling)),
+        bounded=bool(trend < math.log1p(GROWTH_PER_DOUBLING)),
         sup=float(np.max(norms)),
         trend=trend,
         mu=float(mu),

@@ -68,7 +68,6 @@ class VelocityField:
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
-    breakpoints: tuple = ()
     is_constant: bool = False
     # tables keyed by (kind, L); equality ignores the evaluator, so a cache
     # keyed on field equality would hand one field's table to another
@@ -99,7 +98,6 @@ class VelocityField:
         c_min: float,
         c_max: float,
         derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        breakpoints: tuple = (),
         check_span: Optional[float] = None,
     ) -> "VelocityField":
         """Wrap a speed profile, optionally spot-checking the stated bounds.
@@ -113,7 +111,6 @@ class VelocityField:
             c_min=float(c_min),
             c_max=float(c_max),
             derivative=derivative,
-            breakpoints=tuple(float(b) for b in breakpoints),
         )
         if check_span is not None:
             slack = 1e-9 * (1.0 + vel.c_max)
@@ -191,8 +188,7 @@ def _table(vel: VelocityField, L: float, kind: str) -> _Table:
     """The ``kind`` table of this field on [0, L], built once per field.
 
     ``"time"`` integrates 1/c (travel time), ``"log_speed"`` integrates
-    c'/c.  Panels of width about L/256 are split at the velocity's
-    breakpoints so every panel is smooth.
+    c'/c, on equal panels of width about L/256.
     """
     key = (kind, float(L))
     tab = vel._tables.get(key)
@@ -204,12 +200,7 @@ def _table(vel: VelocityField, L: float, kind: str) -> _Table:
     else:
         dv = vel.derivative
         f = lambda y: dv(y) / ev(y)
-    base = sorted({0.0, L} | {b % L for b in vel.breakpoints})
-    edges = [0.0]
-    for lo, hi in zip(base[:-1], base[1:]):
-        n = max(1, int(math.ceil((hi - lo) / (L / 256.0))))
-        edges.extend(np.linspace(lo, hi, n + 1)[1:])
-    edges = np.asarray(edges)
+    edges = np.linspace(0.0, L, int(math.ceil(L / (L / 256.0))) + 1)
     cum = np.concatenate([[0.0], np.cumsum(_gl(f, edges[:-1], edges[1:]))])
     tab = vel._tables[key] = _Table(f, edges, cum, float(cum[-1]))
     return tab
@@ -343,10 +334,7 @@ def path_integral(
     if to == frm:
         return 0.0
 
-    cuts = {0.0, L}
-    for b in list(f_breakpoints) + list(vel.breakpoints):
-        cuts.add(b % L)
-    base = sorted(cuts)
+    base = sorted({0.0, L} | {b % L for b in f_breakpoints})
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # f is a scalar function: one call per point, c one call per array

@@ -250,6 +250,14 @@ def _velocity_from_config(obj) -> tuple:
     raise ValueError(f"unknown velocity type {kind!r}")
 
 
+def _integral(v, key: str) -> int:
+    """v as an int when it is an integral JSON number; json's booleans, strings
+    and fractions are rejected, not coerced."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{key} must be an integral number, got {v!r}")
+    return int(v)
+
+
 def _initial_to_config(spec) -> dict:
     if spec[0] == "bump":
         return {"type": "bump", "width": spec[1], "center": spec[2]}
@@ -263,7 +271,7 @@ def _initial_from_config(obj) -> tuple:
     if kind == "bump":
         return ("bump", float(obj["width"]), float(obj["center"]))
     if kind == "sine":
-        return ("sine", int(obj["mode"]))
+        return ("sine", _integral(obj["mode"], "mode"))
     if kind == "zero":
         return ("zero",)
     raise ValueError(f"unknown initial data type {kind!r}")
@@ -280,12 +288,15 @@ def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan
     time = obj.get("time", {})
     steps = time.get("steps")
     obs = obj.get("observation_domain")
+    plot = obj.get("plot", False)
+    if not isinstance(plot, bool):
+        raise ValueError(f"plot must be true or false, got {plot!r}")
     return ExperimentPlan(
         experiment=obj.get("experiment", "space-time-field"),
         L=float(grid.get("L", 4.0)),
-        nodes_per_unit=int(grid.get("nodes_per_unit", 128)),
+        nodes_per_unit=_integral(grid.get("nodes_per_unit", 128), "nodes_per_unit"),
         T=float(time.get("T", 5.0)),
-        steps=None if steps is None else int(steps),
+        steps=None if steps is None else _integral(steps, "steps"),
         velocity=_velocity_from_config(obj.get("velocity", {"type": "constant", "value": 2.0})),
         alpha=float(obj.get("alpha", 0.125)),
         control_domain=domain_from_config(obj.get("control_domain", _DEFAULT_CONTROL_DOMAIN)),
@@ -296,7 +307,7 @@ def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan
         l_values=tuple(float(v) for v in obj.get("l_values", ())),
         alpha_values=tuple(float(v) for v in obj.get("alpha_values", ())),
         out_dir=str(out_dir if out_dir is not None else obj.get("out_dir", "hyplq-out")),
-        plot=bool(obj.get("plot", False)),
+        plot=plot,
         feedback_gain=float(obj.get("feedback_gain", 1.0)),
     )
 
@@ -949,22 +960,21 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     ocp = plan.realize()
     grid, tgrid, x0, vel = ocp.grid, ocp.tgrid, ocp.x0, ocp.velocity
     L, c = grid.L, plan.velocity[1]  # c: the speed of transport and wave
-    dom, gain = plan.control_domain, plan.feedback_gain
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(plan.control_domain, plan.feedback_gain)
 
     _check_simulate_memory(eq, grid.N, tgrid.M + 1)
-    meta = {"equation": eq, "feedback_gain": gain}
+    meta = {"equation": eq, "feedback_gain": plan.feedback_gain}
     with _Emitter(plan.out_dir, f"simulate {eq}") as em:
         if eq == "wave":
             x1 = GridFunction(grid, np.zeros(grid.N))
-            disp, velo = wave_levels(x0, x1, tgrid.times, c, gain, dom, L)
+            disp, velo = wave_levels(x0, x1, tgrid.times, c, fb, L)
             em.field("displacement.csv", disp, grid, tgrid, meta)
             em.field("velocity.csv", velo, grid, tgrid, meta)
         elif eq == "transport":
-            field = transport_levels(x0, tgrid.times, c, L, fb if gain > 0 else None)
+            field = transport_levels(x0, tgrid.times, c, L, fb)
             em.field("field.csv", field, grid, tgrid, meta)
         elif eq == "transport-var":
-            field = transport_variable_levels(x0, tgrid.times, vel, L, fb if gain > 0 else None)
+            field = transport_variable_levels(x0, tgrid.times, vel, L, fb)
             em.field("field.csv", field, grid, tgrid, meta)
         else:
             field = continuity_levels(x0, tgrid.times, vel, fb, L)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# Periods of a tail layout enumerated to cross-check the closed form.
+HORIZON_PERIODS = 64
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def _max_pair(ivs: list[Interval], k: float, K: float):
     return best, best_pair, n_pairs
 
 
-def worst_pair_value(dom: IntervalUnion, k: float, K: float, horizon_periods: int = 64):
+def worst_pair_value(dom: IntervalUnion, k: float, K: float):
     """Supremum of the pair inequality left side over all n > m.
 
     Returns (value, (n, m), pairs_checked) with 1-based interval indices.
@@ -124,14 +126,14 @@ def worst_pair_value(dom: IntervalUnion, k: float, K: float, horizon_periods: in
     supremum over all pairs equals the maximum over the prefix plus two tail
     periods.  D > 0 makes the supremum infinite (density deficit) and is
     handled before calling this function.  The closed form is cross-checked
-    here against explicit enumeration over `horizon_periods` periods.
+    here against explicit enumeration over HORIZON_PERIODS periods.
     """
     if dom.tail is None:
         raise ValueError("worst_pair_value needs an eventually periodic layout")
     if k * dom.tail[0] - K * dom.pattern_measure() > 0:
         raise ValueError("positive per-period drift: the supremum is infinite")
     closed, _, _ = _max_pair(_sequence(dom, 2), k, K)
-    value, pair, n_pairs = _max_pair(_sequence(dom, horizon_periods), k, K)
+    value, pair, n_pairs = _max_pair(_sequence(dom, HORIZON_PERIODS), k, K)
     scale = max(1.0, abs(value))
     if abs(closed - value) > 1e-12 * scale:
         raise RuntimeError(
@@ -141,9 +143,7 @@ def worst_pair_value(dom: IntervalUnion, k: float, K: float, horizon_periods: in
     return value, pair, n_pairs
 
 
-def check_condition_ii(
-    dom: IntervalUnion, k: float, K: float, horizon_periods: int = 64
-) -> Verdict:
+def check_condition_ii(dom: IntervalUnion, k: float, K: float) -> Verdict:
     """Verify the pair inequality for all n >= m with given constants."""
     if not (0 < k < K):
         raise ValueError(f"need 0 < k < K, got k={k}, K={K}")
@@ -155,14 +155,14 @@ def check_condition_ii(
     drift = k * period - K * dom.pattern_measure()
     if drift > 0:
         return Verdict(False, None, "density-deficit")
-    value, (n, m), n_pairs = worst_pair_value(dom, k, K, horizon_periods)
+    value, (n, m), n_pairs = worst_pair_value(dom, k, K)
     if value > 1.0 + _TOL:
         return Verdict(False, None, f"pair-violation({n},{m})")
     over = math.exp(max(1.0, K * dom.max_interval_length()))
     return Verdict(True, RateCertificate(k, K, over, n_pairs), None)
 
 
-def certify_rates(dom: IntervalUnion, horizon_periods: int = 64) -> RateCertificate | None:
+def certify_rates(dom: IntervalUnion) -> RateCertificate | None:
     """Search (k, K) over a logarithmic grid; None when nothing passes.
 
     K runs over powers of two and k = beta*K*rho with rho the per-period
@@ -179,7 +179,7 @@ def certify_rates(dom: IntervalUnion, horizon_periods: int = 64) -> RateCertific
             k = beta * K * rho
             if not (0 < k < K):
                 continue
-            verdict = check_condition_ii(dom, k, K, horizon_periods)
+            verdict = check_condition_ii(dom, k, K)
             if verdict.stabilizable:
                 return verdict.certificate
     return None
@@ -190,7 +190,6 @@ def check_condition_iii(
     c1: float,
     c0: float,
     probes: list[Interval] | None = None,
-    horizon_periods: int = 64,
 ) -> bool:
     """Density form: |dom ∩ I| >= c1*|I| - c0 for every probe interval.
 
@@ -203,7 +202,7 @@ def check_condition_iii(
         raise ValueError(f"need positive constants, got c1={c1}, c0={c0}")
     if probes is None:
         if dom.tail is not None:
-            ivs = _sequence(dom, horizon_periods)
+            ivs = _sequence(dom, HORIZON_PERIODS)
         else:
             ivs = list(dom.prefix)
         probes = [

@@ -1,5 +1,5 @@
 """Closed-form propagators for the periodic transport, continuity, and wave
-equations, with piecewise-constant interval damping.
+equations, damped by one feedback gain on the control set.
 
 These are the analytic references the finite-difference optimal-control
 solver is validated against.  Transport solutions are periodized shifts with
@@ -11,9 +11,8 @@ interval via its Riemann invariants and solved by the same machinery.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,79 +62,37 @@ def sample_periodic(f: GridFunction, positions) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feedback profiles
+# feedback profile
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FeedbackProfile:
-    """Piecewise-constant damping gain: gain_j >= 0 on the j-th interval of
-    the active domain, zero elsewhere.
+    """The stabilizing feedback: one damping gain >= 0 on the control set
+    ``domain``, zero elsewhere.
 
-    ``gains`` carries one value per prefix interval followed by one per
-    tail-pattern interval (tail gains repeat every period).
+    Every propagator takes this one value.  Transport and continuity damp
+    with gain * chi_domain directly; the wave applies it through its
+    Riemann fold.  A missing profile or a zero gain means no damping.
     """
 
     domain: IntervalUnion
-    gains: tuple
+    gain: float
 
     def __post_init__(self):
-        gains = tuple(float(g) for g in self.gains)
-        object.__setattr__(self, "gains", gains)
-        n = len(self.domain.prefix)
-        if self.domain.tail is not None:
-            n += len(self.domain.tail[1])
-        if len(gains) != n:
-            raise ValueError(f"expected {n} gains, got {len(gains)}")
-        for g in gains:
-            if not (math.isfinite(g) and g >= 0.0):
-                raise ValueError(f"gains must be finite and nonnegative, got {g}")
-
-    @staticmethod
-    def uniform(domain: IntervalUnion, gain: float) -> "FeedbackProfile":
-        n = len(domain.prefix)
-        if domain.tail is not None:
-            n += len(domain.tail[1])
-        return FeedbackProfile(domain, (float(gain),) * n)
-
-    @property
-    def sup_gain(self) -> float:
-        return max(self.gains, default=0.0)
+        gain = float(self.gain)
+        object.__setattr__(self, "gain", gain)
+        if not (math.isfinite(gain) and gain >= 0.0):
+            raise ValueError(f"gains must be finite and nonnegative, got {gain}")
 
     def segments(self, L: float) -> tuple:
-        """Active intervals clipped to [0, L] as (a, b, gain) triples."""
-        out = []
-        n_pre = len(self.domain.prefix)
-        for (a, b), g in zip(self.domain.prefix, self.gains[:n_pre]):
-            if a < L:
-                out.append((a, min(b, L), g))
-        if self.domain.tail is not None:
-            period, pattern = self.domain.tail
-            pat_gains = self.gains[n_pre:]
-            j = 0
-            while self.domain.start + j * period < L:
-                for (a, b), g in zip(pattern, pat_gains):
-                    lo = self.domain.start + j * period + a
-                    hi = self.domain.start + j * period + b
-                    if lo < L:
-                        out.append((lo, min(hi, L), g))
-                j += 1
-        return tuple((a, b, g) for a, b, g in out if b > a)
+        """The control set clipped to [0, L] as (a, b, gain) triples."""
+        return tuple((a, b, self.gain) for a, b in restrict_domain(self.domain, L).prefix)
 
-    def sample_on(self, L: float) -> Callable[[float], float]:
-        """Pointwise gain lookup on [0, L), intervals closed-left."""
-        segs = self.segments(L)
-        starts = [a for a, _, _ in segs]
 
-        def gain_at(w: float) -> float:
-            i = bisect_right(starts, w) - 1
-            if i >= 0:
-                a, b, g = segs[i]
-                if a <= w < b:
-                    return g
-            return 0.0
-
-        return gain_at
+def _damping(fb: Optional[FeedbackProfile], L: float) -> tuple:
+    """fb's segments on [0, L], or () when fb does not damp."""
+    return () if fb is None or fb.gain == 0.0 else fb.segments(L)
 
 
 def _periodized_window_gain(segs, L: float, p: np.ndarray, q: np.ndarray):
@@ -222,7 +179,7 @@ def transport_levels(
     levels at a time."""
     times = _check_times(times, c)
     _require_grid(x0, L)
-    segs = fb.segments(L) if fb is not None else ()
+    segs = _damping(fb, L)
     out = np.empty((times.size, x0.grid.N))
     for block in _level_blocks(times.size):
         out[block] = _shift_rows(x0, times[block], c, segs, L)
@@ -250,14 +207,13 @@ def transport_damped(
     return GridFunction(x0.grid, transport_levels(x0, [t], c, L, fb)[0])
 
 
-def _time_segments(fb: FeedbackProfile, vel: VelocityField, L: float):
+def _time_segments(segs, vel: VelocityField, L: float):
     """The feedback segments with their ends mapped through tau, and tau_L.
 
     In travel-time coordinates the speed is 1, so int gain/c over a window
     of x is the gain-weighted overlap of the window's tau-image with these
     segments, periodized with period tau_L.
     """
-    segs = fb.segments(L)
     ends = travel_time([e for a, b, _ in segs for e in (a, b)] + [L], vel, L)
     tau_segs = [(ends[2 * i], ends[2 * i + 1], g) for i, (_, _, g) in enumerate(segs)]
     return tau_segs, float(ends[-1])
@@ -283,14 +239,14 @@ def transport_variable_levels(
     _require_grid(x0, L)
     grid = x0.grid
     tau_w = travel_time(grid.nodes, vel, L)
-    damped = fb is not None and fb.sup_gain > 0.0
-    if damped:
-        segs, tau_L = _time_segments(fb, vel, L)
+    segs = _damping(fb, L)
+    if segs:
+        segs, tau_L = _time_segments(segs, vel, L)
     out = np.empty((times.size, grid.N))
     for block in _level_blocks(times.size):
         feet = tau_w - times[block, None]
         rows = sample_periodic(x0, invert_travel_time(feet, vel, L))
-        if damped:
+        if segs:
             rows *= np.exp(-_periodized_window_gain(segs, tau_L, feet, tau_w))
         _require_finite(rows)
         out[block] = rows
@@ -317,7 +273,7 @@ def continuity_levels(
     x0: GridFunction,
     times,
     vel: VelocityField,
-    fb: FeedbackProfile,
+    fb: Optional[FeedbackProfile],
     L: float,
 ) -> np.ndarray:
     """Rows of the damped continuity solution for every t of times, by the
@@ -338,13 +294,16 @@ def continuity_levels(
     log_w = log_speed_integral(grid.nodes, vel, L)
     seam = vel.eval(0.0) / vel.eval(L)
     tau_w = travel_time(grid.nodes, vel, L)
-    segs, tau_L = _time_segments(fb, vel, L)
+    segs = _damping(fb, L)
+    if segs:
+        segs, tau_L = _time_segments(segs, vel, L)
     out = np.empty((times.size, grid.N))
     for block in _level_blocks(times.size):
         heads = tau_w + times[block, None]
         p = invert_travel_time(heads, vel, L)
         expo = log_speed_integral(p, vel, L) - log_w
-        expo -= _periodized_window_gain(segs, tau_L, tau_w, heads)
+        if segs:
+            expo -= _periodized_window_gain(segs, tau_L, tau_w, heads)
         rows = seam ** np.floor(p / L) * np.exp(expo) * sample_periodic(x0, p % L)
         _require_finite(rows)
         out[block] = rows
@@ -355,7 +314,7 @@ def continuity_damped(
     x0: GridFunction,
     t: float,
     vel: VelocityField,
-    fb: FeedbackProfile,
+    fb: Optional[FeedbackProfile],
     L: float,
 ) -> GridFunction:
     """Damped continuity solution at one time (see continuity_levels)."""
@@ -366,20 +325,17 @@ def continuity_stabilizing_gain(
     rate: float,
     vel: VelocityField,
     cert: RateCertificate,
-    gamma: float = 1.0,
     c_prime_sup: float = 0.0,
 ) -> float:
     """Uniform damping gain guaranteeing closed-loop continuity decay at
     least ``rate``, built from the interval certificate of the active domain.
 
     The seam-crossing growth is absorbed by k_alpha = ln(c_max/c_min) *
-    c_max / gamma, valid for domain lengths L >= gamma.
+    c_max, valid for domain lengths L >= 1.
     """
     if rate <= 0:
         raise ValueError(f"target rate must be positive, got {rate}")
-    if gamma <= 0:
-        raise ValueError(f"minimal domain length must be positive, got {gamma}")
-    k_alpha = max(0.0, math.log(vel.c_max / vel.c_min)) * vel.c_max / gamma
+    k_alpha = max(0.0, math.log(vel.c_max / vel.c_min)) * vel.c_max
     k_exp = cert.k * vel.c_min
     return (
         vel.c_max
@@ -489,49 +445,46 @@ def wave_dalembert(
     return WaveState(GridFunction(grid, disp), GridFunction(grid, veloc), folded)
 
 
-def _mirror_segments(dom: IntervalUnion, L: float):
-    """Damping set of the folded problem: dom ∩ [0,L] plus its reflection
-    about L, merged where the pieces touch."""
-    segs = list(restrict_domain(dom, L).prefix)
-    mirrored = [(2.0 * L - b, 2.0 * L - a) for a, b in reversed(segs)]
+def _mirror_segments(segs: tuple, L: float) -> tuple:
+    """Damping set of the folded problem: the segments on [0, L] plus their
+    reflection about L, merged where the pieces touch."""
+    mirrored = [(2.0 * L - b, 2.0 * L - a, g) for a, b, g in reversed(segs)]
     merged = []
-    for a, b in segs + mirrored:
+    for a, b, g in list(segs) + mirrored:
         if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b), g)
         else:
-            merged.append((a, b))
-    return merged
+            merged.append((a, b, g))
+    # a piece shorter than one ulp of 2L mirrors to an empty one: drop it
+    return tuple((a, b, g) for a, b, g in merged if b > a)
 
 
-def _wave_blocks(x0, x1, times, c: float, gain: float, dom: IntervalUnion, L: float):
+def _wave_blocks(x0, x1, times, c: float, fb: Optional[FeedbackProfile], L: float):
     """Yield (levels, folded, displacement, velocity) per block of levels.
 
-    The fold data (initial fold, damping indicator, mirrored segments) is
-    built once; each block is one run of the shift kernel on the doubled
+    The fold data (initial fold, damping gain per node, mirrored segments)
+    is built once; each block is one run of the shift kernel on the doubled
     circle, unfolded into displacement and velocity rows.
     """
     times = _check_times(times, c)
     _check_wave_inputs(x0, x1, c, 0.0)
     _require_grid(x0, L)
-    if not (math.isfinite(gain) and gain >= 0):
-        raise ValueError(f"gain must be finite and nonnegative, got {gain}")
     grid = x0.grid
     n, h = grid.N, grid.h
     grid2 = Grid1D(2.0 * L, 2 * n)
 
-    chi = np.zeros(n)
-    for a, b in restrict_domain(dom, L).prefix:
-        chi[(grid.nodes >= a) & (grid.nodes < b)] = 1.0
+    segs = _damping(fb, L)
+    damp = np.zeros(n)  # gain * chi
+    for a, b, g in segs:
+        damp[(grid.nodes >= a) & (grid.nodes < b)] = g
 
     ext = _odd_extension(x0.values)
-    g_ext = _odd_extension(x1.values + gain * chi * x0.values)
+    g_ext = _odd_extension(x1.values + damp * x0.values)
     v_cum = _cumtrapz_periodic(g_ext, h)
     fold0 = GridFunction(grid2, 0.5 * (c * ext - v_cum))
 
-    # a piece shorter than one ulp of 2L mirrors to an empty one: drop it
-    segs = tuple((a, b, gain) for a, b in _mirror_segments(dom, L) if b > a)
+    segs = _mirror_segments(segs, L)
     refl = (2 * n - np.arange(2 * n)) % (2 * n)
-    damp = gain * chi
 
     for block in _level_blocks(times.size):
         w = _shift_rows(fold0, times[block], c, segs, 2.0 * L)
@@ -552,8 +505,7 @@ def wave_levels(
     x1: GridFunction,
     times,
     c: float,
-    gain: float,
-    dom: IntervalUnion,
+    fb: Optional[FeedbackProfile],
     L: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Displacement and velocity rows of the interval-damped Dirichlet wave
@@ -561,7 +513,7 @@ def wave_levels(
     n_levels = np.asarray(times).size
     disp = np.empty((n_levels, x0.grid.N))
     veloc = np.empty((n_levels, x0.grid.N))
-    for block, _, d, v in _wave_blocks(x0, x1, times, c, gain, dom, L):
+    for block, _, d, v in _wave_blocks(x0, x1, times, c, fb, L):
         disp[block] = d
         veloc[block] = v
     return disp, veloc
@@ -572,19 +524,19 @@ def wave_damped(
     x1: GridFunction,
     t: float,
     c: float,
-    gain: float,
-    dom: IntervalUnion,
+    fb: Optional[FeedbackProfile],
     L: float,
 ) -> WaveState:
-    """Interval-damped Dirichlet wave (feedback -2k*velocity - k^2*x on dom).
+    """Interval-damped Dirichlet wave: the feedback -2k*velocity - k^2*x
+    acts on the control set of fb, with k its gain.
 
     The Riemann pair diagonalizes the damped system exactly; folding the
     leftgoing component onto [L, 2L] yields one rightward damped transport
-    problem on the doubled circle whose damping set is dom plus its mirror
-    image.  Displacement, velocity, and boundary conditions are recovered
-    from the unfolded pair.
+    problem on the doubled circle whose damping set is the control set
+    plus its mirror image.  Displacement, velocity, and boundary conditions
+    are recovered from the unfolded pair.
     """
-    _, folded, disp, veloc = next(_wave_blocks(x0, x1, [t], c, gain, dom, L))
+    _, folded, disp, veloc = next(_wave_blocks(x0, x1, [t], c, fb, L))
     grid2 = Grid1D(2.0 * L, 2 * x0.grid.N)
     return WaveState(
         GridFunction(x0.grid, disp[0]), GridFunction(x0.grid, veloc[0]), GridFunction(grid2, folded[0])
@@ -610,13 +562,12 @@ def estimate_operator_norm(
     grid: Grid1D,
     n_samples: int,
     control_domain: Optional[IntervalUnion] = None,
-    seed: int = 0,
 ) -> float:
     """Lower bound on ||T(t)|| by maximizing ||T(t)x0|| / ||x0|| over
-    samples: n_samples random unit vectors plus a family of adversarial
-    bumps.  When the control domain is known, the bumps sit at the midpoint
-    of its largest gap (the data the damping reaches last); otherwise a
-    black-box grid of centers and widths is used.
+    samples: n_samples random vectors (drawn from seed 0) plus a family of
+    adversarial bumps.  When the control domain is known, the bumps sit at
+    the midpoint of its largest gap (the data the damping reaches last);
+    otherwise a black-box grid of centers and widths is used.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -645,7 +596,7 @@ def estimate_operator_norm(
         vals = np.array([smooth_bump(w, center, width, L) for w in grid.nodes])
         candidates.append(vals)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(n_samples):
         candidates.append(rng.standard_normal(grid.N))
 

@@ -247,7 +247,7 @@ def test_06_single_interval_witness():
     for k in (1, 2, 3):
         L = 0.2 + 6.0 * k
         grid = Grid1D(L, int(100 * L))
-        fb = FeedbackProfile.uniform(SINGLE, 4.0)
+        fb = FeedbackProfile(SINGLE, 4.0)
         prop = lambda y, tt: transport_damped(y, tt, c, fb, L)
         results.append(
             estimate_operator_norm(prop, float(k), grid, 4, control_domain=SINGLE)
@@ -341,14 +341,14 @@ def test_09_wave_equivalence_energy_residual():
     x1 = GridFunction(grid, np.sin(2 * np.pi * w))
     worst_eq = 0.0
     for t in (0.1, 0.3, 0.7):
-        a = wave_damped(x0, x1, t, 1.0, 0.0, EMPTY, 1.0)
+        a = wave_damped(x0, x1, t, 1.0, FeedbackProfile(EMPTY, 0.0), 1.0)
         b = wave_dalembert(x0, x1, t, 1.0, 1.0)
         num = _l2(grid, a.displacement.values - b.displacement.values)
         den = _l2(grid, b.displacement.values)
         worst_eq = max(worst_eq, num / den)
 
     energies = np.array(
-        [wave_energy(wave_damped(x0, x1, j / 16.0, 1.0, 0.0, EMPTY, 1.0)) for j in range(33)]
+        [wave_energy(wave_damped(x0, x1, j / 16.0, 1.0, FeedbackProfile(EMPTY, 0.0), 1.0)) for j in range(33)]
     )
     drift = float(np.max(np.abs(energies - energies[0]))) / energies[0]
 
@@ -365,7 +365,7 @@ def test_09_wave_equivalence_energy_residual():
         out = 0.0
         for tc in (0.25, 0.5):
             rows = {
-                s: wave_damped(y0, y1, tc + s * tau, 1.0, k, full, 1.0).displacement.values
+                s: wave_damped(y0, y1, tc + s * tau, 1.0, FeedbackProfile(full, k), 1.0).displacement.values
                 for s in (-1, 0, 1)
             }
             xtt = (rows[1] - 2 * rows[0] + rows[-1]) / tau**2

@@ -776,13 +776,39 @@ def test_non_object_config_is_config_error(tmp_path, capsys, command):
         ("sweep", small_config(velocity={"type": "constant"})),
         ("simulate", {"equation": "wave", "time": [1.0]}),
         ("check-domain", {"control_domain": {"finite": 5}}),
+        # values of the wrong JSON type are rejected, not coerced
+        ("solve-ocp", small_config(plot="false")),
+        ("simulate", {"equation": "wave", "plot": "false"}),
+        ("sweep", small_config(plot=1)),
+        ("solve-ocp", small_config(time={"T": 0.5, "steps": 2.7})),
+        ("simulate", {"equation": "wave", "time": {"T": 0.5, "steps": 2.7}}),
+        ("solve-ocp", small_config(time={"T": 0.5, "steps": True})),
+        ("solve-ocp", small_config(grid={"L": 1.0, "nodes_per_unit": 16.9})),
+        ("simulate", {"equation": "wave", "grid": {"L": 1.0, "nodes_per_unit": 16.9}}),
+        ("sweep", small_config(grid={"L": 1.0, "nodes_per_unit": "32"})),
+        ("solve-ocp", small_config(initial={"type": "sine", "mode": 1.5})),
+        ("simulate", {"equation": "wave", "initial": {"type": "sine", "mode": 1.5}}),
+        ("simulate", {"equation": "wave", "initial": {"type": "sine", "mode": False}}),
     ],
 )
-def test_malformed_config_value_is_config_error(tmp_path, capsys, command, cfg):
+def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
+    monkeypatch.chdir(tmp_path)  # plans without out_dir write to ./hyplq-out
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert main([command, "--config", str(p)]) == 3
     assert "config error" in capsys.readouterr().err
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_integral_float_config_numbers_are_accepted():
+    cfg = small_config(
+        grid={"L": 1.0, "nodes_per_unit": 32.0},
+        time={"T": 0.5, "steps": 16.0},
+        initial={"type": "sine", "mode": 2.0},
+    )
+    plan = plan_from_config(cfg)
+    assert (plan.nodes_per_unit, plan.steps, plan.initial) == (32, 16, ("sine", 2))
+    assert plan == plan_from_config(small_config(initial={"type": "sine", "mode": 2}))
 
 
 SIM_SINE = {"equation": "transport-var", "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5}}

@@ -104,7 +104,7 @@ def ref_transport_variable(x0, t, vel, L, fb):
     """One level: feet q = tau^{-1}(tau(w) - t), exp(-tau-window overlap)."""
     tau_w = travel_time(x0.grid.nodes, vel, L)
     vals = sample_periodic(x0, invert_travel_time(tau_w - t, vel, L))
-    if fb is None or fb.sup_gain == 0.0 or t == 0.0:
+    if fb is None or fb.gain == 0.0 or t == 0.0:
         return vals
     segs, tau_L = _tau_segments(fb, vel, L)
     expo = np.zeros_like(tau_w)
@@ -163,7 +163,7 @@ def test_transport_levels_match_one_level_calls(gain, layout, steps):
     grid, c = Grid1D(L1, 32), 2.0
     times = TimeGrid(0.5, STEPS[steps]).times
     x0 = bump(grid)
-    fb = FeedbackProfile.uniform(LAYOUTS[layout], gain)
+    fb = FeedbackProfile(LAYOUTS[layout], gain)
     damped = transport_levels(x0, times, c, L1, fb)
     free = transport_levels(x0, times, c, L1)
     segs = fb.segments(L1)
@@ -186,10 +186,10 @@ def test_wave_levels_match_one_level_calls(gain, layout, steps):
     x0 = bump(grid)
     x1 = GridFunction(grid, np.cos(2 * np.pi * grid.nodes))
     dom = LAYOUTS[layout]
-    disp, veloc = wave_levels(x0, x1, times, c, gain, dom, L1)
+    disp, veloc = wave_levels(x0, x1, times, c, FeedbackProfile(dom, gain), L1)
     for m, t in enumerate(times):
         t = float(t)
-        state = wave_damped(x0, x1, t, c, gain, dom, L1)
+        state = wave_damped(x0, x1, t, c, FeedbackProfile(dom, gain), L1)
         want_d, want_v = ref_wave(x0, x1, t, c, gain, dom, L1)
         assert same_bits(disp[m], state.displacement.values)
         assert same_bits(veloc[m], state.velocity.values)
@@ -201,12 +201,12 @@ def test_wave_levels_match_one_level_calls(gain, layout, steps):
 def test_level_counts_across_block_edges(levels):
     grid, c, gain = Grid1D(L1, 16), 1.3, 0.7
     dom = LAYOUTS["finite"]
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(dom, gain)
     times = np.arange(levels) * 0.0123  # fractional shifts, t = 0 first
     x0 = bump(grid)
     x1 = GridFunction(grid, np.zeros(grid.N))
     rows = transport_levels(x0, times, c, L1, fb)
-    disp, veloc = wave_levels(x0, x1, times, c, gain, dom, L1)
+    disp, veloc = wave_levels(x0, x1, times, c, fb, L1)
     assert rows.shape == disp.shape == veloc.shape == (levels, grid.N)
     segs = fb.segments(L1)
     for m, t in enumerate(times):
@@ -239,7 +239,7 @@ def sinusoid(amp, L=L1):
 @pytest.mark.parametrize("levels", [1, LEVEL_BLOCK, LEVEL_BLOCK + 1])
 def test_variable_speed_levels_match_one_level_calls(levels, gain, layout, amp):
     grid, vel = Grid1D(L1, 16), sinusoid(amp)
-    fb = FeedbackProfile.uniform(LAYOUTS[layout], gain)
+    fb = FeedbackProfile(LAYOUTS[layout], gain)
     times = np.arange(levels) * 0.0173  # t = 0 first, then past one period
     x0 = bump(grid)
     rows = transport_variable_levels(x0, times, vel, L1, fb)
@@ -270,7 +270,7 @@ NEWTON_CASES = [
 @pytest.mark.parametrize("amp, dt, levels", NEWTON_CASES)
 def test_variable_speed_levels_stop_newton_per_level(amp, dt, levels):
     grid, vel = Grid1D(L1, 16), sinusoid(amp)
-    fb = FeedbackProfile.uniform(LAYOUTS["finite"], 1.5)
+    fb = FeedbackProfile(LAYOUTS["finite"], 1.5)
     times = np.arange(levels) * dt
     x0 = GridFunction(grid, 1.5 + np.sin(2.0 * np.pi * grid.nodes))
     rows = transport_variable_levels(x0, times, vel, L1, fb)
@@ -284,11 +284,11 @@ def test_level_routines_reject_negative_times():
     grid = Grid1D(L1, 16)
     x0 = bump(grid)
     vel = sinusoid(0.5)
-    fb = FeedbackProfile.uniform(LAYOUTS["finite"], 1.0)
+    fb = FeedbackProfile(LAYOUTS["finite"], 1.0)
     with pytest.raises(ValueError, match="t >= 0"):
         transport_levels(x0, [0.0, 0.1, -0.1], 1.0, L1)
     with pytest.raises(ValueError, match="t >= 0"):
-        wave_levels(x0, x0, [0.2, -1e-3], 1.0, 0.0, IntervalUnion(), L1)
+        wave_levels(x0, x0, [0.2, -1e-3], 1.0, FeedbackProfile(IntervalUnion(), 0.0), L1)
     with pytest.raises(ValueError, match="t >= 0"):
         transport_variable_levels(x0, [0.0, -0.1], vel, L1, fb)
     with pytest.raises(ValueError, match="t >= 0"):
@@ -303,7 +303,7 @@ def test_continuity_levels_keep_the_finite_check():
     # where c(p) > c(w) the c'/c factor exp(int_w^p c'/c) pushes 1e308 past
     # the largest float; the t = 0 row alone stays finite
     grid, vel = Grid1D(L1, 16), sinusoid(0.9)
-    fb = FeedbackProfile.uniform(IntervalUnion(), 0.0)
+    fb = FeedbackProfile(IntervalUnion(), 0.0)
     x0 = GridFunction(grid, np.full(grid.N, 1e308))
     with pytest.raises(ValueError, match="must be finite"):
         continuity_levels(x0, [0.0, 0.25], vel, fb, L1)
@@ -342,10 +342,10 @@ def test_wave_levels_keep_the_finite_check():
     x1 = GridFunction(grid, np.zeros(grid.N))
     times = [0.0, grid.h]
     with pytest.raises(ValueError, match="must be finite"):
-        wave_levels(x0, x1, times, 1.0, 0.0, IntervalUnion(), L1)
+        wave_levels(x0, x1, times, 1.0, FeedbackProfile(IntervalUnion(), 0.0), L1)
     with pytest.raises(ValueError, match="must be finite"):
-        wave_damped(x0, x1, grid.h, 1.0, 0.0, IntervalUnion(), L1)
-    wave_damped(x0, x1, 0.0, 1.0, 0.0, IntervalUnion(), L1)
+        wave_damped(x0, x1, grid.h, 1.0, FeedbackProfile(IntervalUnion(), 0.0), L1)
+    wave_damped(x0, x1, 0.0, 1.0, FeedbackProfile(IntervalUnion(), 0.0), L1)
 
 
 @st.composite
@@ -371,9 +371,9 @@ def test_levels_match_reference_on_random_layouts(dom, n, steps, T, c, gain):
     vals[0] = 0.0
     x0, x1 = GridFunction(grid, vals), GridFunction(grid, rng.standard_normal(n))
     times = TimeGrid(T, steps).times
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(dom, gain)
     rows = transport_levels(x0, times, c, L1, fb)
-    disp, veloc = wave_levels(x0, x1, times, c, gain, dom, L1)
+    disp, veloc = wave_levels(x0, x1, times, c, fb, L1)
     segs = fb.segments(L1)
     for m in range(0, steps + 1, max(1, steps // 16)):
         t = float(times[m])
@@ -413,7 +413,7 @@ def test_simulate_damped_transport_equals_per_level_reference(tmp_path, steps):
     out, x0 = _simulate(tmp_path, cfg)
     grid, tgrid, field = read_field_csv(out / "field.csv")
     dom = IntervalUnion(prefix=tuple(tuple(iv) for iv in SIM_DOMAIN["finite"]))
-    segs = FeedbackProfile.uniform(dom, 1.5).segments(1.0)
+    segs = FeedbackProfile(dom, 1.5).segments(1.0)
     for m, t in enumerate(tgrid.times):
         assert same_bits(field[m], ref_transport(x0, float(t), 2.0, segs, 1.0))
 
@@ -434,7 +434,7 @@ def test_simulate_variable_speed_equals_one_level_calls(tmp_path, equation):
     assert tgrid.M + 1 > LEVEL_BLOCK  # more than one block of levels
     vel = plan_from_config({k: v for k, v in cfg.items() if k != "equation"}).realize().velocity
     dom = IntervalUnion(prefix=tuple(tuple(iv) for iv in SIM_DOMAIN["finite"]))
-    fb = FeedbackProfile.uniform(dom, 1.5)
+    fb = FeedbackProfile(dom, 1.5)
     for m, t in enumerate(tgrid.times):
         if equation == "transport-var":
             want = transport_variable(x0, float(t), vel, 1.0, fb)

@@ -57,7 +57,7 @@ def _periodic_integral(f, L: float, breaks):
 def _integrals(amp: float, L: float, gain: float):
     vel = _field(amp, L)
     c, dc = vel.eval, vel.derivative_at
-    segs = FeedbackProfile.uniform(DOMAIN, gain).segments(L)
+    segs = FeedbackProfile(DOMAIN, gain).segments(L)
     breaks = sorted({e for a, b, _ in segs for e in (a, b)})
 
     def g(y: float) -> float:
@@ -96,7 +96,7 @@ CASES = [
 def test_transport_variable_matches_reference(amp, gain, t, L):
     vel, tau, damp, _ = _integrals(amp, L, gain)
     x0 = _x0(L)
-    got = transport_variable(x0, t, vel, L, FeedbackProfile.uniform(DOMAIN, gain))
+    got = transport_variable(x0, t, vel, L, FeedbackProfile(DOMAIN, gain))
     want = np.empty(N)
     for i, w in enumerate(x0.grid.nodes):
         q = _foot(tau, vel, float(w), t, -1)
@@ -108,7 +108,7 @@ def test_transport_variable_matches_reference(amp, gain, t, L):
 def test_continuity_damped_matches_reference(amp, gain, t, L):
     vel, tau, _, comp = _integrals(amp, L, gain)
     x0 = _x0(L)
-    got = continuity_damped(x0, t, vel, FeedbackProfile.uniform(DOMAIN, gain), L)
+    got = continuity_damped(x0, t, vel, FeedbackProfile(DOMAIN, gain), L)
     seam = vel.eval(0.0) / vel.eval(L)
     want = np.empty(N)
     for i, w in enumerate(x0.grid.nodes):

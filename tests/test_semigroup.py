@@ -77,7 +77,7 @@ def test_free_semigroup_law_integer_shifts():
 def test_damped_zero_gain_is_free():
     grid = Grid1D(1.0, 64)
     x0 = sine(grid)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.3),)), 0.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.3),)), 0.0)
     a = transport_damped(x0, 0.37, 1.0, fb, 1.0)
     b = transport_free(x0, 0.37, 1.0, 1.0)
     assert np.allclose(a.values, b.values, atol=1e-15)
@@ -87,7 +87,7 @@ def test_damped_full_domain_rate():
     grid = Grid1D(1.0, 64)
     x0 = sine(grid)
     k, t, c = 0.8, 0.5, 2.0
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 1.0),)), k)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 1.0),)), k)
     out = transport_damped(x0, t, c, fb, 1.0)
     free = transport_free(x0, t, c, 1.0)
     assert np.allclose(out.values, math.exp(-k * t) * free.values, rtol=1e-13)
@@ -98,7 +98,7 @@ def test_damped_half_interval_uniform_factor():
     grid = Grid1D(1.0, 64)
     x0 = sine(grid)
     k = 1.3
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.5),)), k)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.5),)), k)
     out = transport_damped(x0, 1.0, 1.0, fb, 1.0)
     assert np.allclose(out.values, math.exp(-0.5 * k) * x0.values, rtol=1e-12)
 
@@ -109,7 +109,7 @@ def test_damped_finite_propagation():
     grid = Grid1D(L, 256)
     rng = np.random.default_rng(5)
     x0 = GridFunction(grid, rng.standard_normal(grid.N))
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.2),)), 2.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.2),)), 2.0)
     t = 32 * grid.h / c  # integer shift, t = 0.25 <= (4 - 0.2)/2
     damped = transport_damped(x0, t, c, fb, L)
     free = transport_free(x0, t, c, L)
@@ -122,7 +122,7 @@ def test_damped_finite_propagation():
 def test_damped_semigroup_law():
     grid = Grid1D(1.0, 128)
     x0 = sine(grid, 2)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.1, 0.4),)), 1.1)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.1, 0.4),)), 1.1)
     h = grid.h
     t1, t2 = 10 * h, 17 * h
     once = transport_damped(x0, t1 + t2, 1.0, fb, 1.0)
@@ -137,7 +137,7 @@ def test_variable_matches_constant_routes():
     grid = Grid1D(1.0, 128)
     x0 = sine(grid)
     vel = VelocityField.constant(2.0)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.2, 0.55),)), 0.9)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.2, 0.55),)), 0.9)
     t = 0.31
     a = transport_variable(x0, t, vel, 1.0, fb)
     b = transport_damped(x0, t, 2.0, fb, 1.0)
@@ -176,7 +176,7 @@ def test_continuity_constant_undamped_is_forward_shift():
     grid = Grid1D(1.0, 128)
     x0 = sine(grid)
     vel = VelocityField.constant(2.0)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
     out = continuity_damped(x0, 0.25, vel, fb, 1.0)
     expected = sample_periodic(x0, grid.nodes + 0.5)
     assert np.allclose(out.values, expected, atol=1e-10)
@@ -187,7 +187,7 @@ def test_continuity_period_return_identity():
     tau = 1.0 / math.sqrt(4.0 - 0.25)
     grid = Grid1D(1.0, 128)
     x0 = smooth_blob(grid, 0.45, 0.5)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
     out = continuity_damped(x0, tau, SIN_VEL, fb, 1.0)
     assert np.allclose(out.values, x0.values, atol=1e-7)
 
@@ -195,7 +195,7 @@ def test_continuity_period_return_identity():
 def test_continuity_mass_conserved_mid_time():
     grid = Grid1D(1.0, 512)
     x0 = smooth_blob(grid, 0.5, 0.6)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
     out = continuity_damped(x0, 0.13, SIN_VEL, fb, 1.0)
     mass0 = grid.h * float(np.sum(x0.values))
     mass1 = grid.h * float(np.sum(out.values))
@@ -210,7 +210,7 @@ def test_continuity_matches_simplified_closed_form():
     x0 = smooth_blob(grid, 0.4, 0.5)
     dom = IntervalUnion(prefix=((0.0, 0.2),))
     gain = 1.7
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(dom, gain)
     t = 0.29
     got = continuity_damped(x0, t, SIN_VEL, fb, 1.0)
     chi = lambda r: gain if 0.0 <= r < 0.2 else 0.0
@@ -227,7 +227,7 @@ def test_continuity_requires_derivative():
     grid = Grid1D(1.0, 64)
     x0 = sine(grid)
     vel = VelocityField.variable(lambda w: 2.0, c_min=1.9, c_max=2.1)
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 0.2),)), 0.0)
     with pytest.raises(ValueError):
         continuity_damped(x0, 0.1, vel, fb, 1.0)
 
@@ -240,7 +240,7 @@ def test_continuity_stabilizing_gain_decays():
     assert gain > 0
     grid = Grid1D(1.0, 96)
     x0 = smooth_blob(grid, 0.5, 0.5)
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(dom, gain)
     times = [0.1, 0.2, 0.3]
     norms = [continuity_damped(x0, t, SIN_VEL, fb, 1.0).l2_norm() for t in times]
     slope = np.polyfit(times, np.log(norms), 1)[0]
@@ -299,7 +299,7 @@ def test_wave_damped_zero_gain_matches_dalembert():
     x1 = GridFunction(grid, 0.4 * np.sin(3 * np.pi * grid.nodes / L))
     dom = IntervalUnion(prefix=((0.0, 0.2),))
     for t in (0.1, 0.3, 0.7):
-        a = wave_damped(x0, x1, t, c, 0.0, dom, L)
+        a = wave_damped(x0, x1, t, c, FeedbackProfile(dom, 0.0), L)
         b = wave_dalembert(x0, x1, t, c, L)
         num = np.linalg.norm(a.displacement.values - b.displacement.values)
         den = np.linalg.norm(b.displacement.values)
@@ -315,10 +315,10 @@ def test_wave_damped_full_domain_energy_rate():
     x0 = GridFunction(grid, np.sin(np.pi * grid.nodes / L))
     x1 = GridFunction(grid, np.zeros(N))
     dom = IntervalUnion(prefix=((0.0, L),))
-    e0 = wave_energy(wave_damped(x0, x1, 0.0, c, k, dom, L))
+    e0 = wave_energy(wave_damped(x0, x1, 0.0, c, FeedbackProfile(dom, k), L))
     for m in (32, 128, 256):
         t = m * grid.h / c
-        e = wave_energy(wave_damped(x0, x1, t, c, k, dom, L))
+        e = wave_energy(wave_damped(x0, x1, t, c, FeedbackProfile(dom, k), L))
         assert e == pytest.approx(math.exp(-2 * k * t) * e0, rel=1e-11)
 
 
@@ -329,7 +329,7 @@ def test_wave_damped_boundary_always_zero():
     x1 = GridFunction(grid, 0.2 * np.sin(2 * np.pi * grid.nodes / L))
     dom = IntervalUnion(prefix=((0.3, 0.6),))
     for t in (0.0, 0.21, 0.77, 1.4):
-        st = wave_damped(x0, x1, t, c, 1.5, dom, L)
+        st = wave_damped(x0, x1, t, c, FeedbackProfile(dom, 1.5), L)
         assert abs(st.displacement.values[0]) < 1e-12
 
 
@@ -339,7 +339,7 @@ def test_wave_state_riemann_pair_consistency():
     grid = Grid1D(L, N)
     x0 = GridFunction(grid, np.sin(np.pi * grid.nodes / L))
     x1 = GridFunction(grid, np.zeros(N))
-    st = wave_damped(x0, x1, 0.4, c, 0.7, IntervalUnion(prefix=((0.0, 0.5),)), L)
+    st = wave_damped(x0, x1, 0.4, c, FeedbackProfile(IntervalUnion(prefix=((0.0, 0.5),)), 0.7), L)
     z1 = st.zeta1().values[:N]
     z2 = st.zeta2().values[:N]
     assert np.allclose((z1 - z2) / c, st.displacement.values, atol=1e-12)
@@ -358,7 +358,7 @@ def test_norm_estimate_free_transport():
 def test_norm_estimate_full_damping():
     grid = Grid1D(1.0, 128)
     k, t = 1.0, 0.25
-    fb = FeedbackProfile.uniform(IntervalUnion(prefix=((0.0, 1.0),)), k)
+    fb = FeedbackProfile(IntervalUnion(prefix=((0.0, 1.0),)), k)
     prop = lambda x0, tt: transport_damped(x0, tt, 2.0, fb, 1.0)
     got = estimate_operator_norm(prop, t, grid, 8)
     assert got == pytest.approx(math.exp(-k * t), abs=1e-8)
@@ -370,7 +370,7 @@ def test_norm_estimate_single_interval_witness():
     L, c, t = 6.2, 2.0, 1.0
     grid = Grid1D(L, 620)
     dom = IntervalUnion(prefix=((0.0, 0.2),))
-    fb = FeedbackProfile.uniform(dom, 4.0)
+    fb = FeedbackProfile(dom, 4.0)
     prop = lambda x0, tt: transport_damped(x0, tt, c, fb, L)
     got = estimate_operator_norm(prop, t, grid, 4, control_domain=dom)
     assert got >= 0.99
@@ -380,7 +380,7 @@ def test_norm_estimate_equidistant_uniform_over_L():
     dom = make_equidistant(0.0, 0.2, 1.0)
     gain, c, t = 1.0, 2.0, 2.5
     M, rate = guaranteed_decay(dom, gain, c)
-    fb = FeedbackProfile.uniform(dom, gain)
+    fb = FeedbackProfile(dom, gain)
     for L in (2.0, 4.0, 8.0, 16.0):
         grid = Grid1D(L, int(64 * L))
         prop = lambda x0, tt: transport_damped(x0, tt, c, fb, L)
@@ -393,28 +393,38 @@ def test_norm_estimate_equidistant_uniform_over_L():
 
 def test_profile_validation():
     dom = IntervalUnion(prefix=((0.0, 0.2), (0.5, 0.7)))
-    with pytest.raises(ValueError):
-        FeedbackProfile(dom, (1.0,))  # wrong count
-    with pytest.raises(ValueError):
-        FeedbackProfile(dom, (1.0, -0.5))
-    fb = FeedbackProfile(dom, (1.0, 2.5))
-    assert fb.sup_gain == 2.5
+    for gain in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FeedbackProfile(dom, gain)
+    fb = FeedbackProfile(dom, 2.5)
+    assert fb.gain == 2.5
 
 
 def test_profile_sampling_and_segments():
     dom = make_equidistant(0.0, 0.2, 1.0)
-    fb = FeedbackProfile.uniform(dom, 3.0)
-    f = fb.sample_on(2.0)
-    assert f(0.1) == 3.0
-    assert f(0.3) == 0.0
-    assert f(1.1) == 3.0
+    fb = FeedbackProfile(dom, 3.0)
     segs = fb.segments(2.0)
     assert segs == ((0.0, 0.2, 3.0), (1.0, 1.2, 3.0))
+    cases = [
+        # prefix plus a tail whose copies start at an offset
+        (
+            IntervalUnion(prefix=((0.0, 0.25),), tail=(1.0, ((0.25, 0.5),)), start=0.5),
+            3.0,
+            ((0.0, 0.25), (0.75, 1.0), (1.75, 2.0), (2.75, 3.0)),
+        ),
+        # an interval crossing L is clipped there
+        (IntervalUnion(prefix=((0.25, 0.5), (0.75, 1.5))), 1.0, ((0.25, 0.5), (0.75, 1.0))),
+        # a tail that starts beyond L adds nothing
+        (IntervalUnion(prefix=((0.0, 0.125),), tail=(0.5, ((0.0, 0.25),)), start=2.0), 1.5, ((0.0, 0.125),)),
+        (IntervalUnion(), 2.0, ()),
+    ]
+    for dom, L, want in cases:
+        assert FeedbackProfile(dom, 1.5).segments(L) == tuple((a, b, 1.5) for a, b in want)
 
 
 def test_profile_empty_domain():
-    fb = FeedbackProfile.uniform(IntervalUnion(), 0.0)
-    assert fb.sup_gain == 0.0
+    fb = FeedbackProfile(IntervalUnion(), 0.0)
+    assert fb.gain == 0.0
     grid = Grid1D(1.0, 64)
     x0 = GridFunction(grid, np.ones(64))
     out = transport_damped(x0, 0.5, 1.0, fb, 1.0)
