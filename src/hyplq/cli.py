@@ -39,6 +39,8 @@ from .geometry import (
     GridFunction,
     IntervalUnion,
     TimeGrid,
+    _integral,
+    _real,
     domain_from_config,
     domain_to_config,
     parse_domain,
@@ -244,18 +246,10 @@ def _velocity_to_config(spec) -> dict:
 def _velocity_from_config(obj) -> tuple:
     kind = obj.get("type")
     if kind == "constant":
-        return ("constant", float(obj["value"]))
+        return ("constant", _real(obj["value"], "value"))
     if kind == "sinusoidal":
-        return ("sinusoidal", float(obj["mean"]), float(obj["amplitude"]))
+        return ("sinusoidal", _real(obj["mean"], "mean"), _real(obj["amplitude"], "amplitude"))
     raise ValueError(f"unknown velocity type {kind!r}")
-
-
-def _integral(v, key: str) -> int:
-    """v as an int when it is an integral JSON number; json's booleans, strings
-    and fractions are rejected, not coerced."""
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{key} must be an integral number, got {v!r}")
-    return int(v)
 
 
 def _initial_to_config(spec) -> dict:
@@ -269,7 +263,7 @@ def _initial_to_config(spec) -> dict:
 def _initial_from_config(obj) -> tuple:
     kind = obj.get("type")
     if kind == "bump":
-        return ("bump", float(obj["width"]), float(obj["center"]))
+        return ("bump", _real(obj["width"], "width"), _real(obj["center"], "center"))
     if kind == "sine":
         return ("sine", _integral(obj["mode"], "mode"))
     if kind == "zero":
@@ -293,22 +287,22 @@ def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan
         raise ValueError(f"plot must be true or false, got {plot!r}")
     return ExperimentPlan(
         experiment=obj.get("experiment", "space-time-field"),
-        L=float(grid.get("L", 4.0)),
+        L=_real(grid.get("L", 4.0), "L"),
         nodes_per_unit=_integral(grid.get("nodes_per_unit", 128), "nodes_per_unit"),
-        T=float(time.get("T", 5.0)),
+        T=_real(time.get("T", 5.0), "T"),
         steps=None if steps is None else _integral(steps, "steps"),
         velocity=_velocity_from_config(obj.get("velocity", {"type": "constant", "value": 2.0})),
-        alpha=float(obj.get("alpha", 0.125)),
+        alpha=_real(obj.get("alpha", 0.125), "alpha"),
         control_domain=domain_from_config(obj.get("control_domain", _DEFAULT_CONTROL_DOMAIN)),
         observation_domain=None if obs is None else domain_from_config(obs),
         initial=_initial_from_config(
             obj.get("initial", {"type": "bump", "width": 0.8, "center": 0.6})
         ),
-        l_values=tuple(float(v) for v in obj.get("l_values", ())),
-        alpha_values=tuple(float(v) for v in obj.get("alpha_values", ())),
+        l_values=tuple(_real(v, "l_values") for v in obj.get("l_values", ())),
+        alpha_values=tuple(_real(v, "alpha_values") for v in obj.get("alpha_values", ())),
         out_dir=str(out_dir if out_dir is not None else obj.get("out_dir", "hyplq-out")),
         plot=plot,
-        feedback_gain=float(obj.get("feedback_gain", 1.0)),
+        feedback_gain=_real(obj.get("feedback_gain", 1.0), "feedback_gain"),
     )
 
 
@@ -395,36 +389,48 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
 
     def chunks():
         yield "\n".join(lines) + "\n"
+        k = len(cols)
         for lo in range(0, n, _TABLE_BLOCK):
-            block = (_format_column(c[lo : lo + _TABLE_BLOCK]) for c in cols)
-            yield "\n".join(map(",".join, zip(*block))) + "\n"
+            rows = min(_TABLE_BLOCK, n - lo)
+            # cell j of row i at 2(ki + j), each followed by "," or "\n"
+            cells = [","] * (2 * k * rows)
+            for j, c in enumerate(cols):
+                cells[2 * j :: 2 * k] = _format_column(c[lo : lo + rows])
+            cells[2 * k - 1 :: 2 * k] = ["\n"] * rows
+            yield "".join(cells)
 
     _write_atomic(path, chunks())
 
 
 def read_table(path) -> tuple[dict, list[str], list[np.ndarray]]:
-    """Inverse of write_table: (metadata, header, columns)."""
+    """Inverse of write_table: (metadata, header, columns).
+
+    `# key: value` lines are metadata wherever they sit, blank lines are
+    skipped, the first other line is the header and the rest are parsed by
+    numpy's C reader; a row of the wrong width raises ValueError.
+    """
+    lines = [s for s in map(str.strip, Path(path).read_text().splitlines()) if s]
     meta: dict[str, str] = {}
-    header: list[str] = []
-    rows: list[list[float]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ": " in body:
-                key, val = body.split(": ", 1)
-                meta[key] = val
-            continue
-        if not header:
-            header = line.split(",")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if not header:
+    for body in (s[1:].strip() for s in lines if s[0] == "#"):
+        if ": " in body:
+            key, val = body.split(": ", 1)
+            meta[key] = val
+    rows = [s for s in lines if s[0] != "#"]
+    if not rows:
         raise ValueError(f"no table header found in {path}")
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    header = rows[0].split(",")
+    if len(rows) == 1:  # loadtxt warns on no data
+        data = np.empty((0, len(header)))
+    else:
+        data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{len(header)} column names for rows of {data.shape[1]} values in {path}")
     return meta, header, [data[:, j] for j in range(len(header))]
+
+
+def _field_axes(grid: Grid1D, tgrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The t and w columns of a long-format field table, level by level."""
+    return np.repeat(tgrid.times, grid.N), np.tile(grid.nodes, tgrid.M + 1)
 
 
 def write_field_csv(path, field: np.ndarray, grid: Grid1D, tgrid: TimeGrid, metadata: dict) -> None:
@@ -434,9 +440,7 @@ def write_field_csv(path, field: np.ndarray, grid: Grid1D, tgrid: TimeGrid, meta
         raise ValueError(f"field shape {f.shape} does not match the grids")
     meta = dict(metadata)
     meta.update({"L": grid.L, "N": grid.N, "T": tgrid.T, "M": tgrid.M})
-    t = np.repeat(tgrid.times, grid.N)
-    w = np.tile(grid.nodes, tgrid.M + 1)
-    write_table(path, ["t", "w", "value"], [t, w, f.ravel()], meta)
+    write_table(path, ["t", "w", "value"], [*_field_axes(grid, tgrid), f.ravel()], meta)
 
 
 def read_field_csv(path) -> tuple[Grid1D, TimeGrid, np.ndarray]:
@@ -452,6 +456,12 @@ def read_field_csv(path) -> tuple[Grid1D, TimeGrid, np.ndarray]:
     want = (tgrid.M + 1) * grid.N
     if cols[2].size != want:
         raise ValueError(f"expected {want} rows, got {cols[2].size}")
+    # write_field_csv writes exactly these bits, so any other t or w means
+    # reordered or edited rows
+    for name, got, expect in zip("tw", cols, _field_axes(grid, tgrid)):
+        differs = got.view(np.int64) != expect.view(np.int64)
+        if differs.any():
+            raise ValueError(f"column {name} of {path} differs from the grid at row {np.argmax(differs)}")
     return grid, tgrid, cols[2].reshape(tgrid.M + 1, grid.N)
 
 
@@ -477,15 +487,19 @@ def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def _heat_color(v: float) -> str:
-    pos = min(max(v, 0.0), 1.0) * (len(_HEAT_STOPS) - 1)
-    i = min(int(pos), len(_HEAT_STOPS) - 2)
-    fr = pos - i
-    rgb = tuple(
-        int(round(255 * ((1 - fr) * a + fr * b)))
-        for a, b in zip(_HEAT_STOPS[i], _HEAT_STOPS[i + 1])
-    )
-    return "#%02x%02x%02x" % rgb
+# The ramp's segments as (from, to) rows, and the hex text of every channel value.
+_HEAT_FROM, _HEAT_TO = np.array(_HEAT_STOPS[:-1]), np.array(_HEAT_STOPS[1:])
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+
+
+def _heat_colors(v: np.ndarray) -> np.ndarray:
+    """The "#rrggbb" colour of every value of v on the _HEAT_STOPS ramp over
+    [0, 1] (clamped), each channel rounded half to even like Python's round."""
+    pos = np.minimum(np.maximum(v, 0.0), 1.0) * (len(_HEAT_STOPS) - 1)
+    i = np.minimum(pos.astype(np.intp), len(_HEAT_STOPS) - 2)
+    fr = (pos - i)[..., None]
+    rgb = np.round(255 * ((1 - fr) * _HEAT_FROM[i] + fr * _HEAT_TO[i])).astype(np.intp)
+    return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
@@ -595,14 +609,15 @@ def emit_plot(series, style: str, path, xlabel: str = "", ylabel: str = "", titl
             f"range [{_fmt(vmin)}, {_fmt(vmax)}], rows {clean[0][0]} .. {clean[-1][0]}</text>"
         )
         out.append("</g>")
-        for r, (_, _, y) in enumerate(clean):
-            cy = _H - _MB - (r + 1) * ch
-            for qcol in range(ncols):
-                color = _heat_color((float(y[qcol]) - vmin) / span)
-                out.append(
-                    f'<rect x="{_fmt(_ML + qcol * cw)}" y="{_fmt(cy)}" '
-                    f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{color}"/>'
-                )
+        colors = _heat_colors((vals - vmin) / span)
+        xs = [_fmt(_ML + qcol * cw) for qcol in range(ncols)]
+        size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+        for r in range(nrows):
+            cy = _fmt(_H - _MB - (r + 1) * ch)
+            out.extend(
+                f'<rect x="{x}" y="{cy}" {size} fill="{color}"/>'
+                for x, color in zip(xs, colors[r].tolist())
+            )
     out.append("</svg>")
     _write_atomic(path, ["\n".join(out) + "\n"])
 

@@ -91,6 +91,27 @@ def _as_interval_tuple(ivs) -> tuple[Interval, ...]:
     return tuple(out)
 
 
+def _integral(v, key: str) -> int:
+    """v as an int when it is an integral JSON number; json's booleans, strings
+    and fractions are rejected, not coerced."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{key} must be an integral number, got {v!r}")
+    return int(v)
+
+
+def _real(v, key: str) -> float:
+    """v as a float when it is a JSON number; json's booleans and strings are
+    rejected, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
+def _config_intervals(ivs, key: str) -> tuple[Interval, ...]:
+    """The [a, b] pairs of a config list, each bound a JSON number."""
+    return tuple((_real(a, key), _real(b, key)) for a, b in ivs)
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Union of disjoint closed intervals [a_j, b_j], optionally with an
@@ -362,8 +383,7 @@ def parse_domain(text: str) -> IntervalUnion:
     s = text.strip()
     if s.startswith("finite:"):
         try:
-            pairs = json.loads(s[len("finite:"):])
-            return IntervalUnion(prefix=_as_interval_tuple(pairs))
+            return domain_from_config({"finite": json.loads(s[len("finite:"):])})
         except (json.JSONDecodeError, TypeError) as exc:
             raise ValueError(f"bad finite interval list: {exc}") from exc
     if s.startswith("periodic:"):
@@ -404,17 +424,17 @@ def domain_from_config(obj) -> IntervalUnion:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"expected a one-key domain object, got {obj!r}")
     if "finite" in obj:
-        return IntervalUnion(prefix=_as_interval_tuple(obj["finite"]))
+        return IntervalUnion(prefix=_config_intervals(obj["finite"], "finite"))
     if "periodic" in obj:
         spec = obj["periodic"]
         try:
-            prefix = _as_interval_tuple(spec.get("prefix", []))
-            period = float(spec["period"])
-            pattern = _as_interval_tuple(spec["pattern"])
+            prefix = _config_intervals(spec.get("prefix", []), "prefix")
+            period = _real(spec["period"], "period")
+            pattern = _config_intervals(spec["pattern"], "pattern")
+            default_start = prefix[-1][1] if prefix else 0.0
+            start = _real(spec.get("start", default_start), "start")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad periodic domain: {exc}") from exc
-        default_start = prefix[-1][1] if prefix else 0.0
-        start = float(spec.get("start", default_start))
         return IntervalUnion(prefix=prefix, tail=(period, pattern), start=start)
     raise ValueError(f"unknown domain kind {set(obj)}")
 

@@ -99,14 +99,18 @@ def _periodized_window_gain(segs, L: float, p: np.ndarray, q: np.ndarray):
     """Sum of gain * |interval-copies ∩ [p, q]| over the L-periodized segments;
     p and q broadcast against each other (e.g. (levels, N) against (N,))."""
 
-    def upto(y, a, b):
+    def periods(y):
         j = np.floor(y / L)
-        r = y - j * L
-        return j * (b - a) + np.clip(r - a, 0.0, b - a)
+        return j, y - j * L
+
+    (jp, rp), (jq, rq) = periods(p), periods(q)
+
+    def upto(j, r, a, b):
+        return j * (b - a) + np.minimum(np.maximum(r - a, 0.0), b - a)
 
     total = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
     for a, b, g in segs:
-        total += g * (upto(q, a, b) - upto(p, a, b))
+        total += g * (upto(jq, rq, a, b) - upto(jp, rp, a, b))
     return total
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from hyplq.cli import (
     ExperimentError,
     ExperimentPlan,
+    _HEAT_STOPS,
     _TABLE_BLOCK,
+    _heat_colors,
     _heatmap_series,
     emit_plot,
     main,
@@ -196,8 +199,7 @@ def test_failed_replace_keeps_old_target(tmp_path, monkeypatch):
 B = _TABLE_BLOCK
 
 
-@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
-def test_streamed_table_bytes_match_one_string_format(tmp_path, rows):
+def _check_streamed_table(path, rows, ncols):
     rng = np.random.default_rng(rows)
     a = rng.standard_normal(rows)
     b = np.repeat(np.arange(4.0), -(-rows // 4))[:rows]
@@ -207,10 +209,81 @@ def test_streamed_table_bytes_match_one_string_format(tmp_path, rows):
         for i in (_TABLE_BLOCK - 1 - k, _TABLE_BLOCK + k, k):
             if 0 <= i < rows:
                 a[i], b[rows - 1 - i] = v, v
-    header, meta = ["a", "b"], {"N": rows}
+    header, cols, meta = ["a", "b"][:ncols], [a, b][:ncols], {"N": rows}
+    write_table(path, header, cols, meta)
+    assert path.read_text() == _per_cell_table(header, cols, meta)
+    _, back_header, back = read_table(path)
+    assert back_header == header
+    for got, want in zip(back, cols):
+        assert got.shape == (rows,)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_streamed_table_bytes_match_one_string_format(tmp_path, rows):
+    _check_streamed_table(tmp_path / "t.csv", rows, ncols=2)
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
+def test_streamed_one_column_table_bytes_match_one_string_format(tmp_path, rows):
+    _check_streamed_table(tmp_path / "t.csv", rows, ncols=1)
+
+
+def test_read_table_round_trips_extreme_values_bit_exact(tmp_path):
+    x = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf])
     path = tmp_path / "t.csv"
-    write_table(path, header, [a, b], meta)
-    assert path.read_text() == _per_cell_table(header, [a, b], meta)
+    write_table(path, ["x"], [x], {})
+    _, _, (back,) = read_table(path)
+    assert np.array_equal(back.view(np.int64), x.view(np.int64))
+
+
+def _table_text(path, text):
+    path.write_text(text)
+    return read_table(path)
+
+
+def test_read_table_skips_blank_lines_and_reads_metadata_anywhere(tmp_path):
+    text = "# hyplq-table\n# a: 1\n\nx,y\n1.0,2.0\n   \n\t\n# b: two: 2\n3.0, 4.0\n  # c: 3\n# no colon\n\n"
+    meta, header, cols = _table_text(tmp_path / "t.csv", text)
+    assert meta == {"a": "1", "b": "two: 2", "c": "3"}
+    assert header == ["x", "y"]
+    assert [c.tolist() for c in cols] == [[1.0, 3.0], [2.0, 4.0]]
+
+
+def test_read_table_accepts_nan_and_inf_tokens(tmp_path):
+    _, _, (x,) = _table_text(tmp_path / "t.csv", "x\nnan\ninf\n-inf\n")
+    assert np.isnan(x[0]) and x[1:].tolist() == [np.inf, -np.inf]
+
+
+def test_read_table_zero_rows_without_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "y"], [np.empty(0), np.empty(0)], {"N": 0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        meta, header, cols = read_table(path)
+        assert _table_text(tmp_path / "u.csv", "x\n\n  \n")[2][0].shape == (0,)
+    assert (meta, header) == ({"N": "0"}, ["x", "y"])
+    assert [c.shape for c in cols] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,y\n1.0,2.0\n3.0\n",  # ragged row
+        "x,y\n1.0,2.0,3.0\n",  # every row wider than the header
+        "x,y\n1.0,\n",  # empty cell
+        "x\n1_0\n",  # Python's float() takes this, the table does not
+        "x\n1.0 # trailing\n",
+        "# only comments\n\n",
+    ],
+)
+def test_read_table_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        _table_text(path, text)
+    out = tmp_path / "p.svg"
+    assert main(["plot", "--in", str(path), "--style", "line", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_failed_chunk_keeps_old_target(tmp_path):
@@ -279,6 +352,102 @@ def test_plot_heatmap_cells(tmp_path):
     emit_plot(rows, "heatmap", path)
     svg = path.read_text()
     assert svg.count("<rect") > 8
+
+
+def _per_cell_heat_color(v):
+    """The colour of one heatmap cell as computed one cell at a time (reference)."""
+    pos = min(max(v, 0.0), 1.0) * (len(_HEAT_STOPS) - 1)
+    i = min(int(pos), len(_HEAT_STOPS) - 2)
+    fr = pos - i
+    rgb = tuple(
+        int(round(255 * ((1 - fr) * a + fr * b))) for a, b in zip(_HEAT_STOPS[i], _HEAT_STOPS[i + 1])
+    )
+    return "#%02x%02x%02x" % rgb
+
+
+def _per_cell_heatmap_rects(series):
+    """The <rect> lines of a heatmap as rendered one cell at a time (reference)."""
+    from hyplq.cli import _H, _MB, _ML, _MR, _MT, _W, _fmt
+
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB
+    vals = np.array([y for _, _, y in series], dtype=float)
+    vmin, vmax = float(np.min(vals)), float(np.max(vals))
+    span = vmax - vmin if vmax > vmin else 1.0
+    ncols, nrows = vals.shape[1], len(series)
+    cw, ch = pw / ncols, ph / nrows
+    rects = []
+    for r, (_, _, y) in enumerate(series):
+        cy = _H - _MB - (r + 1) * ch
+        for q in range(ncols):
+            color = _per_cell_heat_color((float(y[q]) - vmin) / span)
+            rects.append(
+                f'<rect x="{_fmt(_ML + q * cw)}" y="{_fmt(cy)}" '
+                f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{color}"/>'
+            )
+    return rects
+
+
+def _rounding_ties(limit=40):
+    """Values v in (0, 1) whose colour channel is exactly k + 1/2 before rounding."""
+    ties = []
+    for i, (lo, hi) in enumerate(zip(_HEAT_STOPS, _HEAT_STOPS[1:])):
+        for a, b in zip(lo, hi):
+            if a == b:
+                continue
+            for k in range(int(255 * min(a, b)), int(255 * max(a, b)) + 1):
+                fr = ((k + 0.5) / 255 - a) / (b - a)
+                if not 0 < fr < 1:
+                    continue
+                for d in range(-8, 9):  # a few ulps around the exact solution
+                    v = (i + fr) / 6 + d * 2.0**-53
+                    f = v * 6 - i
+                    if int(v * 6) == i and 255 * ((1 - f) * a + f * b) == k + 0.5:
+                        ties.append((v, k))
+    return ties[:limit]
+
+
+def _heat_case(name):
+    x = np.linspace(0.0, 1.0, 7)
+    rng = np.random.default_rng(3)
+    if name == "stops":
+        return [("stops", x, np.arange(7) / 6)]
+    if name == "ties":
+        ties = [v for v, _ in _rounding_ties()]
+        return [("ties", np.arange(len(ties) + 2.0), np.array([0.0, 1.0] + ties))]
+    if name == "constant":
+        return [(f"{r}", x, np.full(7, 2.5)) for r in range(3)]
+    if name == "1x1":
+        return [("one", np.array([0.5]), np.array([-3.0]))]
+    if name == "1xn":
+        return [("row", x, rng.standard_normal(7))]
+    if name == "nx1":
+        return [(f"{r}", np.array([0.0]), rng.standard_normal(1)) for r in range(5)]
+    return [(f"{r}", x, rng.standard_normal(7) * 1e-3 - 4.0) for r in range(4)]
+
+
+@pytest.mark.parametrize("case", ["stops", "ties", "constant", "1x1", "1xn", "nx1", "random"])
+def test_heatmap_cells_match_per_cell_renderer(tmp_path, case):
+    series = _heat_case(case)
+    path = tmp_path / "h.svg"
+    emit_plot(series, "heatmap", path)
+    rects = _per_cell_heatmap_rects(series)
+    svg = path.read_text()
+    assert svg.endswith("\n".join(rects) + "\n</svg>\n")
+    assert svg.count("<rect x=") == len(rects) == sum(y.size for _, _, y in series)
+
+
+def test_rounding_ties_round_half_to_even():
+    ties = _rounding_ties(limit=1000)
+    assert {k % 2 for _, k in ties} == {0, 1}  # both directions of a tie are exercised
+    v = np.array([t for t, _ in ties])
+    assert _heat_colors(v).tolist() == [_per_cell_heat_color(t) for t in v.tolist()]
+
+
+def test_heat_colors_match_per_cell_reference_with_clamping():
+    rng = np.random.default_rng(9)
+    v = np.concatenate([[-1.0, -0.0, 0.0, 1.0, 2.0, np.nextafter(1.0, 0.0)], np.arange(7) / 6, rng.random(501)])
+    assert _heat_colors(v).tolist() == [_per_cell_heat_color(t) for t in v.tolist()]
+    assert _heat_colors(v.reshape(2, -1)).tolist() == _heat_colors(v).reshape(2, -1).tolist()
 
 
 def test_plot_rejects_mismatched_series(tmp_path):
@@ -450,6 +619,8 @@ def test_check_domain_fail_reason(capsys):
 
 def test_check_domain_bad_text(capsys):
     assert main(["check-domain", "--domain", "garbage"]) == 3
+    assert main(["check-domain", "--domain", 'finite: [["0", "0.5"]]']) == 3
+    assert main(["check-domain", "--domain", 'periodic: {period: "1", pattern: [[0, 0.2]]}']) == 3
 
 
 def test_check_domain_config_file(tmp_path, capsys):
@@ -751,6 +922,41 @@ def test_plot_heatmap_of_solved_field_matches_library(tmp_path):
     assert svg.read_bytes() == want.read_bytes()
 
 
+def _edit_rows(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("t,w,value")) + 1
+    rows = lines[first:]
+    edit(rows)
+    path.write_text("".join(lines[:first] + rows))
+
+
+def _swap_levels(rows):  # the same node at two times: t out of place
+    rows[0], rows[16] = rows[16], rows[0]
+
+
+def _swap_nodes(rows):  # two nodes of one level: w out of place
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def _nudge_node(rows):
+    t, w, v = rows[3].rstrip("\n").split(",")
+    rows[3] = f"{t},{float(w) + 1e-12!r},{v}\n"
+
+
+@pytest.mark.parametrize("edit", [_swap_levels, _swap_nodes, _nudge_node])
+def test_plot_heatmap_rejects_misplaced_field_rows(tmp_path, edit):
+    grid, tgrid = Grid1D(1.0, 16), TimeGrid(0.5, 4)
+    path = tmp_path / "f.csv"
+    field = np.arange((tgrid.M + 1) * grid.N, dtype=float).reshape(tgrid.M + 1, grid.N)
+    write_field_csv(path, field, grid, tgrid, {})
+    _edit_rows(path, edit)
+    with pytest.raises(ValueError, match="differs from the grid"):
+        read_field_csv(path)
+    out = tmp_path / "h.svg"
+    assert main(["plot", "--in", str(path), "--style", "heatmap", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["solve-ocp", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -789,6 +995,23 @@ def test_non_object_config_is_config_error(tmp_path, capsys, command):
         ("solve-ocp", small_config(initial={"type": "sine", "mode": 1.5})),
         ("simulate", {"equation": "wave", "initial": {"type": "sine", "mode": 1.5}}),
         ("simulate", {"equation": "wave", "initial": {"type": "sine", "mode": False}}),
+        # real-valued keys take JSON numbers only
+        ("simulate", {"equation": "transport", "grid": {"L": "2"}, "feedback_gain": True}),
+        ("simulate", {"equation": "transport", "feedback_gain": True}),
+        ("simulate", {"equation": "wave", "time": {"T": "5"}}),
+        ("solve-ocp", small_config(alpha="0.25")),
+        ("solve-ocp", small_config(velocity={"type": "constant", "value": True})),
+        ("solve-ocp", small_config(velocity={"type": "sinusoidal", "mean": 2.0, "amplitude": "0.5"})),
+        ("solve-ocp", small_config(initial={"type": "bump", "width": "0.4", "center": 0.5})),
+        ("sweep", small_config(experiment="domain-sweep", l_values=[1.0, "2"])),
+        ("sweep", small_config(experiment="alpha-sweep", alpha_values=[False])),
+        ("check-domain", {"finite": [["0", "0.5"]]}),
+        ("check-domain", {"control_domain": {"finite": [[0.0, True]]}}),
+        ("check-domain", {"periodic": {"period": "1", "pattern": [[0.0, 0.2]]}}),
+        ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, "0.2"]]}}),
+        ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "prefix": [["0", 0.1]]}}),
+        ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "start": False}}),
+        ("solve-ocp", small_config(control_domain={"finite": [["0", "0.5"]]})),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
