@@ -175,6 +175,16 @@ class ExperimentPlan:
             raise ValueError("alpha-sweep needs a nonempty alpha_values list")
         if not all(math.isfinite(v) and v > 0 for v in self.l_values + self.alpha_values):
             raise ValueError("sweep values must be positive and finite")
+        for name, values in (("l_values", self.l_values), ("alpha_values", self.alpha_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
+        for L in (self.L,) + self.l_values:
+            cells = round(L * self.nodes_per_unit)
+            if cells < 4:
+                raise ValueError(
+                    f"L={L} at {self.nodes_per_unit} nodes per unit gives {cells} cells; "
+                    "a grid needs at least 4"
+                )
 
     def realize(self, L: Optional[float] = None, alpha: Optional[float] = None) -> OCPConfig:
         """Build the OCPConfig for this plan at an optional overridden size."""
@@ -685,6 +695,75 @@ def _solve_gate(cfg: OCPConfig, tol: float):
     return sol
 
 
+def _unknowns(cfg: OCPConfig) -> int:
+    """Size of cfg's KKT system: state and adjoint at every node and level."""
+    return 2 * cfg.grid.N * (cfg.tgrid.M + 1)
+
+
+# (unknowns, bytes): peak RSS of one solve_ocp call above the RSS before
+# it, measured at L = 2.5, N = 320, M = 100 and at L = 8, N = 1024, M = 400.
+_SOLVE_PEAKS = ((64_640, 108 * 2**20), (821_248, 1678 * 2**20))
+
+
+def _solve_bytes(unknowns: int) -> float:
+    """Estimated memory one KKT solve adds at its peak, in bytes.
+
+    A power law through the two points of _SOLVE_PEAKS; it is within 6% of
+    the peaks measured at 25,856 to 410,624 unknowns (BENCH_9.json).
+    """
+    (n0, b0), (n1, b1) = _SOLVE_PEAKS
+    return b0 * (unknowns / n0) ** (math.log(b1 / b0) / math.log(n1 / n0))
+
+
+def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
+    """How many of `configs` may solve at once with `workers` threads.
+
+    Largest-first scheduling runs the biggest factorizations together, so
+    the width is the most members whose largest estimates fit in the
+    available memory together.  Raises ExperimentError when the largest
+    alone does not fit; skips the check where MemAvailable cannot be read.
+    """
+    width = min(workers, len(configs))
+    avail = _mem_available()
+    if avail is None:
+        return width
+    need = sorted((_solve_bytes(_unknowns(c)) for c in configs), reverse=True)
+    if need[0] > avail:
+        raise ExperimentError(
+            f"{len(configs)}-member sweep: the largest member needs about {need[0] / 2**20:.0f} MiB; "
+            f"{avail / 2**20:.0f} MiB is available"
+        )
+    fits = width
+    while sum(need[:fits]) > avail:
+        fits -= 1
+    if fits < width:
+        print(
+            f"memory caps the sweep pool at {fits} of {width} members at once: "
+            f"the {width} largest need about {sum(need[:width]) / 2**20:.0f} MiB, "
+            f"{avail / 2**20:.0f} MiB is available",
+            file=sys.stderr,
+        )
+    return fits
+
+
+def _solve_members(configs: Sequence[OCPConfig], workers: int, tol: float) -> list:
+    """Gated solutions of every config, in input order.
+
+    All members go to one pool at once, largest unknown count first (ties in
+    input order), so the longest factorizations never start last.  The
+    failure raised is that of the first failing member in input order,
+    whatever order the members finish in.
+    """
+    order = sorted(range(len(configs)), key=lambda i: -_unknowns(configs[i]))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(_solve_gate, configs[i], tol) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(configs))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _grid_meta(plan: ExperimentPlan, cfg: OCPConfig) -> dict:
     return {
         "experiment": plan.experiment,
@@ -724,7 +803,7 @@ def _verdict(dom: IntervalUnion):
     return None, check_condition_ii(dom, 1.0, 2.0).reason or "no-certificate-found"
 
 
-def _exp_space_time_field(plan, em, workers, tol) -> int:
+def _exp_space_time_field(plan, em, members, workers, tol) -> int:
     cfg = plan.realize()
     sol = _solve_gate(cfg, tol)
     meta = _grid_meta(plan, cfg)
@@ -756,7 +835,7 @@ def _exp_space_time_field(plan, em, workers, tol) -> int:
     return 0
 
 
-def _exp_sliced_norms(plan, em, workers, tol) -> int:
+def _exp_sliced_norms(plan, em, members, workers, tol) -> int:
     cfg = plan.realize()
     sol = _solve_gate(cfg, tol)
     meta = _grid_meta(plan, cfg)
@@ -779,25 +858,18 @@ def _exp_sliced_norms(plan, em, workers, tol) -> int:
     return 0
 
 
-def _exp_domain_sweep(plan, em, workers, tol) -> int:
+def _exp_domain_sweep(plan, em, members, workers, tol) -> int:
     sizes = plan.l_values
     center = _initial_center(plan)
-    configs = {L: plan.realize(L=L) for L in sizes}
-    first = configs[sizes[0]]
-    sol_first = _solve_gate(first, tol)
-    fit = fit_decay_rate(
-        time_sliced_l2(sol_first.x, first.grid, first.tgrid), center, floor=1e-8
-    )
+    sols = _solve_members(members, workers, tol)
+    first = members[0]  # the smallest L: l_values are sorted
+    fit = fit_decay_rate(time_sliced_l2(sols[0].x, first.grid, first.tgrid), center, floor=1e-8)
     mu = max(0.0, fit.rate)
     weight = ExpWeight(center=center, mu=mu)
-
-    def member(L: float):
-        cfg = configs[L]
-        sol = sol_first if L == sizes[0] else _solve_gate(cfg, tol)
-        return weighted_spacetime_norms(sol.x, weight, cfg.grid, cfg.tgrid)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        reports = list(pool.map(member, sizes))
+    reports = [
+        weighted_spacetime_norms(sol.x, weight, cfg.grid, cfg.tgrid)
+        for cfg, sol in zip(members, sols)
+    ]
 
     meta = {
         "experiment": plan.experiment,
@@ -835,17 +907,12 @@ def _exp_domain_sweep(plan, em, workers, tol) -> int:
     return 0
 
 
-def _exp_alpha_sweep(plan, em, workers, tol) -> int:
+def _exp_alpha_sweep(plan, em, members, workers, tol) -> int:
     alphas = plan.alpha_values
-
-    def member(a: float):
-        cfg = plan.realize(alpha=a)
-        sol = _solve_gate(cfg, tol)
-        final = GridFunction(cfg.grid, sol.x[-1]).l2_norm()
-        return (sol.objective, final, float(np.max(np.abs(sol.u))))
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(member, alphas))
+    rows = [
+        (sol.objective, GridFunction(cfg.grid, sol.x[-1]).l2_norm(), float(np.max(np.abs(sol.u))))
+        for cfg, sol in zip(members, _solve_members(members, workers, tol))
+    ]
 
     em.table(
         "alphas.csv",
@@ -873,7 +940,7 @@ def _exp_alpha_sweep(plan, em, workers, tol) -> int:
     return 0
 
 
-def _exp_stabilizability_demo(plan, em, workers, tol) -> int:
+def _exp_stabilizability_demo(plan, em, members, workers, tol) -> int:
     dom = plan.control_domain
     cert, reason = _verdict(dom)
     if cert is not None:
@@ -911,14 +978,31 @@ _EXPERIMENTS = {
 }
 
 
+def _members(plan: ExperimentPlan) -> list[OCPConfig]:
+    """The problems a sweep solves, in the order of its sweep list."""
+    if plan.experiment == "domain-sweep":
+        return [plan.realize(L=L) for L in plan.l_values]
+    if plan.experiment == "alpha-sweep":
+        return [plan.realize(alpha=a) for a in plan.alpha_values]
+    return []
+
+
 def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) -> int:
     """Execute one plan; returns 0 (success) or 1 (negative verdict).
 
-    Any failure removes the files this run created and re-raises as
-    ExperimentError carrying the experiment id.
+    A sweep solves up to `workers` members at once, fewer where memory is
+    short; one whose largest member cannot fit raises ExperimentError
+    before the output directory is created.  Any later failure removes the
+    files this run created and re-raises as ExperimentError carrying the
+    experiment id.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    members = _members(plan)
+    if members:
+        workers = _pool_width(members, workers)
     with _Emitter(plan.out_dir, f"experiment {plan.experiment}") as em:
-        return _EXPERIMENTS[plan.experiment](plan, em, workers, tol)
+        return _EXPERIMENTS[plan.experiment](plan, em, members, workers, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,6 +1217,13 @@ _HANDLERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyplq",
@@ -1159,7 +1250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run the experiment plan in a config file")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", help="output directory")
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=_positive_int, default=1)
     sw.add_argument("--tol", type=float, default=1e-8)
 
     df = sub.add_parser("decay-fit", help="fit an exponential profile from a CSV")

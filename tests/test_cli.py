@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -600,6 +601,225 @@ def test_non_finite_solve_exits_2(tmp_path, monkeypatch, residual, bad_x):
     assert list(out.glob("*")) == []
 
 
+# -------------------------------------------------------------- sweep pool
+
+
+def sweep_config(kind, out, **over):
+    """A small domain or alpha sweep whose members differ in size or weight."""
+    lists = {"domain-sweep": {"l_values": [1.0, 2.0, 3.0]}, "alpha-sweep": {"alpha_values": [0.125, 0.5, 2.0]}}
+    cfg = small_config(
+        experiment=kind,
+        grid={"L": 1.0, "nodes_per_unit": 16},
+        time={"T": 0.5, "steps": 12},
+        velocity={"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5},
+        out_dir=str(out),
+        **lists[kind],
+    )
+    cfg.update(over)
+    return cfg
+
+
+def serial_sweep_table(plan, path):
+    """The sweep's table from per-member solves run one after another."""
+    from hyplq.analysis import fit_decay_rate, localization_certificate, time_sliced_l2, weighted_spacetime_norms
+    from hyplq.geometry import ExpWeight
+    from hyplq.ocp import solve_ocp
+
+    if plan.experiment == "alpha-sweep":
+        cfgs = [plan.realize(alpha=a) for a in plan.alpha_values]
+        sols = [solve_ocp(c) for c in cfgs]
+        rows = [
+            (s.objective, GridFunction(c.grid, s.x[-1]).l2_norm(), float(np.max(np.abs(s.u))))
+            for c, s in zip(cfgs, sols)
+        ]
+        write_table(
+            path,
+            ["alpha", "objective", "final_state_norm", "peak_control"],
+            [np.array(plan.alpha_values)] + [np.array([r[j] for r in rows]) for j in range(3)],
+            {"experiment": plan.experiment, "T": plan.T, "L": plan.L},
+        )
+        return
+    cfgs = [plan.realize(L=L) for L in plan.l_values]
+    sols = [solve_ocp(c) for c in cfgs]
+    center = plan.initial[2]
+    fit = fit_decay_rate(time_sliced_l2(sols[0].x, cfgs[0].grid, cfgs[0].tgrid), center, floor=1e-8)
+    mu = max(0.0, fit.rate)
+    weight = ExpWeight(center=center, mu=mu)
+    reports = [weighted_spacetime_norms(s.x, weight, c.grid, c.tgrid) for c, s in zip(cfgs, sols)]
+    cert = localization_certificate(list(zip(plan.l_values, reports)), mu)
+    meta = {"experiment": plan.experiment, "mu": mu, "fit_center": center, "alpha": plan.alpha, "T": plan.T}
+    meta.update({"bounded": cert.bounded, "trend": cert.trend, "sup": cert.sup})
+    names = ["l2l2", "cl2", "two_and_inf", "one_or_two"]
+    write_table(
+        path,
+        ["L"] + names,
+        [np.array(plan.l_values)] + [np.array([getattr(r, n) for r in reports]) for n in names],
+        meta,
+    )
+
+
+@pytest.mark.parametrize("kind, table", [("domain-sweep", "reports.csv"), ("alpha-sweep", "alphas.csv")])
+def test_sweep_tables_match_serial_reference_for_every_pool_width(tmp_path, kind, table):
+    reference = tmp_path / "reference.csv"
+    serial_sweep_table(plan_from_config(sweep_config(kind, tmp_path)), reference)
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert run_experiment(plan_from_config(sweep_config(kind, out)), workers=workers) == 0
+        assert (out / table).read_bytes() == reference.read_bytes()
+
+
+def test_sweep_submits_largest_first_with_ties_in_input_order(tmp_path, monkeypatch):
+    import hyplq.cli as cli_mod
+
+    started = []
+    real = cli_mod._solve_gate
+
+    def gate(cfg, tol):
+        started.append((cfg.grid.L, cfg.alpha))
+        return real(cfg, tol)
+
+    monkeypatch.setattr(cli_mod, "_solve_gate", gate)
+    # one worker runs the members in the order they were submitted
+    assert run_experiment(plan_from_config(sweep_config("domain-sweep", tmp_path / "d")), workers=1) == 0
+    assert [L for L, _ in started] == [3.0, 2.0, 1.0]
+    started.clear()
+    assert run_experiment(plan_from_config(sweep_config("alpha-sweep", tmp_path / "a")), workers=1) == 0
+    assert [a for _, a in started] == [0.125, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_domain_sweep_fits_on_the_smallest_member_whatever_finishes_first(tmp_path, monkeypatch, workers):
+    import time
+
+    import hyplq.cli as cli_mod
+
+    baseline = tmp_path / "baseline"
+    assert run_experiment(plan_from_config(sweep_config("domain-sweep", baseline)), workers=1) == 0
+    real_gate, real_sliced = cli_mod._solve_gate, cli_mod.time_sliced_l2
+    fitted = []
+
+    def gate(cfg, tol):
+        if cfg.grid.L == 1.0:
+            time.sleep(0.2)  # the smallest member finishes last
+        return real_gate(cfg, tol)
+
+    def sliced(field, grid, tgrid):
+        fitted.append(grid.L)
+        return real_sliced(field, grid, tgrid)
+
+    monkeypatch.setattr(cli_mod, "_solve_gate", gate)
+    monkeypatch.setattr(cli_mod, "time_sliced_l2", sliced)
+    out = tmp_path / "run"
+    assert run_experiment(plan_from_config(sweep_config("domain-sweep", out)), workers=workers) == 0
+    assert fitted == [1.0]
+    assert (out / "reports.csv").read_bytes() == (baseline / "reports.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_raises_the_first_failing_member_in_input_order(tmp_path, capsys, monkeypatch, workers):
+    import time
+
+    import hyplq.cli as cli_mod
+    from hyplq.characteristics import NumericError
+
+    real = cli_mod._solve_gate
+
+    def gate(cfg, tol):
+        if cfg.grid.L == 3.0:  # submitted first, fails at once
+            raise NumericError("member L=3 diverged")
+        if cfg.grid.L == 2.0:
+            time.sleep(0.1)
+            raise NumericError("member L=2 diverged")
+        return real(cfg, tol)
+
+    monkeypatch.setattr(cli_mod, "_solve_gate", gate)
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(sweep_config("domain-sweep", tmp_path / "unused", plot=True)))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--workers", str(workers)]) == 2
+    err = capsys.readouterr().err
+    assert "member L=2 diverged" in err
+    assert "L=3" not in err
+    assert list(out.glob("*")) == []
+
+
+def test_memory_caps_the_sweep_pool(tmp_path, capsys, monkeypatch):
+    import hyplq.cli as cli_mod
+
+    widths = []
+
+    class Pool(cli_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Pool)
+    plan = plan_from_config(sweep_config("domain-sweep", tmp_path / "free"))
+    need = sorted((cli_mod._solve_bytes(cli_mod._unknowns(plan.realize(L=L))) for L in plan.l_values), reverse=True)
+    assert need[0] > need[1] > need[2]
+    monkeypatch.setattr(cli_mod, "_mem_available", lambda: None)
+    assert run_experiment(plan, workers=3) == 0
+    reference = (tmp_path / "free" / "reports.csv").read_bytes()
+    assert "memory caps" not in capsys.readouterr().err
+    cases = [
+        (math.ceil(sum(need)), 3, ""),
+        (math.ceil(sum(need[:2])), 2, "memory caps the sweep pool at 2 of 3 members at once"),
+        (math.floor(sum(need[:2])) - 1, 1, "memory caps the sweep pool at 1 of 3 members at once"),
+        (math.ceil(need[0]), 1, "memory caps the sweep pool at 1 of 3 members at once"),
+    ]
+    for i, (avail, width, message) in enumerate(cases):
+        monkeypatch.setattr(cli_mod, "_mem_available", lambda: avail)
+        out = tmp_path / f"capped{i}"
+        assert run_experiment(plan_from_config(sweep_config("domain-sweep", out)), workers=3) == 0
+        assert widths[-1] == width
+        err = capsys.readouterr().err
+        assert (message in err) if message else ("memory caps" not in err)
+        assert (out / "reports.csv").read_bytes() == reference
+    # two workers over three members: the cap counts against two, not three
+    monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.ceil(sum(need[:2])))
+    assert run_experiment(plan_from_config(sweep_config("domain-sweep", tmp_path / "two")), workers=2) == 0
+    assert widths[-1] == 2
+    assert "memory caps" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["domain-sweep", "alpha-sweep"])
+def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, capsys, monkeypatch, kind):
+    import hyplq.cli as cli_mod
+
+    plan = plan_from_config(sweep_config(kind, tmp_path))
+    largest = max(cli_mod._solve_bytes(cli_mod._unknowns(c)) for c in cli_mod._members(plan))
+    monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.floor(largest) - 1)
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(sweep_config(kind, tmp_path / "unused")))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--workers", "2"]) == 2
+    assert "MiB is available" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_estimate_passes_through_its_calibration_points():
+    import hyplq.cli as cli_mod
+
+    for unknowns, peak in cli_mod._SOLVE_PEAKS:
+        assert cli_mod._solve_bytes(unknowns) == pytest.approx(peak, rel=1e-12)
+    # the sweep-pool benchmark's two largest members (L = 2.5 and 2 at 128
+    # nodes per unit, 100 steps) run together well inside a small machine
+    assert cli_mod._solve_bytes(2 * 320 * 101) + cli_mod._solve_bytes(2 * 256 * 101) < 256 * 2**20
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_a_pool_without_workers(tmp_path, capsys, workers):
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(sweep_config("domain-sweep", tmp_path / "unused")))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--workers", workers]) == 3
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(plan_from_config(sweep_config("domain-sweep", out)), workers=int(workers))
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -1012,6 +1232,11 @@ def test_non_object_config_is_config_error(tmp_path, capsys, command):
         ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "prefix": [["0", 0.1]]}}),
         ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "start": False}}),
         ("solve-ocp", small_config(control_domain={"finite": [["0", "0.5"]]})),
+        # repeated sweep values, and grids of fewer than 4 cells
+        ("sweep", small_config(experiment="domain-sweep", l_values=[1.0, 1.0, 1.0])),
+        ("sweep", small_config(experiment="alpha-sweep", alpha_values=[0.5, 0.5])),
+        ("solve-ocp", small_config(grid={"L": 0.02, "nodes_per_unit": 128})),
+        ("sweep", small_config(experiment="domain-sweep", l_values=[0.01, 1.0])),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
