@@ -645,9 +645,9 @@ def _thin(n: int, limit: int = 120) -> np.ndarray:
 class _Emitter:
     """Tracks files written by one run so failures leave nothing behind.
 
-    As a context manager it creates the output directory; an exception in
-    the block removes the run's files and re-raises as ExperimentError
-    naming `what`.
+    The output directory is made with the first artifact.  As a context
+    manager, an exception in the block removes the run's files and
+    re-raises as ExperimentError naming `what`.
     """
 
     def __init__(self, out_dir, what: str):
@@ -656,7 +656,6 @@ class _Emitter:
         self.created: list[Path] = []
 
     def __enter__(self) -> "_Emitter":
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
@@ -666,6 +665,7 @@ class _Emitter:
             raise ExperimentError(f"{self.what} failed: {exc}") from exc
 
     def path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         p = self.out_dir / name
         self.created.append(p)
         return p
@@ -693,6 +693,29 @@ def _solve_gate(cfg: OCPConfig, tol: float):
     if not all(np.all(np.isfinite(a)) for a in (sol.x, sol.lam, sol.u)):
         raise NumericError("solver returned non-finite trajectories")
     return sol
+
+
+def _mem_available() -> Optional[int]:
+    """MemAvailable of /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _require_memory(need: float, what: str) -> Optional[int]:
+    """MemAvailable in bytes (None where it cannot be read); raises
+    ExperimentError when it is known and `need` bytes exceed it."""
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ExperimentError(
+            f"{what} needs about {need / 2**20:.0f} MiB; {avail / 2**20:.0f} MiB is available"
+        )
+    return avail
 
 
 def _unknowns(cfg: OCPConfig) -> int:
@@ -724,15 +747,11 @@ def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
     alone does not fit; skips the check where MemAvailable cannot be read.
     """
     width = min(workers, len(configs))
-    avail = _mem_available()
+    unknowns = sorted(map(_unknowns, configs), reverse=True)
+    need = [_solve_bytes(n) for n in unknowns]
+    avail = _require_memory(need[0], f"a KKT solve of {unknowns[0]} unknowns")
     if avail is None:
         return width
-    need = sorted((_solve_bytes(_unknowns(c)) for c in configs), reverse=True)
-    if need[0] > avail:
-        raise ExperimentError(
-            f"{len(configs)}-member sweep: the largest member needs about {need[0] / 2**20:.0f} MiB; "
-            f"{avail / 2**20:.0f} MiB is available"
-        )
     fits = width
     while sum(need[:fits]) > avail:
         fits -= 1
@@ -762,13 +781,6 @@ def _solve_members(configs: Sequence[OCPConfig], workers: int, tol: float) -> li
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def _grid_meta(plan: ExperimentPlan, cfg: OCPConfig) -> dict:
-    return {
-        "experiment": plan.experiment,
-        "alpha": cfg.alpha,
-    }
 
 
 def _initial_center(plan: ExperimentPlan) -> float:
@@ -803,10 +815,9 @@ def _verdict(dom: IntervalUnion):
     return None, check_condition_ii(dom, 1.0, 2.0).reason or "no-certificate-found"
 
 
-def _exp_space_time_field(plan, em, members, workers, tol) -> int:
-    cfg = plan.realize()
-    sol = _solve_gate(cfg, tol)
-    meta = _grid_meta(plan, cfg)
+def _exp_space_time_field(plan, em, members, sols) -> int:
+    (cfg,), (sol,) = members, sols
+    meta = {"experiment": plan.experiment, "alpha": cfg.alpha}
     em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
     em.field("lambda.csv", sol.lam, cfg.grid, cfg.tgrid, meta)
     em.field("u.csv", sol.u, cfg.grid, cfg.tgrid, meta)
@@ -835,16 +846,16 @@ def _exp_space_time_field(plan, em, members, workers, tol) -> int:
     return 0
 
 
-def _exp_sliced_norms(plan, em, members, workers, tol) -> int:
-    cfg = plan.realize()
-    sol = _solve_gate(cfg, tol)
-    meta = _grid_meta(plan, cfg)
-    em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
+def _exp_sliced_norms(plan, em, members, sols) -> int:
+    (cfg,), (sol,) = members, sols
+    meta = {"experiment": plan.experiment, "alpha": cfg.alpha}
     prof = time_sliced_l2(sol.x, cfg.grid, cfg.tgrid)
+    # fit first: a profile below the floor fails before any file exists
+    fit = fit_decay_rate(prof, _initial_center(plan), floor=1e-8)
+    em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
     table_meta = dict(meta)
     table_meta.update({"L": cfg.grid.L, "N": cfg.grid.N, "T": cfg.tgrid.T, "M": cfg.tgrid.M})
     em.table("profile.csv", ["w", "value"], [cfg.grid.nodes, prof.values], table_meta)
-    fit = fit_decay_rate(prof, _initial_center(plan), floor=1e-8)
     em.json_file("fit.json", _fit_payload(fit))
     if plan.plot:
         emit_plot(
@@ -858,10 +869,9 @@ def _exp_sliced_norms(plan, em, members, workers, tol) -> int:
     return 0
 
 
-def _exp_domain_sweep(plan, em, members, workers, tol) -> int:
+def _exp_domain_sweep(plan, em, members, sols) -> int:
     sizes = plan.l_values
     center = _initial_center(plan)
-    sols = _solve_members(members, workers, tol)
     first = members[0]  # the smallest L: l_values are sorted
     fit = fit_decay_rate(time_sliced_l2(sols[0].x, first.grid, first.tgrid), center, floor=1e-8)
     mu = max(0.0, fit.rate)
@@ -907,11 +917,11 @@ def _exp_domain_sweep(plan, em, members, workers, tol) -> int:
     return 0
 
 
-def _exp_alpha_sweep(plan, em, members, workers, tol) -> int:
+def _exp_alpha_sweep(plan, em, members, sols) -> int:
     alphas = plan.alpha_values
     rows = [
         (sol.objective, GridFunction(cfg.grid, sol.x[-1]).l2_norm(), float(np.max(np.abs(sol.u))))
-        for cfg, sol in zip(members, _solve_members(members, workers, tol))
+        for cfg, sol in zip(members, sols)
     ]
 
     em.table(
@@ -940,7 +950,7 @@ def _exp_alpha_sweep(plan, em, members, workers, tol) -> int:
     return 0
 
 
-def _exp_stabilizability_demo(plan, em, members, workers, tol) -> int:
+def _exp_stabilizability_demo(plan, em, members, sols) -> int:
     dom = plan.control_domain
     cert, reason = _verdict(dom)
     if cert is not None:
@@ -979,30 +989,31 @@ _EXPERIMENTS = {
 
 
 def _members(plan: ExperimentPlan) -> list[OCPConfig]:
-    """The problems a sweep solves, in the order of its sweep list."""
+    """The problems a plan solves: a sweep's in the order of its sweep list,
+    the plan itself for a single solve, none for the stabilizability demo."""
     if plan.experiment == "domain-sweep":
         return [plan.realize(L=L) for L in plan.l_values]
     if plan.experiment == "alpha-sweep":
         return [plan.realize(alpha=a) for a in plan.alpha_values]
-    return []
+    if plan.experiment == "stabilizability-demo":
+        return []
+    return [plan.realize()]
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) -> int:
     """Execute one plan; returns 0 (success) or 1 (negative verdict).
 
-    A sweep solves up to `workers` members at once, fewer where memory is
-    short; one whose largest member cannot fit raises ExperimentError
-    before the output directory is created.  Any later failure removes the
-    files this run created and re-raises as ExperimentError carrying the
-    experiment id.
+    Every solve goes through one pool of up to `workers` threads, fewer
+    where memory is short; a plan whose largest solve cannot fit fails
+    before any file exists.  Any failure removes the files this run created
+    and re-raises as ExperimentError carrying the experiment id.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     members = _members(plan)
-    if members:
-        workers = _pool_width(members, workers)
     with _Emitter(plan.out_dir, f"experiment {plan.experiment}") as em:
-        return _EXPERIMENTS[plan.experiment](plan, em, members, workers, tol)
+        sols = _solve_members(members, _pool_width(members, workers), tol) if members else []
+        return _EXPERIMENTS[plan.experiment](plan, em, members, sols)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,20 +1025,8 @@ _EQUATIONS = ("transport", "transport-var", "continuity", "wave")
 _SIMULATE_DEFAULTS = {"control_domain": {"finite": []}, "feedback_gain": 0.0}
 
 
-def _mem_available() -> Optional[int]:
-    """MemAvailable of /proc/meminfo in bytes; None where it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
-def _check_simulate_memory(eq: str, n_nodes: int, n_levels: int) -> None:
-    """Refuse a run whose level arrays cannot fit in the available memory.
+def _simulate_bytes(eq: str, n_nodes: int, n_levels: int) -> int:
+    """Estimated memory of one simulate run, in bytes.
 
     The estimate counts the (levels, N) float arrays alive at once (the
     wave's two, one otherwise, plus the t and w columns of the table
@@ -1038,13 +1037,7 @@ def _check_simulate_memory(eq: str, n_nodes: int, n_levels: int) -> None:
     """
     arrays = (2 if eq == "wave" else 1) + 2
     block = 32 + (64 if eq in ("transport-var", "continuity") else 0)
-    need = 8 * (arrays * n_levels + block * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
-    avail = _mem_available()
-    if avail is not None and need > avail:
-        raise ExperimentError(
-            f"simulate {eq} needs about {need / 2**20:.0f} MiB for {n_levels} levels "
-            f"of {n_nodes} nodes; {avail / 2**20:.0f} MiB is available"
-        )
+    return 8 * (arrays * n_levels + block * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
 
 
 def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
@@ -1061,23 +1054,25 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     L, c = grid.L, plan.velocity[1]  # c: the speed of transport and wave
     fb = FeedbackProfile(plan.control_domain, plan.feedback_gain)
 
-    _check_simulate_memory(eq, grid.N, tgrid.M + 1)
+    levels = tgrid.M + 1
+    need = _simulate_bytes(eq, grid.N, levels)
+    _require_memory(need, f"simulate {eq} for {levels} levels of {grid.N} nodes")
     meta = {"equation": eq, "feedback_gain": plan.feedback_gain}
     with _Emitter(plan.out_dir, f"simulate {eq}") as em:
-        if eq == "wave":
-            x1 = GridFunction(grid, np.zeros(grid.N))
-            disp, velo = wave_levels(x0, x1, tgrid.times, c, fb, L)
-            em.field("displacement.csv", disp, grid, tgrid, meta)
-            em.field("velocity.csv", velo, grid, tgrid, meta)
-        elif eq == "transport":
-            field = transport_levels(x0, tgrid.times, c, L, fb)
-            em.field("field.csv", field, grid, tgrid, meta)
-        elif eq == "transport-var":
-            field = transport_variable_levels(x0, tgrid.times, vel, L, fb)
-            em.field("field.csv", field, grid, tgrid, meta)
-        else:
-            field = continuity_levels(x0, tgrid.times, vel, fb, L)
-            em.field("field.csv", field, grid, tgrid, meta)
+        # an overflow is reported by the routines' finiteness check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if eq == "wave":
+                x1 = GridFunction(grid, np.zeros(grid.N))
+                disp, velo = wave_levels(x0, x1, tgrid.times, c, fb, L)
+                fields = [("displacement.csv", disp), ("velocity.csv", velo)]
+            elif eq == "transport":
+                fields = [("field.csv", transport_levels(x0, tgrid.times, c, L, fb))]
+            elif eq == "transport-var":
+                fields = [("field.csv", transport_variable_levels(x0, tgrid.times, vel, L, fb))]
+            else:
+                fields = [("field.csv", continuity_levels(x0, tgrid.times, vel, fb, L))]
+        for name, field in fields:
+            em.field(name, field, grid, tgrid, meta)
     return 0
 
 

@@ -172,9 +172,6 @@ class IntervalUnion:
     def kind(self) -> str:
         return "eventually-periodic" if self.tail is not None else "finite"
 
-    def is_empty(self) -> bool:
-        return not self.prefix and self.tail is None
-
     def first_start(self) -> float:
         if self.prefix:
             return self.prefix[0][0]

@@ -319,6 +319,16 @@ def test_emitter_failure_empties_directory(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_emitter_failure_before_any_file_leaves_no_directory(tmp_path):
+    from hyplq.cli import _Emitter
+
+    out = tmp_path / "run" / "nested"
+    with pytest.raises(ExperimentError, match="demo failed: no artifact yet"):
+        with _Emitter(out, "demo"):
+            raise ValueError("no artifact yet")
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------------- plots
 
 
@@ -598,7 +608,17 @@ def test_non_finite_solve_exits_2(tmp_path, monkeypatch, residual, bad_x):
     p.write_text(json.dumps(small_config()))
     out = tmp_path / "run"
     assert main(["solve-ocp", "--config", str(p), "--out", str(out)]) == 2
-    assert list(out.glob("*")) == []
+    assert not out.exists()
+
+
+def test_sliced_norms_whose_fit_fails_exits_2_without_directory(tmp_path, capsys):
+    # zero initial data: the optimal state is zero and no node clears the fit's floor
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(small_config(experiment="sliced-norms", initial={"type": "zero"})))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert "nodes above the floor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- sweep pool
@@ -613,7 +633,7 @@ def sweep_config(kind, out, **over):
         time={"T": 0.5, "steps": 12},
         velocity={"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5},
         out_dir=str(out),
-        **lists[kind],
+        **lists.get(kind, {}),
     )
     cfg.update(over)
     return cfg
@@ -740,7 +760,7 @@ def test_sweep_raises_the_first_failing_member_in_input_order(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "member L=2 diverged" in err
     assert "L=3" not in err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 def test_memory_caps_the_sweep_pool(tmp_path, capsys, monkeypatch):
@@ -782,17 +802,26 @@ def test_memory_caps_the_sweep_pool(tmp_path, capsys, monkeypatch):
     assert "memory caps" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["domain-sweep", "alpha-sweep"])
+@pytest.mark.parametrize("kind", ["domain-sweep", "alpha-sweep", "space-time-field", "sliced-norms"])
 def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, capsys, monkeypatch, kind):
     import hyplq.cli as cli_mod
 
     plan = plan_from_config(sweep_config(kind, tmp_path))
     largest = max(cli_mod._solve_bytes(cli_mod._unknowns(c)) for c in cli_mod._members(plan))
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.floor(largest) - 1)
+
+    def refuse(cfg):
+        raise AssertionError("the preflight must stop the run before any solve")
+
+    monkeypatch.setattr(cli_mod, "solve_ocp", refuse)
     p = tmp_path / "plan.json"
     p.write_text(json.dumps(sweep_config(kind, tmp_path / "unused")))
     out = tmp_path / "run"
-    assert main(["sweep", "--config", str(p), "--out", str(out), "--workers", "2"]) == 2
+    if kind == "space-time-field":
+        argv = ["solve-ocp", "--config", str(p), "--out", str(out)]
+    else:
+        argv = ["sweep", "--config", str(p), "--out", str(out), "--workers", "2"]
+    assert main(argv) == 2
     assert "MiB is available" in capsys.readouterr().err
     assert not out.exists()
 
