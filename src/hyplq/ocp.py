@@ -15,7 +15,10 @@ stationarity conditions of the discrete objective (see discrete_objective).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,7 +119,9 @@ class OCPSolution:
     recovered control u = alpha^-2 B* lam + u_ref on the same levels.
     residual is the relative sup-norm defect of the assembled linear system.
     ordering names the factorization that produced the solution:
-    "nested-dissection" (pivot-free) or "colamd" (the fallback).
+    "nested-dissection" (pivot-free float32 factor refined in float64),
+    "nested-dissection-f64" (the same with a float64 factor) or "colamd"
+    (the fallback).
     """
 
     x: np.ndarray
@@ -227,6 +232,9 @@ def assemble_kkt(
 # Relative defect a pivot-free solve must reach to be accepted.
 _DEFECT_GATE = 1e-10
 
+# Refinement steps (triangular solves) allowed to one factor.
+_REFINE_STEPS = 8
+
 # Rectangles of at most this many grid points are not dissected further.
 _ND_LEAF = 32
 
@@ -278,37 +286,99 @@ def _nested_dissection_order(N: int, M: int) -> np.ndarray:
     return p
 
 
-def _factor_pivot_free(K: sparse.csc_matrix, p: np.ndarray):
-    """LU of the symmetrically permuted K, taking every pivot on the diagonal."""
-    return splu(
-        K[p][:, p],
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+class _Fenv(ctypes.Structure):
+    """glibc's fenv_t on x86-64: the x87 environment, then MXCSR."""
+
+    _fields_ = [("x87", ctypes.c_uint16 * 14), ("mxcsr", ctypes.c_uint32)]
+
+
+def _mxcsr_libc():
+    """The C library on x86-64 glibc, whose fegetenv/fesetenv reach MXCSR;
+    None on other platforms."""
+    try:
+        if os.uname().machine != "x86_64" or not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):
+        return None
+    libc = ctypes.CDLL(None)
+    for call in (libc.fegetenv, libc.fesetenv):
+        call.argtypes = [ctypes.POINTER(_Fenv)]
+        call.restype = ctypes.c_int
+    return libc
+
+
+_LIBC = _mxcsr_libc()
+
+# MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6).
+_FTZ_DAZ = 0x8040
+
+
+@contextlib.contextmanager
+def _subnormals_as_zero():
+    """Run the block with subnormal results and operands taken as zero on
+    this thread (x86-64 with glibc; a no-op elsewhere).
+
+    Across long uncontrolled gaps the fill of a float32 factor decays below
+    float32's normal range, and x86 cores take a slow microcode path on
+    every subnormal operand, which made such factors slower than float64
+    ones.  Refinement against the float64 K corrects what the flush drops.
+    """
+    env = _Fenv()
+    if _LIBC is None or _LIBC.fegetenv(env) != 0:
+        yield
+        return
+    saved = env.mxcsr
+    env.mxcsr |= _FTZ_DAZ
+    _LIBC.fesetenv(env)
+    try:
+        yield
+    finally:
+        env.mxcsr = saved
+        _LIBC.fesetenv(env)
+
+
+def _factor_pivot_free(K: sparse.csc_matrix, p: np.ndarray, dtype):
+    """LU in `dtype` of the symmetrically permuted K, every pivot on the
+    diagonal, with subnormals flushed to zero."""
+    Kp = K.astype(dtype, copy=False)[p][:, p]
+    with _subnormals_as_zero():
+        return splu(
+            Kp, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+        )
 
 
 def _defect(K: sparse.csc_matrix, z: np.ndarray, rhs: np.ndarray) -> float:
     """Relative sup-norm defect of K z = rhs; NaN when z is not finite."""
-    return float(np.max(np.abs(K @ z - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
+    return _relative(rhs - K @ z, rhs)
 
 
-def _solve_nested_dissection(
-    K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
+def _relative(r: np.ndarray, rhs: np.ndarray) -> float:
+    """Relative sup-norm defect of the residual r of K z = rhs."""
+    return float(np.max(np.abs(r))) / (1.0 + float(np.max(np.abs(rhs))))
+
+
+def _refine(
+    K: sparse.csc_matrix, rhs: np.ndarray, p: np.ndarray, lu, dtype
 ) -> Optional[np.ndarray]:
-    """Pivot-free solve plus at most one refinement step; None if it fails."""
-    p = _nested_dissection_order(N, M)
-    try:
-        lu = _factor_pivot_free(K, p)
-    except RuntimeError:
-        return None
-    z = np.empty_like(rhs)
-    z[p] = lu.solve(rhs[p])
-    if _defect(K, z, rhs) <= _DEFECT_GATE:
-        return z
-    z[p] += lu.solve((rhs - K @ z)[p])
-    if _defect(K, z, rhs) <= _DEFECT_GATE:
-        return z
+    """Iterative refinement of K z = rhs in float64 from z = 0 with the
+    factor `lu` of K[p][:, p] held in `dtype`.
+
+    Each step solves for the correction of the current float64 residual.
+    Returns z once its defect meets _DEFECT_GATE, and None when a step
+    after the first fails to halve the defect (NaN included) or
+    _REFINE_STEPS steps do not reach the gate.
+    """
+    z = np.zeros_like(rhs)
+    r = rhs
+    defect = np.inf
+    for _ in range(_REFINE_STEPS):
+        z[p] += lu.solve(r[p].astype(dtype, copy=False))
+        r = rhs - K @ z
+        last, defect = defect, _relative(r, rhs)
+        if defect <= _DEFECT_GATE:
+            return z
+        if not defect <= 0.5 * last:
+            return None
     return None
 
 
@@ -317,13 +387,25 @@ def _solve_linear(
 ) -> tuple[np.ndarray, str]:
     """Solve K z = rhs; returns z and the ordering that produced it.
 
-    Nested dissection without pivoting is tried first; the defect decides
-    whether its result stands, and COLAMD with partial pivoting is the
-    fallback.
+    K is factored without pivoting in nested-dissection order, first in
+    float32 and refined in float64; if that misses the defect gate the
+    float32 factor is freed and the same refinement runs once with a
+    float64 factor ("nested-dissection-f64").  COLAMD with partial
+    pivoting is the last fallback.  At most one factor is alive at a time.
     """
-    z = _solve_nested_dissection(K, rhs, N, M)
-    if z is not None:
-        return z, "nested-dissection"
+    p = _nested_dissection_order(N, M)
+    for dtype, ordering in (
+        (np.float32, "nested-dissection"),
+        (np.float64, "nested-dissection-f64"),
+    ):
+        try:
+            lu = _factor_pivot_free(K, p, dtype)
+        except RuntimeError:
+            continue
+        z = _refine(K, rhs, p, lu, dtype)
+        del lu  # free this factor before the next one is made
+        if z is not None:
+            return z, ordering
     try:
         return splu(K).solve(rhs), "colamd"
     except RuntimeError as exc:

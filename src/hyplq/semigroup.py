@@ -308,7 +308,9 @@ def continuity_levels(
         expo = log_speed_integral(p, vel, L) - log_w
         if segs:
             expo -= _periodized_window_gain(segs, tau_L, tau_w, heads)
-        rows = seam ** np.floor(p / L) * np.exp(expo) * sample_periodic(x0, p % L)
+        # an overflow is reported by the finiteness check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = seam ** np.floor(p / L) * np.exp(expo) * sample_periodic(x0, p % L)
         _require_finite(rows)
         out[block] = rows
     return out
@@ -493,9 +495,11 @@ def _wave_blocks(x0, x1, times, c: float, fb: Optional[FeedbackProfile], L: floa
     for block in _level_blocks(times.size):
         w = _shift_rows(fold0, times[block], c, segs, 2.0 * L)
         zeta2 = w[:, refl]
-        disp = (w[:, :n] - zeta2[:, :n]) / c
-        xi2 = w + zeta2
-        veloc = -_central_diff(xi2, h)[:, :n] - damp * disp
+        # an overflow is reported by the finiteness check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            disp = (w[:, :n] - zeta2[:, :n]) / c
+            xi2 = w + zeta2
+            veloc = -_central_diff(xi2, h)[:, :n] - damp * disp
         _require_finite(disp)
         _require_finite(veloc)
         scale = 1.0 + np.max(np.abs(disp), axis=1)

@@ -315,8 +315,30 @@ def test_emitter_failure_empties_directory(tmp_path):
             em.json_file("summary.json", {"a": 1})
             em.table("a.csv", ["x"], [np.arange(3.0)], {})
             em.table("b.csv", ["x"], [np.arange(3.0)], {"note": "\ud800"})
-    assert out.is_dir()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_emitter_failure_removes_only_directories_it_made(tmp_path):
+    from hyplq.cli import _Emitter
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "old.txt").write_text("old\n")
+    out = kept / "a" / "b"
+    with pytest.raises(ExperimentError):
+        with _Emitter(out, "demo") as em:
+            em.json_file("summary.json", {"a": 1})
+            raise ValueError("late failure")
+    # the parents that mkdir(parents=True) made go too, the older one stays
+    assert not (kept / "a").exists()
+    assert sorted(p.name for p in kept.iterdir()) == ["old.txt"]
+
+    # an output directory that existed before the run is emptied, not removed
+    with pytest.raises(ExperimentError):
+        with _Emitter(kept, "demo") as em:
+            em.json_file("summary.json", {"a": 1})
+            raise ValueError("late failure")
+    assert sorted(p.name for p in kept.iterdir()) == ["old.txt"]
 
 
 def test_emitter_failure_before_any_file_leaves_no_directory(tmp_path):
@@ -1017,8 +1039,7 @@ def test_simulate_failure_removes_partial_outputs(tmp_path, monkeypatch):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
-    assert out.is_dir()
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 def test_simulate_defaults_free_transport_on_cfl_steps(tmp_path):

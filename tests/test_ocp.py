@@ -227,16 +227,24 @@ def sinusoidal_velocity(mean, amplitude, L):
     )
 
 
-@pytest.mark.parametrize("alpha", [0.01, 10.0])
+FINITE = IntervalUnion(prefix=((0.3, 0.7),))
+PERIODIC = IntervalUnion(tail=(0.5, ((0.0, 0.1),)))
+
+
+def _float32_rung(cfg):
+    """The float32 rung alone meets the gate and matches COLAMD's solution."""
+    K, rhs = assemble_kkt(cfg, None)
+    p = ocp_mod._nested_dissection_order(cfg.grid.N, cfg.tgrid.M)
+    lu = ocp_mod._factor_pivot_free(K, p, np.float32)
+    z = ocp_mod._refine(K, rhs, p, lu, np.float32)
+    assert z is not None
+    assert ocp_mod._defect(K, z, rhs) <= 1e-10
+    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 10.0, 100.0])
 @pytest.mark.parametrize("steps", [1, 2])
-@pytest.mark.parametrize(
-    "layout",
-    [
-        IntervalUnion(prefix=((0.3, 0.7),)),
-        IntervalUnion(tail=(0.5, ((0.0, 0.1),))),
-    ],
-    ids=["finite", "periodic"],
-)
+@pytest.mark.parametrize("layout", [FINITE, PERIODIC], ids=["finite", "periodic"])
 def test_nested_dissection_matches_colamd(alpha, steps, layout):
     L, N = 2.0, 48
     grid = Grid1D(L, N)
@@ -248,12 +256,30 @@ def test_nested_dissection_matches_colamd(alpha, steps, layout):
         control_domain=layout,
         x0=bump_initial(0.8, 0.6, grid),
     )
-    K, rhs = assemble_kkt(cfg, None)
-    p = ocp_mod._nested_dissection_order(N, steps)
-    z = np.empty_like(rhs)
-    z[p] = ocp_mod._factor_pivot_free(K, p).solve(rhs[p])
-    assert ocp_mod._defect(K, z, rhs) <= 1e-10
-    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+    _float32_rung(cfg)
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection"
+    assert sol.residual <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 10.0, 100.0])
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("layout", [FINITE, PERIODIC], ids=["finite", "periodic"])
+@pytest.mark.parametrize("observed", [None, PERIODIC], ids=["observe-all", "observe-periodic"])
+def test_float32_rung_at_high_cfl(alpha, steps, layout, observed):
+    # c = 50 over h = 1/64 and dt = 1/steps: CFL 3200 (1600 for two steps)
+    L, N = 2.0, 128
+    grid = Grid1D(L, N)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(1.0, steps),
+        velocity=VelocityField.constant(50.0),
+        alpha=alpha,
+        control_domain=layout,
+        observation_domain=observed,
+        x0=bump_initial(0.8, 0.6, grid),
+    )
+    _float32_rung(cfg)
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection"
     assert sol.residual <= 1e-10
@@ -274,10 +300,12 @@ def test_nested_dissection_order_is_bijection(N, M):
 
 def test_refinement_rescues_inexact_factor(monkeypatch):
     # a factor of a slightly scaled matrix misses the gate on the first
-    # solve; one refinement step brings it back under
+    # solve; refinement brings it back under
     exact = ocp_mod._factor_pivot_free
     monkeypatch.setattr(
-        ocp_mod, "_factor_pivot_free", lambda K, p: exact(K * (1 + 1e-6), p)
+        ocp_mod,
+        "_factor_pivot_free",
+        lambda K, p, dtype: exact(K * (1 + 1e-6), p, dtype),
     )
     cfg = make_config(N=32, M=16, alpha=0.3)
     sol = solve_ocp(cfg)
@@ -293,13 +321,17 @@ class _ConstantFactor:
         return np.full_like(rhs, self.value)
 
 
-def _singular(K, p):
+def _singular(K, p, dtype):
     raise RuntimeError("Factor is exactly singular")
 
 
 @pytest.mark.parametrize(
     "fake",
-    [_singular, lambda K, p: _ConstantFactor(0.0), lambda K, p: _ConstantFactor(np.nan)],
+    [
+        _singular,
+        lambda K, p, dtype: _ConstantFactor(0.0),
+        lambda K, p, dtype: _ConstantFactor(np.nan),
+    ],
     ids=["raises", "wrong", "nan"],
 )
 def test_colamd_fallback(monkeypatch, fake):
@@ -310,6 +342,100 @@ def test_colamd_fallback(monkeypatch, fake):
     assert sol.ordering == "colamd"
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.x - want.x)) < 1e-10
+
+
+class _Damped:
+    """A factor whose solves return `gain` times the exact correction, so
+    each refinement step leaves 1 - gain of the error.  It counts its
+    solves and the factors alive at once."""
+
+    live = 0
+    most_live = 0
+
+    def __init__(self, lu, gain, steps):
+        self.lu, self.gain, self.steps = lu, gain, steps
+        _Damped.live += 1
+        _Damped.most_live = max(_Damped.most_live, _Damped.live)
+
+    def __del__(self):
+        _Damped.live -= 1
+
+    def solve(self, rhs):
+        self.steps[rhs.dtype.name] = self.steps.get(rhs.dtype.name, 0) + 1
+        return self.gain * self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize(
+    "gains, want, float32_steps",
+    [
+        ((1.0, 1.0), "nested-dissection", None),
+        # leaves 0.7 of the error: the second step fails to halve the defect
+        ((0.3, 1.0), "nested-dissection-f64", 2),
+        # leaves 0.4: every step halves, but the gate is 25 steps away
+        ((0.6, 1.0), "nested-dissection-f64", 8),
+        ((0.3, 0.3), "colamd", 2),
+    ],
+    ids=["float32", "stalled", "slow", "both-fail"],
+)
+def test_precision_ladder(monkeypatch, gains, want, float32_steps):
+    exact = ocp_mod._factor_pivot_free
+    real_splu = ocp_mod.splu
+    steps: dict = {}
+    live_at_colamd = []
+
+    def fake(K, p, dtype):
+        gain = gains[0] if dtype is np.float32 else gains[1]
+        return _Damped(exact(K, p, dtype), gain, steps)
+
+    def colamd(K, **options):
+        if not options:  # the COLAMD fallback, not a pivot-free factor
+            live_at_colamd.append(_Damped.live)
+        return real_splu(K, **options)
+
+    monkeypatch.setattr(ocp_mod, "_factor_pivot_free", fake)
+    monkeypatch.setattr(ocp_mod, "splu", colamd)
+    monkeypatch.setattr(_Damped, "most_live", 0)
+    cfg = make_config(N=32, M=16, alpha=0.3)
+    sol = solve_ocp(cfg)
+    assert sol.ordering == want
+    assert sol.residual <= 1e-10
+    # at most _REFINE_STEPS solves per rung, and never two factors alive
+    assert all(n <= 8 for n in steps.values())
+    if float32_steps is not None:
+        assert steps["float32"] == float32_steps
+    assert _Damped.most_live == 1
+    assert _Damped.live == 0
+    assert live_at_colamd == ([0] if want == "colamd" else [])
+
+
+@pytest.mark.skipif(ocp_mod._LIBC is None, reason="MXCSR is reached on x86-64 glibc only")
+def test_float32_factor_holds_no_subnormals():
+    # an uncontrolled transport horizon: without the flush, the float32
+    # fill of this factor held 13,687 subnormal values
+    grid = Grid1D(1.0, 256)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(0.5, 128),
+        velocity=VelocityField.constant(1.0),
+        alpha=1.0,
+        control_domain=IntervalUnion(),
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+    )
+    K, _ = assemble_kkt(cfg, None)
+    p = ocp_mod._nested_dissection_order(grid.N, cfg.tgrid.M)
+    lu = ocp_mod._factor_pivot_free(K, p, np.float32)
+    tiny = np.finfo(np.float32).tiny
+    for part in (lu.L.data, lu.U.data):
+        assert not np.any((part != 0) & (np.abs(part) < tiny))
+
+    # the flush holds inside the block only, and ends with an exception too
+    half_tiny = np.float32(tiny) * np.float32(0.5)
+    assert half_tiny > 0
+    with pytest.raises(ValueError):
+        with ocp_mod._subnormals_as_zero():
+            assert np.float32(tiny) * np.float32(0.5) == 0
+            raise ValueError("inside")
+    assert np.float32(tiny) * np.float32(0.5) == half_tiny
 
 
 # ------------------------------------------------------------------- rollouts
