@@ -11,8 +11,8 @@ re-solving.
 Exit codes: 0 success, 1 negative verdict (check-domain and the
 stabilizability demo), 2 numeric failure, 3 config error.
 
-Default resolution: 128 nodes per unit length, and the number of time steps
-chosen so c_max * dt <= h unless the config pins "steps" explicitly.
+Every plan key and its default is in _PLAN_DEFAULTS; without a pinned
+"steps" the number of time steps is chosen so that c_max * dt <= h.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from .geometry import (
     TimeGrid,
     _integral,
     _real,
+    _reject_unknown,
     domain_from_config,
     domain_to_config,
     parse_domain,
 )
-from .ocp import OCPConfig, bump_initial, solve_ocp
+from .ocp import OCPConfig, bump_initial, check_bump_window, solve_ocp
 from .semigroup import (
     LEVEL_BLOCK,
     FeedbackProfile,
@@ -75,34 +76,37 @@ __all__ = [
     "write_table",
 ]
 
-EXPERIMENT_IDS = (
-    "space-time-field",
-    "sliced-norms",
-    "domain-sweep",
-    "alpha-sweep",
-    "stabilizability-demo",
-)
-
-_PLAN_KEYS = {
-    "experiment",
-    "grid",
-    "time",
-    "velocity",
-    "alpha",
-    "control_domain",
-    "observation_domain",
-    "initial",
-    "l_values",
-    "alpha_values",
-    "out_dir",
-    "plot",
-    "feedback_gain",
-    "comment",
+# Every plan key with its default, in config form.  A plan may also carry a
+# free-text "comment", which is not kept.
+_PLAN_DEFAULTS = {
+    "experiment": "space-time-field",
+    "grid": {"L": 4.0, "nodes_per_unit": 128},
+    "time": {"T": 5.0, "steps": None},
+    "velocity": {"type": "constant", "value": 2.0},
+    "alpha": 0.125,
+    "control_domain": {"periodic": {"prefix": [], "period": 1.0, "pattern": [[0.0, 0.2]], "start": 0.0}},
+    "observation_domain": None,
+    "initial": {"type": "bump", "width": 0.8, "center": 0.6},
+    "l_values": [],
+    "alpha_values": [],
+    "out_dir": "hyplq-out",
+    "plot": False,
+    "feedback_gain": 1.0,
 }
 
-
-# The layout of a plan that names none.
-_DEFAULT_CONTROL_DOMAIN = {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}}
+# The velocity and initial-data types: each type's config keys, in the
+# order of the plan's tagged tuple, with the reader of each value.
+_KINDS = {
+    "velocity": {
+        "constant": (("value", _real),),
+        "sinusoidal": (("mean", _real), ("amplitude", _real)),
+    },
+    "initial": {
+        "bump": (("width", _real), ("center", _real)),
+        "sine": (("mode", _integral),),
+        "zero": (),
+    },
+}
 
 
 class ConfigError(Exception):
@@ -122,10 +126,11 @@ class ExperimentError(RuntimeError):
 class ExperimentPlan:
     """Normalized description of one experiment.
 
-    velocity and initial are small tagged tuples (("constant", c) or
-    ("sinusoidal", mean, amplitude); ("bump", width, center), ("sine", mode)
-    or ("zero",)) so a plan survives a serialize/parse round trip exactly.
-    Sweep lists are kept sorted ascending.
+    velocity and initial are small tagged tuples, the type followed by its
+    values in _KINDS order (("constant", c), ("sinusoidal", mean,
+    amplitude), ("bump", width, center), ("sine", mode) or ("zero",)), so a
+    plan survives a serialize/parse round trip exactly.  Sweep lists are
+    kept sorted ascending.
     """
 
     experiment: str
@@ -138,16 +143,16 @@ class ExperimentPlan:
     control_domain: IntervalUnion
     observation_domain: Optional[IntervalUnion]
     initial: tuple
-    l_values: tuple[float, ...] = ()
-    alpha_values: tuple[float, ...] = ()
-    out_dir: str = "hyplq-out"
-    plot: bool = False
-    feedback_gain: float = 1.0
+    l_values: tuple[float, ...]
+    alpha_values: tuple[float, ...]
+    out_dir: str
+    plot: bool
+    feedback_gain: float
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_IDS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(_EXPERIMENTS)}"
             )
         if not (self.L > 0 and self.T > 0 and self.alpha > 0):
             raise ValueError("L, T and alpha must be positive")
@@ -164,8 +169,13 @@ class ExperimentPlan:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.feedback_gain < 0:
             raise ValueError(f"feedback gain must be >= 0, got {self.feedback_gain}")
-        _check_velocity_spec(self.velocity)
-        _check_initial_spec(self.initial)
+        for key, kinds in _KINDS.items():
+            spec = getattr(self, key)
+            if spec[0] not in kinds or len(spec) != 1 + len(kinds[spec[0]]):
+                raise ValueError(f"unknown {key} spec {spec!r}")
+        slowest = self.velocity[1] - (abs(self.velocity[2]) if self.velocity[0] == "sinusoidal" else 0.0)
+        if slowest <= 0:
+            raise ValueError(f"velocity dips to {slowest}; must stay positive")
         object.__setattr__(self, "l_values", tuple(sorted(float(v) for v in self.l_values)))
         object.__setattr__(
             self, "alpha_values", tuple(sorted(float(v) for v in self.alpha_values))
@@ -186,6 +196,8 @@ class ExperimentPlan:
                     f"L={L} at {self.nodes_per_unit} nodes per unit gives {cells} cells; "
                     "a grid needs at least 4"
                 )
+            if self.initial[0] == "bump":
+                check_bump_window(self.initial[1], self.initial[2], L)
 
     def realize(self, L: Optional[float] = None, alpha: Optional[float] = None) -> OCPConfig:
         """Build the OCPConfig for this plan at an optional overridden size."""
@@ -204,27 +216,6 @@ class ExperimentPlan:
             observation_domain=self.observation_domain,
             x0=GridFunction(grid, _initial_values(self.initial, grid)),
         )
-
-
-def _check_velocity_spec(spec) -> None:
-    if spec[0] == "constant":
-        (_, c) = spec
-        if c <= 0:
-            raise ValueError(f"velocity must be positive, got {c}")
-    elif spec[0] == "sinusoidal":
-        (_, mean, amp) = spec
-        if mean - abs(amp) <= 0:
-            raise ValueError(f"velocity dips to {mean - abs(amp)}; must stay positive")
-    else:
-        raise ValueError(f"unknown velocity type {spec[0]!r}")
-
-
-def _check_initial_spec(spec) -> None:
-    kinds = {"bump": 3, "sine": 2, "zero": 1}
-    if spec[0] not in kinds or len(spec) != kinds[spec[0]]:
-        raise ValueError(f"unknown initial data spec {spec!r}")
-    if spec[0] == "bump" and spec[1] <= 0:
-        raise ValueError(f"bump width must be positive, got {spec[1]}")
 
 
 def _velocity_field(spec, L: float) -> VelocityField:
@@ -248,97 +239,76 @@ def _initial_values(spec, grid: Grid1D) -> np.ndarray:
     return np.zeros(grid.N)
 
 
-def _velocity_to_config(spec) -> dict:
-    if spec[0] == "constant":
-        return {"type": "constant", "value": spec[1]}
-    return {"type": "sinusoidal", "mean": spec[1], "amplitude": spec[2]}
-
-
-def _velocity_from_config(obj) -> tuple:
+def _spec_from_config(key: str, obj: dict) -> tuple:
+    """The tagged tuple of a velocity or initial config object."""
     kind = obj.get("type")
-    if kind == "constant":
-        return ("constant", _real(obj["value"], "value"))
-    if kind == "sinusoidal":
-        return ("sinusoidal", _real(obj["mean"], "mean"), _real(obj["amplitude"], "amplitude"))
-    raise ValueError(f"unknown velocity type {kind!r}")
+    if kind not in _KINDS[key]:
+        raise ValueError(f"unknown {key} type {kind!r}")
+    fields = _KINDS[key][kind]
+    _reject_unknown(obj, ["type", *(name for name, _ in fields)], f"{kind} {key}")
+    return (kind, *(read(obj[name], name) for name, read in fields))
 
 
-def _initial_to_config(spec) -> dict:
-    if spec[0] == "bump":
-        return {"type": "bump", "width": spec[1], "center": spec[2]}
-    if spec[0] == "sine":
-        return {"type": "sine", "mode": spec[1]}
-    return {"type": "zero"}
-
-
-def _initial_from_config(obj) -> tuple:
-    kind = obj.get("type")
-    if kind == "bump":
-        return ("bump", _real(obj["width"], "width"), _real(obj["center"], "center"))
-    if kind == "sine":
-        return ("sine", _integral(obj["mode"], "mode"))
-    if kind == "zero":
-        return ("zero",)
-    raise ValueError(f"unknown initial data type {kind!r}")
+def _spec_to_config(key: str, spec: tuple) -> dict:
+    """Inverse of _spec_from_config."""
+    kind, *values = spec
+    return {"type": kind, **{name: v for (name, _), v in zip(_KINDS[key][kind], values)}}
 
 
 def plan_from_config(obj: dict, out_dir: Optional[str] = None) -> ExperimentPlan:
-    """Build a plan from its JSON dict form; see plan_to_config for the shape."""
+    """Build a plan from its JSON dict form; see plan_to_config for the shape.
+
+    A key left out, at the top level or inside "grid" or "time", takes its
+    _PLAN_DEFAULTS value; a key not in _PLAN_DEFAULTS is an error.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"plan config must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _PLAN_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    grid = obj.get("grid", {})
-    time = obj.get("time", {})
-    steps = time.get("steps")
-    obs = obj.get("observation_domain")
-    plot = obj.get("plot", False)
+    _reject_unknown(obj, {*_PLAN_DEFAULTS, "comment"}, "config")
+    cfg = {**_PLAN_DEFAULTS, **obj}
+    for key in ("grid", "time"):
+        _reject_unknown(cfg[key], _PLAN_DEFAULTS[key], key)
+        cfg[key] = {**_PLAN_DEFAULTS[key], **cfg[key]}
+    grid, time = cfg["grid"], cfg["time"]
+    steps, obs, plot = time["steps"], cfg["observation_domain"], cfg["plot"]
     if not isinstance(plot, bool):
         raise ValueError(f"plot must be true or false, got {plot!r}")
     return ExperimentPlan(
-        experiment=obj.get("experiment", "space-time-field"),
-        L=_real(grid.get("L", 4.0), "L"),
-        nodes_per_unit=_integral(grid.get("nodes_per_unit", 128), "nodes_per_unit"),
-        T=_real(time.get("T", 5.0), "T"),
+        experiment=cfg["experiment"],
+        L=_real(grid["L"], "L"),
+        nodes_per_unit=_integral(grid["nodes_per_unit"], "nodes_per_unit"),
+        T=_real(time["T"], "T"),
         steps=None if steps is None else _integral(steps, "steps"),
-        velocity=_velocity_from_config(obj.get("velocity", {"type": "constant", "value": 2.0})),
-        alpha=_real(obj.get("alpha", 0.125), "alpha"),
-        control_domain=domain_from_config(obj.get("control_domain", _DEFAULT_CONTROL_DOMAIN)),
+        velocity=_spec_from_config("velocity", cfg["velocity"]),
+        alpha=_real(cfg["alpha"], "alpha"),
+        control_domain=domain_from_config(cfg["control_domain"]),
         observation_domain=None if obs is None else domain_from_config(obs),
-        initial=_initial_from_config(
-            obj.get("initial", {"type": "bump", "width": 0.8, "center": 0.6})
-        ),
-        l_values=tuple(_real(v, "l_values") for v in obj.get("l_values", ())),
-        alpha_values=tuple(_real(v, "alpha_values") for v in obj.get("alpha_values", ())),
-        out_dir=str(out_dir if out_dir is not None else obj.get("out_dir", "hyplq-out")),
+        initial=_spec_from_config("initial", cfg["initial"]),
+        l_values=tuple(_real(v, "l_values") for v in cfg["l_values"]),
+        alpha_values=tuple(_real(v, "alpha_values") for v in cfg["alpha_values"]),
+        out_dir=str(out_dir if out_dir is not None else cfg["out_dir"]),
         plot=plot,
-        feedback_gain=_real(obj.get("feedback_gain", 1.0), "feedback_gain"),
+        feedback_gain=_real(cfg["feedback_gain"], "feedback_gain"),
     )
 
 
 def plan_to_config(plan: ExperimentPlan) -> dict:
     """Serialize a plan to the JSON dict form accepted by plan_from_config."""
-    cfg = {
+    obs = plan.observation_domain
+    return {
         "experiment": plan.experiment,
         "grid": {"L": plan.L, "nodes_per_unit": plan.nodes_per_unit},
-        "time": {"T": plan.T},
-        "velocity": _velocity_to_config(plan.velocity),
+        "time": {"T": plan.T, "steps": plan.steps},
+        "velocity": _spec_to_config("velocity", plan.velocity),
         "alpha": plan.alpha,
         "control_domain": domain_to_config(plan.control_domain),
-        "observation_domain": None
-        if plan.observation_domain is None
-        else domain_to_config(plan.observation_domain),
-        "initial": _initial_to_config(plan.initial),
+        "observation_domain": None if obs is None else domain_to_config(obs),
+        "initial": _spec_to_config("initial", plan.initial),
         "l_values": list(plan.l_values),
         "alpha_values": list(plan.alpha_values),
         "out_dir": plan.out_dir,
         "plot": plan.plot,
         "feedback_gain": plan.feedback_gain,
     }
-    if plan.steps is not None:
-        cfg["time"]["steps"] = plan.steps
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -1136,10 +1106,8 @@ def _cmd_check_domain(args) -> int:
             raise ConfigError(f"bad domain text: {exc}") from exc
     elif args.config:
         cfg = _load_json(args.config)
-        if "control_domain" in cfg:
-            cfg = cfg["control_domain"]
-        elif _PLAN_KEYS & cfg.keys():  # a plan that keeps the default layout
-            cfg = _DEFAULT_CONTROL_DOMAIN
+        if cfg.keys() & {*_PLAN_DEFAULTS, "comment"}:  # a plan, maybe on the default layout
+            cfg = cfg.get("control_domain", _PLAN_DEFAULTS["control_domain"])
         try:
             dom = domain_from_config(cfg)
         except _BAD_CONFIG as exc:

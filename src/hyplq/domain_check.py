@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .characteristics import NumericError
 from .geometry import Interval, IntervalUnion
 
 __all__ = [
@@ -80,34 +81,45 @@ def make_equidistant(a: float, b: float, L0: float) -> IntervalUnion:
 # ---------------------------------------------------------------------------
 
 
-def _sequence(dom: IntervalUnion, periods: int) -> list[Interval]:
+def _max_pair(dom: IntervalUnion, k: float, K: float, periods: int):
+    """(value, (n, m), pairs checked) of the largest pair value over the
+    prefix and `periods` tail periods, with 1-based interval indices.
+
+    The pair value for n > m is phi(a_n) - phi(b_m), so a running maximum
+    of -phi(b_m) gives the max in O(n).  Tail potentials are in-period
+    offsets, the same numbers in every period; the running maximum moves by
+    the tail's base potential on entering the tail and by the drift D at
+    each later period start.  No absolute position enters, and with D <= 0
+    no pair value of a later period exceeds the same pair's one period
+    earlier, in floating point too.
+    """
+
+    def offsets(ivs):
+        cum, at_a, at_b = 0.0, [], []
+        for a, b in ivs:
+            at_a.append(k * a - K * cum)
+            cum += b - a
+            at_b.append(k * b - K * cum)
+        return list(zip(at_a, at_b)), cum
+
+    prefix, prefix_measure = offsets(dom.prefix)
     period, pattern = dom.tail
-    ivs = list(dom.prefix)
+    tail, pattern_measure = offsets(pattern)
+    drift = k * period - K * pattern_measure
+    # (phi(a), phi(b), move of the reference before the interval)
+    seq = [(a, b, 0.0) for a, b in prefix]
     for j in range(periods):
-        base = dom.start + j * period
-        ivs.extend((base + a, base + b) for a, b in pattern)
-    return ivs
-
-
-def _max_pair(ivs: list[Interval], k: float, K: float):
-    # potential phi(x) = k*x - K*|Omega ∩ [0, x]|; the pair value for n > m is
-    # exactly phi(a_n) - phi(b_m), so a running minimum gives the max in O(n)
-    cum = 0.0
-    phi_a, phi_b = [], []
-    for a, b in ivs:
-        phi_a.append(k * a - K * cum)
-        cum += b - a
-        phi_b.append(k * b - K * cum)
+        move = drift if j else k * dom.start - K * prefix_measure
+        seq += [(a, b, move if r == 0 else 0.0) for r, (a, b) in enumerate(tail)]
     best, best_pair = -math.inf, (0, 0)
-    run_min, run_idx = math.inf, 0
-    for n in range(1, len(ivs)):
-        if phi_b[n - 1] < run_min:
-            run_min, run_idx = phi_b[n - 1], n - 1
-        val = phi_a[n] - run_min
-        if val > best:
-            best, best_pair = val, (n + 1, run_idx + 1)  # report 1-based indices
-    n_pairs = len(ivs) * (len(ivs) - 1) // 2
-    return best, best_pair, n_pairs
+    run, run_idx = -math.inf, 0
+    for n, (a, b, move) in enumerate(seq):
+        run += move
+        if n and a + run > best:
+            best, best_pair = a + run, (n + 1, run_idx + 1)
+        if -b > run:
+            run, run_idx = -b, n
+    return best, best_pair, len(seq) * (len(seq) - 1) // 2
 
 
 def worst_pair_value(dom: IntervalUnion, k: float, K: float):
@@ -132,11 +144,11 @@ def worst_pair_value(dom: IntervalUnion, k: float, K: float):
         raise ValueError("worst_pair_value needs an eventually periodic layout")
     if k * dom.tail[0] - K * dom.pattern_measure() > 0:
         raise ValueError("positive per-period drift: the supremum is infinite")
-    closed, _, _ = _max_pair(_sequence(dom, 2), k, K)
-    value, pair, n_pairs = _max_pair(_sequence(dom, HORIZON_PERIODS), k, K)
+    closed, _, _ = _max_pair(dom, k, K, 2)
+    value, pair, n_pairs = _max_pair(dom, k, K, HORIZON_PERIODS)
     scale = max(1.0, abs(value))
     if abs(closed - value) > 1e-12 * scale:
-        raise RuntimeError(
+        raise NumericError(
             f"closed-form reduction ({closed}) disagrees with enumeration "
             f"({value}); this is a bug"
         )
@@ -201,10 +213,8 @@ def check_condition_iii(
     if not (c1 > 0 and c0 > 0):
         raise ValueError(f"need positive constants, got c1={c1}, c0={c0}")
     if probes is None:
-        if dom.tail is not None:
-            ivs = _sequence(dom, HORIZON_PERIODS)
-        else:
-            ivs = list(dom.prefix)
+        horizon = math.inf if dom.tail is None else dom.start + HORIZON_PERIODS * dom.tail[0]
+        ivs = dom.intervals_until(horizon)
         probes = [
             (ivs[m][1], ivs[n][0])
             for m in range(len(ivs))

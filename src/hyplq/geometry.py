@@ -107,6 +107,13 @@ def _real(v, key: str) -> float:
     return float(v)
 
 
+def _reject_unknown(obj: dict, allowed, what: str) -> None:
+    """Raise ValueError naming the keys of obj that are not in allowed."""
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _config_intervals(ivs, key: str) -> tuple[Interval, ...]:
     """The [a, b] pairs of a config list, each bound a JSON number."""
     return tuple((_real(a, key), _real(b, key)) for a, b in ivs)
@@ -167,10 +174,6 @@ class IntervalUnion:
             object.__setattr__(self, "start", 0.0)
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return "eventually-periodic" if self.tail is not None else "finite"
 
     def first_start(self) -> float:
         if self.prefix:
@@ -424,6 +427,9 @@ def domain_from_config(obj) -> IntervalUnion:
         return IntervalUnion(prefix=_config_intervals(obj["finite"], "finite"))
     if "periodic" in obj:
         spec = obj["periodic"]
+        if not isinstance(spec, dict):
+            raise ValueError(f"periodic domain must be an object, got {spec!r}")
+        _reject_unknown(spec, {"prefix", "period", "pattern", "start"}, "periodic domain")
         try:
             prefix = _config_intervals(spec.get("prefix", []), "prefix")
             period = _real(spec["period"], "period")

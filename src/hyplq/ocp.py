@@ -36,6 +36,7 @@ __all__ = [
     "assemble_kkt",
     "build_advection_matrix",
     "bump_initial",
+    "check_bump_window",
     "discrete_objective",
     "rollout_midpoint",
     "solve_error_system",
@@ -548,19 +549,23 @@ def rollout_midpoint(
     return out
 
 
-def bump_initial(width: float, center: float, grid: Grid1D) -> GridFunction:
-    """Smooth compactly supported initial state on the grid.
-
-    The support window [center - width/2, center + width/2] must sit inside
-    [0, L]; the profile is 1 at the center and vanishes to all orders at the
-    window edges.
-    """
+def check_bump_window(width: float, center: float, L: float) -> None:
+    """Raise ValueError unless the width is positive and the support window
+    [center - width/2, center + width/2] sits inside [0, L]."""
     if width <= 0:
         raise ValueError(f"bump width must be positive, got {width}")
     lo, hi = center - 0.5 * width, center + 0.5 * width
-    if lo < 0.0 or hi > grid.L:
-        raise ValueError(
-            f"bump window [{lo:.4g}, {hi:.4g}] escapes the domain [0, {grid.L}]"
-        )
+    if lo < 0.0 or hi > L:
+        raise ValueError(f"bump window [{lo:.4g}, {hi:.4g}] escapes the domain [0, {L}]")
+
+
+def bump_initial(width: float, center: float, grid: Grid1D) -> GridFunction:
+    """Smooth compactly supported initial state on the grid.
+
+    The support window must sit inside [0, L] (check_bump_window); the
+    profile is 1 at the center and vanishes to all orders at the window
+    edges.
+    """
+    check_bump_window(width, center, grid.L)
     vals = np.array([smooth_bump(w, center, width) for w in grid.nodes])
     return GridFunction(grid, vals)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hyplq.cli import (
     ExperimentError,
     ExperimentPlan,
     _HEAT_STOPS,
+    _PLAN_DEFAULTS,
     _TABLE_BLOCK,
     _heat_colors,
     _heatmap_series,
@@ -952,6 +954,18 @@ def test_check_domain_plan_without_layout_uses_plan_default(tmp_path, capsys):
     )
 
 
+def test_check_domain_zero_drift_layout(capsys):
+    # k * period = K * pattern measure: the enumeration repeats the closed form exactly
+    domain = "periodic: {period: 1, pattern: [[0, 0.05]]}"
+    assert main(["check-domain", "--domain", domain, "--k", "1", "--K", "20"]) == 0
+    assert "stabilizable: yes" in capsys.readouterr().out
+
+
+def test_check_domain_periodic_text_must_hold_an_object(capsys):
+    assert main(["check-domain", "--domain", "periodic: 5"]) == 3
+    assert "periodic domain must be an object" in capsys.readouterr().err
+
+
 def test_solve_ocp_subcommand(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(small_config()))
@@ -1287,6 +1301,22 @@ def test_non_object_config_is_config_error(tmp_path, capsys, command):
         ("sweep", small_config(experiment="alpha-sweep", alpha_values=[0.5, 0.5])),
         ("solve-ocp", small_config(grid={"L": 0.02, "nodes_per_unit": 128})),
         ("sweep", small_config(experiment="domain-sweep", l_values=[0.01, 1.0])),
+        # unknown keys inside nested objects
+        ("solve-ocp", small_config(grid={"L": 1.0, "nodes_per_units": 32})),
+        ("sweep", small_config(time={"T": 0.5, "step": 16})),
+        ("simulate", {"equation": "wave", "time": {"T": 0.5, "step": 16}}),
+        ("solve-ocp", small_config(velocity={"type": "constant", "value": 2.0, "amplitude": 0.5})),
+        ("simulate", {"equation": "continuity", "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5, "value": 2.0}}),
+        ("solve-ocp", small_config(initial={"type": "bump", "width": 0.4, "center": 0.5, "mode": 1})),
+        ("simulate", {"equation": "transport", "initial": {"type": "zero", "width": 0.4}}),
+        ("solve-ocp", small_config(control_domain={"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "strat": 0.0}})),
+        ("check-domain", {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "strat": 0.0}}),
+        ("check-domain", {"control_domain": {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "strat": 0.0}}}),
+        # a bump whose support window escapes [0, L], at L or at any l_values entry
+        ("solve-ocp", small_config(initial={"type": "bump", "width": 0.8, "center": 0.9})),
+        ("sweep", small_config(experiment="stabilizability-demo", initial={"type": "bump", "width": 0.8, "center": 0.9})),
+        ("sweep", small_config(experiment="domain-sweep", l_values=[0.5, 1.0, 2.0])),
+        ("simulate", {"equation": "transport", "grid": {"L": 1.0}, "initial": {"type": "bump", "width": 0.8, "center": 0.9}}),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
@@ -1296,6 +1326,12 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys, c
     assert main([command, "--config", str(p)]) == 3
     assert "config error" in capsys.readouterr().err
     assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_readme_defaults_block_is_the_plan_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == plan_to_config(plan_from_config({})) == _PLAN_DEFAULTS
 
 
 def test_integral_float_config_numbers_are_accepted():

@@ -138,6 +138,22 @@ def test_worst_pair_closed_form_random(a, w, L0, k, ratio):
     assert got == pytest.approx(enum_worst(dom, k, K), abs=1e-10)
 
 
+def test_worst_pair_at_zero_drift_repeats_the_closed_form():
+    # k * L0 = K * (b - a): every period has the same potentials, so the
+    # 64-period enumeration must agree with the two-period closed form
+    dom = make_equidistant(0.0, 0.05, 1.0)
+    got, pair, _ = worst_pair_value(dom, 1.0, 20.0)
+    assert abs(got - 0.95) <= 4 * math.ulp(0.95)
+    assert pair == (2, 1)
+    assert check_condition_ii(dom, 1.0, 20.0).stabilizable
+
+
+def test_pair_violation_names_the_first_worst_pair():
+    # every (j + 1, j) pair attains the supremum; the first one is reported,
+    # not a later copy that rounding of large potentials has inflated
+    assert check_condition_ii(EQUI, 1.5, 100.0).reason == "pair-violation(2,1)"
+
+
 def test_verdict_invariant():
     for dom, k, K in [(EQUI, 1.0, 5.0), (EQUI, 1.5, 100.0), (HALF_LINE, 0.5, 1.0)]:
         v = check_condition_ii(dom, k, K)
