@@ -47,7 +47,7 @@ from .geometry import (
     domain_to_config,
     parse_domain,
 )
-from .ocp import OCPConfig, bump_initial, check_bump_window, solve_ocp
+from .ocp import OCPConfig, bump_initial, check_bump_window, factor_entries, solve_ocp
 from .semigroup import (
     LEVEL_BLOCK,
     FeedbackProfile,
@@ -703,23 +703,21 @@ def _unknowns(cfg: OCPConfig) -> int:
     return 2 * cfg.grid.N * (cfg.tgrid.M + 1)
 
 
-# (unknowns, bytes): peak RSS of one solve_ocp call above the RSS before
-# it, measured at L = 2.5, N = 320, M = 100 and at L = 8, N = 1024, M = 400
-# on the float64 rung (a float32 factor that missed its gate, then the
-# float64 one).  A solve that stays on the float32 rung peaks lower (77 and
-# 1158 MiB), but any solve can fall back, so the gate keeps the higher peak.
-_SOLVE_PEAKS = ((64_640, 111 * 2**20), (821_248, 1682 * 2**20))
+# Peak RSS of one solve_ocp call above the RSS before it, per byte of the
+# float64 entries factor_entries counts: the largest ratio measured on the
+# float64 rung (a float32 factor that missed its gate, then the float64 one)
+# at the calibration points of BENCH_14.json from 64,640 unknowns up.  A
+# solve that stays on the float32 rung peaks lower, but any solve can fall
+# back, so the gate keeps the higher peak.  Smaller solves peak up to 9%
+# above the estimate, at most 107 MiB.
+_SOLVE_SCALE = 1.42
 
 
-def _solve_bytes(unknowns: int) -> float:
-    """Estimated memory one KKT solve adds at its peak, in bytes.
-
-    A power law through the two points of _SOLVE_PEAKS; it is within 5% of
-    the float64-rung peaks measured at 25,856 to 410,624 unknowns
-    (BENCH_12.json).
-    """
-    (n0, b0), (n1, b1) = _SOLVE_PEAKS
-    return b0 * (unknowns / n0) ** (math.log(b1 / b0) / math.log(n1 / n0))
+def _solve_bytes(cfg: OCPConfig) -> float:
+    """Estimated memory one KKT solve of cfg adds at its peak, in bytes:
+    _SOLVE_SCALE times the float64 entries its front factor holds at once,
+    which the dissection tree counts before anything is factored."""
+    return _SOLVE_SCALE * 8 * factor_entries(cfg)
 
 
 def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
@@ -731,9 +729,9 @@ def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
     alone does not fit; skips the check where MemAvailable cannot be read.
     """
     width = min(workers, len(configs))
-    unknowns = sorted(map(_unknowns, configs), reverse=True)
-    need = [_solve_bytes(n) for n in unknowns]
-    avail = _require_memory(need[0], f"a KKT solve of {unknowns[0]} unknowns")
+    sized = sorted(((_solve_bytes(c), _unknowns(c)) for c in configs), reverse=True)
+    need = [b for b, _ in sized]
+    avail = _require_memory(need[0], f"a KKT solve of {sized[0][1]} unknowns")
     if avail is None:
         return width
     fits = width
@@ -1106,7 +1104,9 @@ def _cmd_check_domain(args) -> int:
             raise ConfigError(f"bad domain text: {exc}") from exc
     elif args.config:
         cfg = _load_json(args.config)
-        if cfg.keys() & {*_PLAN_DEFAULTS, "comment"}:  # a plan, maybe on the default layout
+        if "equation" in cfg:  # a simulate config, maybe on simulate's default layout
+            cfg = cfg.get("control_domain", _SIMULATE_DEFAULTS["control_domain"])
+        elif cfg.keys() & {*_PLAN_DEFAULTS, "comment"}:  # a plan, maybe on the default layout
             cfg = cfg.get("control_domain", _PLAN_DEFAULTS["control_domain"])
         try:
             dom = domain_from_config(cfg)

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .characteristics import NumericError, VelocityField
@@ -38,6 +39,7 @@ __all__ = [
     "bump_initial",
     "check_bump_window",
     "discrete_objective",
+    "factor_entries",
     "rollout_midpoint",
     "solve_error_system",
     "solve_ocp",
@@ -120,9 +122,10 @@ class OCPSolution:
     recovered control u = alpha^-2 B* lam + u_ref on the same levels.
     residual is the relative sup-norm defect of the assembled linear system.
     ordering names the factorization that produced the solution:
-    "nested-dissection" (pivot-free float32 factor refined in float64),
+    "nested-dissection" (float32 front factor refined in float64),
     "nested-dissection-f64" (the same with a float64 factor) or "colamd"
-    (the fallback).
+    (the fallback).  refine_steps counts the solves with that factor and
+    factor_bytes is the memory it held; neither goes into any artifact.
     """
 
     x: np.ndarray
@@ -131,6 +134,8 @@ class OCPSolution:
     objective: float
     residual: float
     ordering: str
+    refine_steps: int = 0
+    factor_bytes: int = 0
 
 
 def build_advection_matrix(grid: Grid1D, vel: VelocityField) -> sparse.csr_matrix:
@@ -237,54 +242,339 @@ _DEFECT_GATE = 1e-10
 _REFINE_STEPS = 8
 
 # Rectangles of at most this many grid points are not dissected further.
-_ND_LEAF = 32
+_ND_LEAF = 8
+
+# Front entries assembled and factored by one stacked call (at least one front).
+_CHUNK = 1 << 20
+
+# Pivot blocks of at least this order are inverted one at a time by LAPACK
+# getrf/getri, which outruns numpy's stacked gesv loop on large blocks.
+_BIG_PIVOT = 256
 
 
-def _nested_dissection_order(N: int, M: int) -> np.ndarray:
-    """Symmetric permutation of K's unknowns in nested-dissection order.
+def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
+    """Local geometry of an nk x ni rectangle of the level-by-node grid.
 
-    Unknown x^k_i sits in column k*N + i and lam^k_i in column N(M+1) + k*N + i;
-    both are paired with rows of the same index.  The grid points (k, i) of
-    the (M+1) x N level-by-node grid couple only to neighbours with |dk|, |di|
-    <= 1 (periodically in i), so one grid line separates a rectangle.  The
-    ring is cut at nodes 0 and N/2 and those two columns go last; each
-    remaining rectangle is bisected along its longer side with the separator
-    line ordered after both halves, down to leaves of at most _ND_LEAF points
-    kept in natural order.  x and lam alternate at every grid point.
+    Coordinates are (row, column) in the rectangle's box, which starts one
+    level and one node before it; top/bottom say that the rectangle touches
+    level 0/M, so that no perimeter row lies beyond it.  Returns the points
+    eliminated at its front (every point of a leaf, else the grid line that
+    bisects the longer side), its perimeter clockwise from the top-left
+    corner, and the two halves as (nk, ni, top, bottom) shapes with the shift
+    of their boxes.
     """
-    half = N * (M + 1)
-    blocks: list[np.ndarray] = []
+    if nk * ni <= _ND_LEAF or max(nk, ni) < 3:
+        sep = [(r, c) for r in range(1, nk + 1) for c in range(1, ni + 1)]
+        halves = []
+    elif nk >= ni:
+        h = nk // 2
+        sep = [(h + 1, c) for c in range(1, ni + 1)]
+        halves = [((h, ni, top, False), 0, 0), ((nk - h - 1, ni, False, bottom), h + 1, 0)]
+    else:
+        h = ni // 2
+        sep = [(r, h + 1) for r in range(1, nk + 1)]
+        halves = [((nk, h, top, bottom), 0, 0), ((nk, ni - h - 1, top, bottom), 0, h + 1)]
+    rim = [] if top else [(0, c) for c in range(ni + 2)]
+    rim += [(r, ni + 1) for r in range(1, nk + 1)]
+    if not bottom:
+        rim += [(nk + 1, c) for c in range(ni + 1, -1, -1)]
+    rim += [(r, 0) for r in range(nk, 0, -1)]
+    return sep, rim, halves
 
-    def points(k0: int, k1: int, i0: int, i1: int) -> np.ndarray:
-        return (np.arange(k0, k1)[:, None] * N + np.arange(i0, i1)).ravel()
 
-    def dissect(k0: int, k1: int, i0: int, i1: int) -> None:
-        nk, ni = k1 - k0, i1 - i0
-        if nk <= 0 or ni <= 0:
-            return
-        if nk * ni <= _ND_LEAF or max(nk, ni) < 3:
-            blocks.append(points(k0, k1, i0, i1))
-        elif nk >= ni:
-            km = k0 + nk // 2
-            dissect(k0, km, i0, i1)
-            dissect(km + 1, k1, i0, i1)
-            blocks.append(points(km, km + 1, i0, i1))
-        else:
-            im = i0 + ni // 2
-            dissect(k0, k1, i0, im)
-            dissect(k0, k1, im + 1, i1)
-            blocks.append(points(k0, k1, im, im + 1))
+def _runs(pos: np.ndarray, ns: int) -> list:
+    """Cut the parent-front positions of a child's perimeter into maximal
+    runs of step +1 or -1 that stay in one part of the parent (separator or
+    perimeter): (child start, parent start, length, step) each."""
+    part = pos >= ns
+    cut = np.flatnonzero((np.abs(np.diff(pos)) != 1) | (part[1:] != part[:-1])) + 1
+    bounds = [0, *cut.tolist(), len(pos)]
+    return [
+        (a, int(pos[a]), b - a, int(pos[a + 1] - pos[a]) if b - a > 1 else 1)
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
-    cuts = sorted({0, N // 2})
-    for a, b in zip(cuts, cuts[1:] + [N]):
-        dissect(0, M + 1, a + 1, b)
-    for c in cuts:
-        blocks.append(points(0, M + 1, c, c + 1))
-    g = np.concatenate(blocks)
-    p = np.empty(2 * half, dtype=np.intp)
-    p[0::2] = g
-    p[1::2] = g + half
-    return p
+
+@dataclass(eq=False)
+class _Fronts:
+    """The fronts of one rectangle shape at one depth of the dissection tree.
+
+    Every member has the same local points, translated (periodically in the
+    node index): ns eliminated points, then nb perimeter points.  Its local
+    unknowns run x then lam over the eliminated points, x then lam over the
+    perimeter.  `table` maps each cell of the shared box to its local point
+    (-1 outside the front); `origin` holds each member's box origin (level,
+    node); `children` lists (child group, its first member, runs) per
+    child, whose members follow this group's members in order.
+    """
+
+    depth: int
+    ns: int
+    nb: int
+    local: np.ndarray
+    table: np.ndarray
+    origin: tuple
+    children: list = dataclasses.field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.origin[0])
+
+    def points(self, N: int) -> np.ndarray:
+        """Grid point k*N + i of every local point of every member."""
+        k = self.origin[0][:, None] + self.local[:, 0]
+        i = (self.origin[1][:, None] + self.local[:, 1]) % N
+        return k * N + i
+
+
+class _DissectionTree:
+    """Nested dissection of the (M+1) x N level-by-node grid, by front shape.
+
+    Unknown x^k_i sits in column k*N + i of K and lam^k_i in column
+    N(M+1) + k*N + i; the grid points couple only to neighbours with |dk|,
+    |di| <= 1 (periodically in i), so one grid line separates a rectangle.
+    The ring is cut at nodes 0 and N/2, and those two columns form the root
+    front; each remaining rectangle is bisected along its longer side by a
+    grid line, down to leaves of at most _ND_LEAF points.  A front holds the
+    points eliminated there and the perimeter of its rectangle, the only
+    points outside the rectangle that it couples to.  Fronts of one shape at
+    one depth form a group that is assembled and factored by stacked calls.
+    `groups` runs from the root down.
+    """
+
+    def __init__(self, N: int, M: int):
+        self.N, self.M = N, M
+        cuts = (0, N // 2)
+        sep = [(r, c) for c in cuts for r in range(1, M + 2)]
+        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N))
+        halves = [((M + 1, b - a - 1, True, True), 0, a) for a, b in ((0, N // 2), (N // 2, N))]
+        self.groups = [root]
+        frontier = [(root, halves)]
+        while frontier:
+            depth = frontier[0][0].depth + 1
+            sources: dict = {}
+            for parent, parts in frontier:
+                for shape, dr, dc in parts:
+                    sources.setdefault(shape, []).append((parent, dr, dc))
+            frontier = []
+            for shape, parents in sources.items():
+                sep, rim, parts = _rectangle(*shape)
+                origin = (
+                    np.concatenate([p.origin[0] + dr for p, dr, _ in parents]),
+                    np.concatenate([(p.origin[1] + dc) % N for p, _, dc in parents]),
+                )
+                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2))
+                first = 0
+                for p, dr, dc in parents:
+                    cell = g.local[g.ns :] + (dr, dc)
+                    pos = p.table[cell[:, 0], cell[:, 1] % p.table.shape[1]]
+                    p.children.append((g, first, _runs(pos, p.ns)))
+                    first += p.count
+                self.groups.append(g)
+                frontier.append((g, parts))
+        self._templates: dict = {}
+
+    @staticmethod
+    def _group(depth, sep, rim, origin, box) -> _Fronts:
+        local = np.array(sep + rim, dtype=np.intp).reshape(-1, 2)
+        table = np.full(box, -1, dtype=np.intp)
+        table[local[:, 0], local[:, 1]] = np.arange(len(local))
+        return _Fronts(depth, len(sep), len(rim), local, table, origin)
+
+    def entries(self) -> int:
+        """Entries of the factor the fronts keep: each front's inverse pivot
+        block and its two Schur multipliers, s^2 + 2 s b with s = 2 ns and
+        b = 2 nb unknowns."""
+        return sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in self.groups)
+
+    def peak_entries(self) -> int:
+        """Most entries alive at once while _FrontFactor runs: the factor
+        kept so far, the update matrices not yet added to a parent, and one
+        chunk of fronts with a scratch copy of its pivot blocks."""
+        kept = peak = 0
+        pending: dict = {}
+        for g in reversed(self.groups):
+            for done in [c for c in pending if c.depth > g.depth + 1]:
+                del pending[done]
+            s, b = 2 * g.ns, 2 * g.nb
+            n2 = s + b
+            m = min(g.count, max(1, _CHUNK // n2**2))
+            pending[g] = g.count * b * b
+            kept += g.count * (s * s + 2 * s * b)
+            peak = max(peak, kept + sum(pending.values()) + m * (n2 * n2 + s * s))
+        return peak
+
+    def template(self, g: _Fronts, used: np.ndarray):
+        """Where the entries of K that the fronts of g own land in them.
+
+        A front owns the entries with one end at a point it eliminates and
+        the other inside the front.  Returns (local point, stencil code,
+        flat index in the front) per entry, the same for every member; only
+        stencil codes flagged in `used` are kept.
+        """
+        key = (id(g), used.tobytes())
+        if key not in self._templates:
+            ns, nb = g.ns, g.nb
+            n2 = 2 * (ns + nb)
+            here = np.arange(ns)
+            box = g.local[:ns]
+            src, code, dest = [], [], []
+
+            def unknown(a, t):
+                return np.where(a < ns, t * ns + a, 2 * ns + t * nb + (a - ns))
+
+            for dk in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    q = g.table[box[:, 0] + dk, (box[:, 1] + di) % g.table.shape[1]]
+                    a, q = here[q >= 0], q[q >= 0]
+                    out = q >= ns
+                    for tr in (0, 1):
+                        for tc in (0, 1):
+                            fwd = tr * 18 + ((dk + 1) * 3 + di + 1) * 2 + tc
+                            rev = tr * 18 + ((1 - dk) * 3 + 1 - di) * 2 + tc
+                            if used[fwd]:
+                                src.append(a)
+                                code.append(np.full(len(a), fwd))
+                                dest.append(unknown(a, tr) * n2 + unknown(q, tc))
+                            if used[rev]:
+                                src.append(q[out])
+                                code.append(np.full(int(out.sum()), rev))
+                                dest.append(unknown(q[out], tr) * n2 + unknown(a[out], tc))
+            self._templates[key] = tuple(
+                np.concatenate(v) if v else np.zeros(0, dtype=np.intp) for v in (src, code, dest)
+            )
+        return self._templates[key]
+
+
+def _stencil(K: sparse.csc_matrix, N: int, half: int, dtype) -> np.ndarray:
+    """K's entries by row unknown: (half, 36) with row = grid point of the
+    row, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1 for lam),
+    the 3x3 offset o of the column's grid point and its type tc."""
+    coo = K.tocoo()
+    tr, pr = np.divmod(coo.row, half)
+    tc, pc = np.divmod(coo.col, half)
+    dk = pc // N - pr // N
+    di = (pc % N - pr % N + 1) % N - 1
+    kst = np.zeros((half, 36), dtype=dtype)
+    kst[pr, tr * 18 + ((dk + 1) * 3 + di + 1) * 2 + tc] = coo.data
+    return kst
+
+
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """Inverses of the stacked blocks A, by LU with partial pivoting;
+    raises np.linalg.LinAlgError on an exactly singular block."""
+    if A.shape[-1] < _BIG_PIVOT:
+        return np.linalg.inv(A)
+    getrf, getri, getri_lwork = get_lapack_funcs(("getrf", "getri", "getri_lwork"), (A,))
+    lwork = int(getri_lwork(A.shape[-1])[0])
+    out = np.empty_like(A)
+    for a, w in zip(A, out):
+        # a.T is a Fortran-ordered view, so LAPACK inverts it in place of a copy
+        lu, piv, info = getrf(a.T)
+        if info == 0:
+            inv, info = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular pivot block")
+        w[...] = inv.T
+    return out
+
+
+def _slice(start: int, length: int, step: int) -> slice:
+    stop = start + step * length
+    return slice(start, stop if stop >= 0 else None, step)
+
+
+class _FrontFactor:
+    """Multifrontal LU of K on the dissection tree, held in `dtype`.
+
+    Every front is assembled from K's entries and its children's update
+    matrices; its pivot block S is inverted with partial pivoting inside
+    the block, and the update F_BB - F_BS F_SS^-1 F_SB goes to its parent
+    (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
+    about _CHUNK entries, stacked as (members, 2n, 2n); the children's
+    updates are added by slices, one call per pair of runs for all members
+    of a chunk.  Kept per chunk: W = F_SS^-1, Y = W F_SB and X = F_BS.
+    """
+
+    def __init__(self, K: sparse.csc_matrix, tree: _DissectionTree, dtype):
+        N = tree.N
+        self.half = N * (tree.M + 1)
+        self.dtype = np.dtype(dtype)
+        kst = _stencil(K, N, self.half, dtype)
+        used = kst.any(axis=0)
+        self.chunks: list = []
+        updates: dict = {}
+        for g in reversed(tree.groups):
+            for done in [c for c in updates if c.depth > g.depth + 1]:
+                del updates[done]
+            src, code, dest = tree.template(g, used)
+            points = g.points(N)
+            ns, nb = g.ns, g.nb
+            s, n2 = 2 * ns, 2 * (ns + nb)
+            upd = np.empty((g.count, 2 * nb, 2 * nb), dtype=dtype)
+            per = max(1, _CHUNK // n2**2)
+            for lo in range(0, g.count, per):
+                hi = min(g.count, lo + per)
+                m = hi - lo
+                F = np.zeros((m, n2, n2), dtype=dtype)
+                F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, src], code]
+                for child, first, runs in g.children:
+                    U = updates[child][first + lo : first + hi]
+                    U = U.reshape(m, 2, child.nb, 2, child.nb)
+                    for ur, vr, lr, sr in runs:
+                        for uc, vc, lc, sc in runs:
+                            F_part = self._part(F, vr >= ns, vc >= ns, ns, nb)
+                            rows = _slice(vr - ns * (vr >= ns), lr, sr)
+                            cols = _slice(vc - ns * (vc >= ns), lc, sc)
+                            F_part[:, :, rows, :, cols] += U[:, :, ur : ur + lr, :, uc : uc + lc]
+                W = _inverse(F[:, :s, :s])
+                Y = W @ F[:, :s, s:]
+                # BLAS worker threads do not share this thread's subnormal
+                # flush; a pass through a ufunc here zeroes what they left
+                np.multiply(W, 1, out=W)
+                np.multiply(Y, 1, out=Y)
+                X = np.ascontiguousarray(F[:, s:, :s])
+                np.matmul(X, Y, out=upd[lo:hi])
+                np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
+                self.chunks.append((points[lo:hi], ns, W, Y, X))
+            updates[g] = upd
+        self.nbytes = sum(a.nbytes for a in self.arrays())
+
+    def arrays(self):
+        """The arrays this factor keeps: W, Y and X of every chunk."""
+        return (a for chunk in self.chunks for a in chunk[2:])
+
+    @staticmethod
+    def _part(F, rows_out: bool, cols_out: bool, ns: int, nb: int) -> np.ndarray:
+        """Separator or perimeter rows by separator or perimeter columns of
+        the stacked fronts F, as (member, type, point, type, point)."""
+        s = 2 * ns
+        rows = slice(s, None) if rows_out else slice(0, s)
+        cols = slice(s, None) if cols_out else slice(0, s)
+        nr = nb if rows_out else ns
+        nc = nb if cols_out else ns
+        return F[:, rows, cols].reshape(len(F), 2, nr, 2, nc)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """K^-1 r in this factor's dtype, r given in K's unknown order."""
+        z = np.array(r, dtype=self.dtype)
+
+        def unknowns(p):
+            return np.concatenate([p, p + self.half], axis=1)
+
+        # forward, up the tree: y_S = W r_S, then r_B -= X y_S
+        for points, ns, W, Y, X in self.chunks:
+            here = unknowns(points[:, :ns])
+            y = np.matmul(W, z[here][..., None])[..., 0]
+            z[here] = y
+            if X.shape[1]:
+                np.subtract.at(z, unknowns(points[:, ns:]), np.matmul(X, y[..., None])[..., 0])
+        # backward, down the tree: z_S = y_S - Y z_B
+        for points, ns, W, Y, X in reversed(self.chunks):
+            if Y.shape[2]:
+                out = z[unknowns(points[:, ns:])]
+                z[unknowns(points[:, :ns])] -= np.matmul(Y, out[..., None])[..., 0]
+        return z
 
 
 class _Fenv(ctypes.Structure):
@@ -338,14 +628,17 @@ def _subnormals_as_zero():
         _LIBC.fesetenv(env)
 
 
-def _factor_pivot_free(K: sparse.csc_matrix, p: np.ndarray, dtype):
-    """LU in `dtype` of the symmetrically permuted K, every pivot on the
-    diagonal, with subnormals flushed to zero."""
-    Kp = K.astype(dtype, copy=False)[p][:, p]
+def factor_entries(config: OCPConfig) -> int:
+    """Most entries the front factor of config's optimality system holds at
+    once while it is made, counted on its dissection tree before anything
+    is factored (_DissectionTree.peak_entries)."""
+    return _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
+
+
+def _factor_fronts(K: sparse.csc_matrix, tree: _DissectionTree, dtype) -> _FrontFactor:
+    """The front factor of K in `dtype`, made with subnormals flushed to zero."""
     with _subnormals_as_zero():
-        return splu(
-            Kp, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-        )
+        return _FrontFactor(K, tree, dtype)
 
 
 def _defect(K: sparse.csc_matrix, z: np.ndarray, rhs: np.ndarray) -> float:
@@ -359,25 +652,25 @@ def _relative(r: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def _refine(
-    K: sparse.csc_matrix, rhs: np.ndarray, p: np.ndarray, lu, dtype
-) -> Optional[np.ndarray]:
-    """Iterative refinement of K z = rhs in float64 from z = 0 with the
-    factor `lu` of K[p][:, p] held in `dtype`.
+    K: sparse.csc_matrix, rhs: np.ndarray, factor, dtype
+) -> Optional[tuple[np.ndarray, int]]:
+    """Iterative refinement of K z = rhs in float64 from z = 0 with a
+    factor of K held in `dtype`.
 
     Each step solves for the correction of the current float64 residual.
-    Returns z once its defect meets _DEFECT_GATE, and None when a step
-    after the first fails to halve the defect (NaN included) or
-    _REFINE_STEPS steps do not reach the gate.
+    Returns z and the number of steps once its defect meets _DEFECT_GATE,
+    and None when a step after the first fails to halve the defect (NaN
+    included) or _REFINE_STEPS steps do not reach the gate.
     """
     z = np.zeros_like(rhs)
     r = rhs
     defect = np.inf
-    for _ in range(_REFINE_STEPS):
-        z[p] += lu.solve(r[p].astype(dtype, copy=False))
+    for step in range(1, _REFINE_STEPS + 1):
+        z += factor.solve(r.astype(dtype, copy=False))
         r = rhs - K @ z
         last, defect = defect, _relative(r, rhs)
         if defect <= _DEFECT_GATE:
-            return z
+            return z, step
         if not defect <= 0.5 * last:
             return None
     return None
@@ -385,30 +678,34 @@ def _refine(
 
 def _solve_linear(
     K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
-) -> tuple[np.ndarray, str]:
-    """Solve K z = rhs; returns z and the ordering that produced it.
+) -> tuple[np.ndarray, str, int, int]:
+    """Solve K z = rhs; returns z, the ordering that produced it, the
+    number of solves with its factor and the factor's bytes.
 
-    K is factored without pivoting in nested-dissection order, first in
-    float32 and refined in float64; if that misses the defect gate the
-    float32 factor is freed and the same refinement runs once with a
-    float64 factor ("nested-dissection-f64").  COLAMD with partial
-    pivoting is the last fallback.  At most one factor is alive at a time.
+    K is factored on the nested-dissection fronts, first in float32 and
+    refined in float64; if that misses the defect gate the float32 factor
+    is freed and the same refinement runs once with a float64 factor
+    ("nested-dissection-f64").  COLAMD with partial pivoting is the last
+    fallback; its bytes count SuperLU's values and row indices.  At most
+    one factor is alive at a time.
     """
-    p = _nested_dissection_order(N, M)
+    tree = _DissectionTree(N, M)
     for dtype, ordering in (
         (np.float32, "nested-dissection"),
         (np.float64, "nested-dissection-f64"),
     ):
         try:
-            lu = _factor_pivot_free(K, p, dtype)
-        except RuntimeError:
+            factor = _factor_fronts(K, tree, dtype)
+        except (RuntimeError, np.linalg.LinAlgError):
             continue
-        z = _refine(K, rhs, p, lu, dtype)
-        del lu  # free this factor before the next one is made
-        if z is not None:
-            return z, ordering
+        nbytes = getattr(factor, "nbytes", 0)
+        solved = _refine(K, rhs, factor, dtype)
+        del factor  # free this factor before the next one is made
+        if solved is not None:
+            return solved[0], ordering, solved[1], nbytes
     try:
-        return splu(K).solve(rhs), "colamd"
+        lu = splu(K)
+        return lu.solve(rhs), "colamd", 1, lu.nnz * (K.dtype.itemsize + 4)
     except RuntimeError as exc:
         raise NumericError(
             f"sparse factorization failed on a {K.shape[0]}x{K.shape[1]} "
@@ -445,7 +742,7 @@ def _solve(
     """Assemble, solve and recover the control; the one path behind the solves."""
     K, rhs = assemble_kkt(config, perturbation)
     N, M = config.grid.N, config.tgrid.M
-    z, ordering = _solve_linear(K, rhs, N, M)
+    z, ordering, steps, factor_bytes = _solve_linear(K, rhs, N, M)
     residual = _defect(K, z, rhs)
     half = N * (M + 1)
     x = z[:half].reshape(M + 1, N)
@@ -456,7 +753,14 @@ def _solve(
         u = u + config.u_ref.values
     obj = discrete_objective(config, x, _midpoints(u))
     return OCPSolution(
-        x=x, lam=lam, u=u, objective=obj, residual=residual, ordering=ordering
+        x=x,
+        lam=lam,
+        u=u,
+        objective=obj,
+        residual=residual,
+        ordering=ordering,
+        refine_steps=steps,
+        factor_bytes=factor_bytes,
     )
 
 

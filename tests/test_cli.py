@@ -1,7 +1,9 @@
 import json
 import math
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -799,7 +801,7 @@ def test_memory_caps_the_sweep_pool(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Pool)
     plan = plan_from_config(sweep_config("domain-sweep", tmp_path / "free"))
-    need = sorted((cli_mod._solve_bytes(cli_mod._unknowns(plan.realize(L=L))) for L in plan.l_values), reverse=True)
+    need = sorted((cli_mod._solve_bytes(plan.realize(L=L)) for L in plan.l_values), reverse=True)
     assert need[0] > need[1] > need[2]
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: None)
     assert run_experiment(plan, workers=3) == 0
@@ -831,7 +833,7 @@ def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, c
     import hyplq.cli as cli_mod
 
     plan = plan_from_config(sweep_config(kind, tmp_path))
-    largest = max(cli_mod._solve_bytes(cli_mod._unknowns(c)) for c in cli_mod._members(plan))
+    largest = max(cli_mod._solve_bytes(c) for c in cli_mod._members(plan))
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.floor(largest) - 1)
 
     def refuse(cfg):
@@ -850,14 +852,25 @@ def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, c
     assert not out.exists()
 
 
-def test_solve_estimate_passes_through_its_calibration_points():
+def test_solve_estimate_scales_the_float64_front_count():
     import hyplq.cli as cli_mod
+    import hyplq.ocp as ocp_mod
 
-    for unknowns, peak in cli_mod._SOLVE_PEAKS:
-        assert cli_mod._solve_bytes(unknowns) == pytest.approx(peak, rel=1e-12)
+    def member(L, nodes_per_unit, steps):
+        cfg = small_config(grid={"L": L, "nodes_per_unit": nodes_per_unit}, time={"T": 5.0, "steps": steps})
+        return plan_from_config(cfg).realize(L=L)
+
+    # the tree counts exactly what a float64 factor keeps, and the estimate
+    # scales the peak of that count, which holds the kept factor too
+    cfg = member(1.0, 32, 24)
+    tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
+    K, _ = ocp_mod.assemble_kkt(cfg)
+    assert ocp_mod._FrontFactor(K, tree, np.float64).nbytes == 8 * tree.entries()
+    assert tree.peak_entries() > tree.entries()
+    assert cli_mod._solve_bytes(cfg) == cli_mod._SOLVE_SCALE * 8 * tree.peak_entries()
     # the sweep-pool benchmark's two largest members (L = 2.5 and 2 at 128
     # nodes per unit, 100 steps) run together well inside a small machine
-    assert cli_mod._solve_bytes(2 * 320 * 101) + cli_mod._solve_bytes(2 * 256 * 101) < 256 * 2**20
+    assert cli_mod._solve_bytes(member(2.5, 128, 100)) + cli_mod._solve_bytes(member(2.0, 128, 100)) < 256 * 2**20
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -952,6 +965,15 @@ def test_check_domain_plan_without_layout_uses_plan_default(tmp_path, capsys):
     assert printed == (
         f"stabilizable: yes (k={verdict['k']:.6g}, K={verdict['K']:.6g}, M={verdict['M']:.6g})"
     )
+
+
+def test_check_domain_simulate_config_without_layout_uses_simulate_default(tmp_path, capsys):
+    # simulate runs a config without control_domain on no control at all,
+    # so check-domain must judge that layout, not the plan default
+    sim_file = tmp_path / "sim.json"
+    sim_file.write_text(json.dumps({"equation": "transport", "grid": {"L": 2.0}}))
+    assert main(["check-domain", "--config", str(sim_file)]) == 1
+    assert capsys.readouterr().out.strip().startswith("stabilizable: no (")
 
 
 def test_check_domain_zero_drift_layout(capsys):
@@ -1376,6 +1398,35 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, command, cfg
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == 3
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_simulate_killed_mid_write_leaves_only_whole_artifacts(tmp_path):
+    # a wave run writes two 1281-level tables; SIGKILL it as soon as its
+    # first temp file appears
+    cfg = tmp_path / "wave.json"
+    cfg.write_text(json.dumps({"equation": "wave", "grid": {"L": 2.0, "nodes_per_unit": 128}}))
+    out = tmp_path / "run"
+    argv = [sys.executable, "-m", "hyplq", "simulate", "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120.0
+    try:
+        while not (out.is_dir() and any(out.glob(".*.tmp"))):
+            assert proc.poll() is None, "simulate ended before its first temp file was seen"
+            assert time.monotonic() < deadline, "no temp file within two minutes"
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    for p in out.iterdir():
+        if p.name.startswith("."):
+            assert p.name.endswith(".tmp")
+        else:
+            grid, tgrid, field = read_field_csv(p)
+            assert (grid.N, tgrid.M) == (256, 1280)
+            assert field.shape == (1281, 256) and np.all(np.isfinite(field))
 
 
 def test_module_entry_point_smoke():

@@ -234,10 +234,11 @@ PERIODIC = IntervalUnion(tail=(0.5, ((0.0, 0.1),)))
 def _float32_rung(cfg):
     """The float32 rung alone meets the gate and matches COLAMD's solution."""
     K, rhs = assemble_kkt(cfg, None)
-    p = ocp_mod._nested_dissection_order(cfg.grid.N, cfg.tgrid.M)
-    lu = ocp_mod._factor_pivot_free(K, p, np.float32)
-    z = ocp_mod._refine(K, rhs, p, lu, np.float32)
-    assert z is not None
+    tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
+    factor = ocp_mod._factor_fronts(K, tree, np.float32)
+    solved = ocp_mod._refine(K, rhs, factor, np.float32)
+    assert solved is not None
+    z = solved[0]
     assert ocp_mod._defect(K, z, rhs) <= 1e-10
     assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
 
@@ -285,32 +286,91 @@ def test_float32_rung_at_high_cfl(alpha, steps, layout, observed):
     assert sol.residual <= 1e-10
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("observed", [None, PERIODIC], ids=["observe-all", "observe-periodic"])
+def test_float32_rung_without_control(steps, observed):
+    # constant c = 2 and an empty control layout
+    L, N = 2.0, 96
+    grid = Grid1D(L, N)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(1.0, steps),
+        velocity=VelocityField.constant(2.0),
+        alpha=0.5,
+        control_domain=IntervalUnion(),
+        observation_domain=observed,
+        x0=bump_initial(0.8, 0.6, grid),
+    )
+    _float32_rung(cfg)
+
+
+@given(
+    N=st.integers(min_value=4, max_value=48),
+    M=st.integers(min_value=1, max_value=30),
+    alpha=st.sampled_from([0.01, 0.3, 10.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_front_factor_matches_colamd_on_small_grids(N, M, alpha):
+    _float32_rung(make_config(N=N, M=M, alpha=alpha, c=2.0, control=((0.1, 0.45),)))
+
+
 @given(
     N=st.integers(min_value=4, max_value=70),
     M=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=60, deadline=None)
 def test_nested_dissection_order_is_bijection(N, M):
-    p = ocp_mod._nested_dissection_order(N, M)
+    # every grid point is eliminated at exactly one front, and the
+    # perimeter points of a front are eliminated higher up the tree
+    tree = ocp_mod._DissectionTree(N, M)
     half = N * (M + 1)
-    assert np.array_equal(np.sort(p), np.arange(2 * half))
-    # x and lam of one grid point are neighbours in the order
-    assert np.all(p[1::2] - p[0::2] == half)
+    depth_of = np.full(half, -1)
+    for g in tree.groups:
+        depth_of[g.points(N)[:, : g.ns]] = g.depth
+    eliminated = np.concatenate([g.points(N)[:, : g.ns].ravel() for g in tree.groups])
+    assert np.array_equal(np.sort(eliminated), np.arange(half))
+    for g in tree.groups:
+        rim = g.points(N)[:, g.ns :]
+        assert np.all(depth_of[rim] < g.depth)
+        # the perimeter holds every later-eliminated neighbour of the points
+        # eliminated here
+        for pts in g.points(N)[:3]:
+            k, i = np.divmod(pts[: g.ns], N)
+            near = {
+                (kk * N + (ii % N))
+                for kk0, ii0 in zip(k, i)
+                for kk in (kk0 - 1, kk0, kk0 + 1)
+                for ii in (ii0 - 1, ii0, ii0 + 1)
+                if 0 <= kk <= M and depth_of[kk * N + ii % N] < g.depth
+            }
+            assert near <= set(pts[g.ns :].tolist())
 
 
 def test_refinement_rescues_inexact_factor(monkeypatch):
     # a factor of a slightly scaled matrix misses the gate on the first
     # solve; refinement brings it back under
-    exact = ocp_mod._factor_pivot_free
+    exact = ocp_mod._factor_fronts
     monkeypatch.setattr(
         ocp_mod,
-        "_factor_pivot_free",
-        lambda K, p, dtype: exact(K * (1 + 1e-6), p, dtype),
+        "_factor_fronts",
+        lambda K, tree, dtype: exact(K * (1 + 1e-6), tree, dtype),
     )
     cfg = make_config(N=32, M=16, alpha=0.3)
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection"
     assert sol.residual <= 1e-10
+
+
+def test_solve_reports_refinement_steps_and_factor_bytes():
+    cfg = make_config(N=32, M=16, alpha=0.3)
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection"
+    assert 1 <= sol.refine_steps <= 8
+    # the float32 factor keeps 4 bytes per entry the dissection tree counts
+    assert sol.factor_bytes == 4 * ocp_mod._DissectionTree(32, 16).entries()
+    # the fields are optional, so solutions made elsewhere need not name them
+    bare = OCPSolution(x=sol.x, lam=sol.lam, u=sol.u, objective=0.0, residual=0.0, ordering="colamd")
+    assert bare.refine_steps == 0 and bare.factor_bytes == 0
 
 
 class _ConstantFactor:
@@ -321,23 +381,23 @@ class _ConstantFactor:
         return np.full_like(rhs, self.value)
 
 
-def _singular(K, p, dtype):
-    raise RuntimeError("Factor is exactly singular")
+def _singular(K, tree, dtype):
+    raise np.linalg.LinAlgError("singular pivot block")
 
 
 @pytest.mark.parametrize(
     "fake",
     [
         _singular,
-        lambda K, p, dtype: _ConstantFactor(0.0),
-        lambda K, p, dtype: _ConstantFactor(np.nan),
+        lambda K, tree, dtype: _ConstantFactor(0.0),
+        lambda K, tree, dtype: _ConstantFactor(np.nan),
     ],
     ids=["raises", "wrong", "nan"],
 )
 def test_colamd_fallback(monkeypatch, fake):
     cfg = make_config(N=32, M=16, alpha=0.3)
     want = solve_ocp(cfg)
-    monkeypatch.setattr(ocp_mod, "_factor_pivot_free", fake)
+    monkeypatch.setattr(ocp_mod, "_factor_fronts", fake)
     sol = solve_ocp(cfg)
     assert sol.ordering == "colamd"
     assert sol.residual <= 1e-10
@@ -378,21 +438,21 @@ class _Damped:
     ids=["float32", "stalled", "slow", "both-fail"],
 )
 def test_precision_ladder(monkeypatch, gains, want, float32_steps):
-    exact = ocp_mod._factor_pivot_free
+    exact = ocp_mod._factor_fronts
     real_splu = ocp_mod.splu
     steps: dict = {}
     live_at_colamd = []
 
-    def fake(K, p, dtype):
+    def fake(K, tree, dtype):
         gain = gains[0] if dtype is np.float32 else gains[1]
-        return _Damped(exact(K, p, dtype), gain, steps)
+        return _Damped(exact(K, tree, dtype), gain, steps)
 
     def colamd(K, **options):
         if not options:  # the COLAMD fallback, not a pivot-free factor
             live_at_colamd.append(_Damped.live)
         return real_splu(K, **options)
 
-    monkeypatch.setattr(ocp_mod, "_factor_pivot_free", fake)
+    monkeypatch.setattr(ocp_mod, "_factor_fronts", fake)
     monkeypatch.setattr(ocp_mod, "splu", colamd)
     monkeypatch.setattr(_Damped, "most_live", 0)
     cfg = make_config(N=32, M=16, alpha=0.3)
@@ -411,7 +471,7 @@ def test_precision_ladder(monkeypatch, gains, want, float32_steps):
 @pytest.mark.skipif(ocp_mod._LIBC is None, reason="MXCSR is reached on x86-64 glibc only")
 def test_float32_factor_holds_no_subnormals():
     # an uncontrolled transport horizon: without the flush, the float32
-    # fill of this factor held 13,687 subnormal values
+    # fill of this factor held 3,965 subnormal values
     grid = Grid1D(1.0, 256)
     cfg = OCPConfig(
         grid=grid,
@@ -422,10 +482,10 @@ def test_float32_factor_holds_no_subnormals():
         x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
     )
     K, _ = assemble_kkt(cfg, None)
-    p = ocp_mod._nested_dissection_order(grid.N, cfg.tgrid.M)
-    lu = ocp_mod._factor_pivot_free(K, p, np.float32)
+    tree = ocp_mod._DissectionTree(grid.N, cfg.tgrid.M)
+    factor = ocp_mod._factor_fronts(K, tree, np.float32)
     tiny = np.finfo(np.float32).tiny
-    for part in (lu.L.data, lu.U.data):
+    for part in factor.arrays():
         assert not np.any((part != 0) & (np.abs(part) < tiny))
 
     # the flush holds inside the block only, and ends with an exception too
