@@ -252,6 +252,10 @@ _CHUNK = 1 << 20
 _BIG_PIVOT = 256
 
 
+# The 3x3 stencil offsets (dk, di), numbered o = 3 (dk + 1) + di + 1.
+_OFFSETS = np.array([(dk, di) for dk in (-1, 0, 1) for di in (-1, 0, 1)])
+
+
 def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
     """Local geometry of an nk x ni rectangle of the level-by-node grid.
 
@@ -416,33 +420,31 @@ class _DissectionTree:
         if key not in self._templates:
             ns, nb = g.ns, g.nb
             n2 = 2 * (ns + nb)
-            here = np.arange(ns)
-            box = g.local[:ns]
-            src, code, dest = [], [], []
+            # every 3x3 neighbour q of every eliminated point a, by offset o
+            box = g.local[:ns, None, :] + _OFFSETS
+            q = g.table[box[..., 0], box[..., 1] % g.table.shape[1]]
+            a, o = np.nonzero(q >= 0)
+            q = q[a, o]
+            tr, tc = np.divmod(np.arange(4), 2)
 
-            def unknown(a, t):
-                return np.where(a < ns, t * ns + a, 2 * ns + t * nb + (a - ns))
+            def unknown(p, t):
+                inside = (p < ns)[:, None]
+                return p[:, None] + np.where(inside, ns * t, ns + nb * t)
 
-            for dk in (-1, 0, 1):
-                for di in (-1, 0, 1):
-                    q = g.table[box[:, 0] + dk, (box[:, 1] + di) % g.table.shape[1]]
-                    a, q = here[q >= 0], q[q >= 0]
-                    out = q >= ns
-                    for tr in (0, 1):
-                        for tc in (0, 1):
-                            fwd = tr * 18 + ((dk + 1) * 3 + di + 1) * 2 + tc
-                            rev = tr * 18 + ((1 - dk) * 3 + 1 - di) * 2 + tc
-                            if used[fwd]:
-                                src.append(a)
-                                code.append(np.full(len(a), fwd))
-                                dest.append(unknown(a, tr) * n2 + unknown(q, tc))
-                            if used[rev]:
-                                src.append(q[out])
-                                code.append(np.full(int(out.sum()), rev))
-                                dest.append(unknown(q[out], tr) * n2 + unknown(a[out], tc))
-            self._templates[key] = tuple(
-                np.concatenate(v) if v else np.zeros(0, dtype=np.intp) for v in (src, code, dest)
+            # K[(a, tr), (q, tc)], and K[(q, tr), (a, tc)] when q lies outside
+            out = q >= ns
+            fwd = (tr * 18 + tc) + 2 * o[:, None]
+            rev = (tr * 18 + tc) + 2 * (8 - o[out])[:, None]
+            src = np.concatenate([np.repeat(a, 4), np.repeat(q[out], 4)])
+            code = np.concatenate([fwd.ravel(), rev.ravel()])
+            dest = np.concatenate(
+                [
+                    (unknown(a, tr) * n2 + unknown(q, tc)).ravel(),
+                    (unknown(q[out], tr) * n2 + unknown(a[out], tc)).ravel(),
+                ]
             )
+            keep = used[code]
+            self._templates[key] = (src[keep], code[keep], dest[keep])
         return self._templates[key]
 
 
@@ -451,12 +453,18 @@ def _stencil(K: sparse.csc_matrix, N: int, half: int, dtype) -> np.ndarray:
     row, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1 for lam),
     the 3x3 offset o of the column's grid point and its type tc."""
     coo = K.tocoo()
-    tr, pr = np.divmod(coo.row, half)
-    tc, pc = np.divmod(coo.col, half)
-    dk = pc // N - pr // N
-    di = (pc % N - pr % N + 1) % N - 1
+
+    def split(index, n):  # divmod by n; numpy's // is much faster than %
+        q = index // n
+        return q, index - q * n
+
+    tr, pr = split(coo.row, half)
+    tc, pc = split(coo.col, half)
+    kr, ir = split(pr, N)
+    kc, ic = split(pc, N)
+    o = 3 * (kc - kr + 1) + split(ic - ir + 1, N)[1]
     kst = np.zeros((half, 36), dtype=dtype)
-    kst[pr, tr * 18 + ((dk + 1) * 3 + di + 1) * 2 + tc] = coo.data
+    kst[pr, 18 * tr + 2 * o + tc] = coo.data
     return kst
 
 
@@ -504,6 +512,7 @@ class _FrontFactor:
         used = kst.any(axis=0)
         self.chunks: list = []
         updates: dict = {}
+        scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
         for g in reversed(tree.groups):
             for done in [c for c in updates if c.depth > g.depth + 1]:
                 del updates[done]
@@ -516,7 +525,10 @@ class _FrontFactor:
             for lo in range(0, g.count, per):
                 hi = min(g.count, lo + per)
                 m = hi - lo
-                F = np.zeros((m, n2, n2), dtype=dtype)
+                if scratch.size < m * n2 * n2:
+                    scratch = np.empty(m * n2 * n2, dtype=dtype)
+                F = scratch[: m * n2 * n2].reshape(m, n2, n2)
+                F.fill(0)
                 F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, src], code]
                 for child, first, runs in g.children:
                     U = updates[child][first + lo : first + hi]
