@@ -235,7 +235,7 @@ def assemble_kkt(
     return K, rhs
 
 
-# Relative defect a pivot-free solve must reach to be accepted.
+# Relative defect a solve with a front factor must reach to be accepted.
 _DEFECT_GATE = 1e-10
 
 # Refinement steps (triangular solves) allowed to one factor.
@@ -263,9 +263,12 @@ def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
     level and one node before it; top/bottom say that the rectangle touches
     level 0/M, so that no perimeter row lies beyond it.  Returns the points
     eliminated at its front (every point of a leaf, else the grid line that
-    bisects the longer side), its perimeter clockwise from the top-left
-    corner, and the two halves as (nk, ni, top, bottom) shapes with the shift
-    of their boxes.
+    bisects the longer side), its perimeter and the two halves as (nk, ni,
+    top, bottom) shapes with the shift of their boxes.  Every line of points
+    runs in increasing level or node: the perimeter is the row above, the
+    row below, then the left and the right column with their corners.  A
+    half's perimeter then falls on its parent's front in a few runs of
+    consecutive positions, so its update is added by a few slices.
     """
     if nk * ni <= _ND_LEAF or max(nk, ni) < 3:
         sep = [(r, c) for r in range(1, nk + 1) for c in range(1, ni + 1)]
@@ -278,25 +281,20 @@ def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
         h = ni // 2
         sep = [(r, h + 1) for r in range(1, nk + 1)]
         halves = [((nk, h, top, bottom), 0, 0), ((nk, ni - h - 1, top, bottom), 0, h + 1)]
-    rim = [] if top else [(0, c) for c in range(ni + 2)]
-    rim += [(r, ni + 1) for r in range(1, nk + 1)]
+    rim = [] if top else [(0, c) for c in range(1, ni + 1)]
     if not bottom:
-        rim += [(nk + 1, c) for c in range(ni + 1, -1, -1)]
-    rim += [(r, 0) for r in range(nk, 0, -1)]
+        rim += [(nk + 1, c) for c in range(1, ni + 1)]
+    rows = range(1 if top else 0, nk + 1 if bottom else nk + 2)
+    rim += [(r, 0) for r in rows] + [(r, ni + 1) for r in rows]
     return sep, rim, halves
 
 
-def _runs(pos: np.ndarray, ns: int) -> list:
+def _runs(pos: np.ndarray) -> list:
     """Cut the parent-front positions of a child's perimeter into maximal
-    runs of step +1 or -1 that stay in one part of the parent (separator or
-    perimeter): (child start, parent start, length, step) each."""
-    part = pos >= ns
-    cut = np.flatnonzero((np.abs(np.diff(pos)) != 1) | (part[1:] != part[:-1])) + 1
+    runs of consecutive positions: (child start, parent start, length)."""
+    cut = np.flatnonzero(np.diff(pos) != 1) + 1
     bounds = [0, *cut.tolist(), len(pos)]
-    return [
-        (a, int(pos[a]), b - a, int(pos[a + 1] - pos[a]) if b - a > 1 else 1)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return [(a, int(pos[a]), b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(eq=False)
@@ -305,11 +303,11 @@ class _Fronts:
 
     Every member has the same local points, translated (periodically in the
     node index): ns eliminated points, then nb perimeter points.  Its local
-    unknowns run x then lam over the eliminated points, x then lam over the
-    perimeter.  `table` maps each cell of the shared box to its local point
-    (-1 outside the front); `origin` holds each member's box origin (level,
-    node); `children` lists (child group, its first member, runs) per
-    child, whose members follow this group's members in order.
+    unknowns are x and lam of each local point in turn.  `table` maps each
+    cell of the shared box to its local point (-1 outside the front);
+    `origin` holds each member's box origin (level, node); `children` lists
+    (child group, its first member, runs) per child, whose members follow
+    this group's members in order.
     """
 
     depth: int
@@ -372,7 +370,7 @@ class _DissectionTree:
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
                     pos = p.table[cell[:, 0], cell[:, 1] % p.table.shape[1]]
-                    p.children.append((g, first, _runs(pos, p.ns)))
+                    p.children.append((g, first, _runs(pos)))
                     first += p.count
                 self.groups.append(g)
                 frontier.append((g, parts))
@@ -425,13 +423,9 @@ class _DissectionTree:
             q = g.table[box[..., 0], box[..., 1] % g.table.shape[1]]
             a, o = np.nonzero(q >= 0)
             q = q[a, o]
-            tr, tc = np.divmod(np.arange(4), 2)
-
-            def unknown(p, t):
-                inside = (p < ns)[:, None]
-                return p[:, None] + np.where(inside, ns * t, ns + nb * t)
-
-            # K[(a, tr), (q, tc)], and K[(q, tr), (a, tc)] when q lies outside
+            tr, tc = np.divmod(np.arange(4), 2)  # the four (row, column) types
+            # K[(a, tr), (q, tc)], and K[(q, tr), (a, tc)] when q lies outside;
+            # local unknown 2p + t is x (t = 0) or lam (t = 1) of local point p
             out = q >= ns
             fwd = (tr * 18 + tc) + 2 * o[:, None]
             rev = (tr * 18 + tc) + 2 * (8 - o[out])[:, None]
@@ -439,8 +433,8 @@ class _DissectionTree:
             code = np.concatenate([fwd.ravel(), rev.ravel()])
             dest = np.concatenate(
                 [
-                    (unknown(a, tr) * n2 + unknown(q, tc)).ravel(),
-                    (unknown(q[out], tr) * n2 + unknown(a[out], tc)).ravel(),
+                    ((2 * a[:, None] + tr) * n2 + 2 * q[:, None] + tc).ravel(),
+                    ((2 * q[out, None] + tr) * n2 + 2 * a[out, None] + tc).ravel(),
                 ]
             )
             keep = used[code]
@@ -487,17 +481,13 @@ def _inverse(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slice(start: int, length: int, step: int) -> slice:
-    stop = start + step * length
-    return slice(start, stop if stop >= 0 else None, step)
-
-
 class _FrontFactor:
     """Multifrontal LU of K on the dissection tree, held in `dtype`.
 
     Every front is assembled from K's entries and its children's update
-    matrices; its pivot block S is inverted with partial pivoting inside
-    the block, and the update F_BB - F_BS F_SS^-1 F_SB goes to its parent
+    matrices; the pivot block F_SS of the unknowns it eliminates is inverted
+    with partial pivoting inside the block, and the update
+    F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
     (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
     about _CHUNK entries, stacked as (members, 2n, 2n); the children's
     updates are added by slices, one call per pair of runs for all members
@@ -532,13 +522,11 @@ class _FrontFactor:
                 F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, src], code]
                 for child, first, runs in g.children:
                     U = updates[child][first + lo : first + hi]
-                    U = U.reshape(m, 2, child.nb, 2, child.nb)
-                    for ur, vr, lr, sr in runs:
-                        for uc, vc, lc, sc in runs:
-                            F_part = self._part(F, vr >= ns, vc >= ns, ns, nb)
-                            rows = _slice(vr - ns * (vr >= ns), lr, sr)
-                            cols = _slice(vc - ns * (vc >= ns), lc, sc)
-                            F_part[:, :, rows, :, cols] += U[:, :, ur : ur + lr, :, uc : uc + lc]
+                    for ur, vr, lr in runs:
+                        for uc, vc, lc in runs:
+                            F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
+                                :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
+                            ]
                 W = _inverse(F[:, :s, :s])
                 Y = W @ F[:, :s, s:]
                 # BLAS worker threads do not share this thread's subnormal
@@ -556,23 +544,12 @@ class _FrontFactor:
         """The arrays this factor keeps: W, Y and X of every chunk."""
         return (a for chunk in self.chunks for a in chunk[2:])
 
-    @staticmethod
-    def _part(F, rows_out: bool, cols_out: bool, ns: int, nb: int) -> np.ndarray:
-        """Separator or perimeter rows by separator or perimeter columns of
-        the stacked fronts F, as (member, type, point, type, point)."""
-        s = 2 * ns
-        rows = slice(s, None) if rows_out else slice(0, s)
-        cols = slice(s, None) if cols_out else slice(0, s)
-        nr = nb if rows_out else ns
-        nc = nb if cols_out else ns
-        return F[:, rows, cols].reshape(len(F), 2, nr, 2, nc)
-
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K^-1 r in this factor's dtype, r given in K's unknown order."""
         z = np.array(r, dtype=self.dtype)
 
         def unknowns(p):
-            return np.concatenate([p, p + self.half], axis=1)
+            return (p[..., None] + np.array([0, self.half])).reshape(len(p), -1)
 
         # forward, up the tree: y_S = W r_S, then r_B -= X y_S
         for points, ns, W, Y, X in self.chunks:
