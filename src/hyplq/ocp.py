@@ -528,7 +528,11 @@ class _FrontFactor:
                                 :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
                             ]
                 W = _inverse(F[:, :s, :s])
+                # one refinement step gives Y = F_SS^-1 F_SB the accuracy of
+                # a solve with the block's LU; W alone loses it on
+                # ill-conditioned blocks, and that error grows up the tree
                 Y = W @ F[:, :s, s:]
+                Y += W @ (F[:, :s, s:] - F[:, :s, :s] @ Y)
                 # BLAS worker threads do not share this thread's subnormal
                 # flush; a pass through a ufunc here zeroes what they left
                 np.multiply(W, 1, out=W)

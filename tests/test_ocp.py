@@ -471,7 +471,7 @@ def test_precision_ladder(monkeypatch, gains, want, float32_steps):
 @pytest.mark.skipif(ocp_mod._LIBC is None, reason="MXCSR is reached on x86-64 glibc only")
 def test_float32_factor_holds_no_subnormals():
     # an uncontrolled transport horizon: without the flush, the float32
-    # fill of this factor held 3,965 subnormal values
+    # fill of this factor held 25,260 subnormal values
     grid = Grid1D(1.0, 256)
     cfg = OCPConfig(
         grid=grid,
