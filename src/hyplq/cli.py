@@ -704,12 +704,13 @@ def _unknowns(cfg: OCPConfig) -> int:
 
 
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
-# float64 entries factor_entries counts: the largest ratio measured on the
-# float64 rung (a float32 factor that missed its gate, then the float64 one)
-# at the calibration points of BENCH_14.json from 64,640 unknowns up.  A
-# solve that stays on the float32 rung peaks lower, but any solve can fall
-# back, so the gate keeps the higher peak.  Smaller solves peak up to 9%
-# above the estimate, at most 107 MiB.
+# float64 entries factor_entries counts, measured on the float64 rung (a
+# float32 factor that missed its gate, then the float64 one): the largest
+# ratio from 64,640 unknowns up in BENCH_14.json is 1.385, and repeated
+# runs of one size spread by about 3%.  A solve that stays on the float32
+# rung peaks lower, but any solve can fall back, so the gate keeps the
+# higher peak.  Smaller solves peaked up to 12% above the estimate, at most
+# 110 MiB.
 _SOLVE_SCALE = 1.42
 
 
