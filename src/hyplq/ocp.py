@@ -689,9 +689,9 @@ def _solve_linear(
     ):
         try:
             factor = _factor_fronts(K, tree, dtype)
-        except (RuntimeError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             continue
-        nbytes = getattr(factor, "nbytes", 0)
+        nbytes = factor.nbytes
         solved = _refine(K, rhs, factor, dtype)
         del factor  # free this factor before the next one is made
         if solved is not None:

@@ -374,6 +374,8 @@ def test_solve_reports_refinement_steps_and_factor_bytes():
 
 
 class _ConstantFactor:
+    nbytes = 0
+
     def __init__(self, value):
         self.value = value
 
@@ -414,6 +416,7 @@ class _Damped:
 
     def __init__(self, lu, gain, steps):
         self.lu, self.gain, self.steps = lu, gain, steps
+        self.nbytes = lu.nbytes
         _Damped.live += 1
         _Damped.most_live = max(_Damped.most_live, _Damped.live)
 
