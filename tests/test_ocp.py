@@ -451,7 +451,7 @@ def test_precision_ladder(monkeypatch, gains, want, float32_steps):
         return _Damped(exact(K, tree, dtype), gain, steps)
 
     def colamd(K, **options):
-        if not options:  # the COLAMD fallback, not a pivot-free factor
+        if not options:  # splu with default options is the COLAMD fallback
             live_at_colamd.append(_Damped.live)
         return real_splu(K, **options)
 
