@@ -471,7 +471,7 @@ def _inverse(A: np.ndarray) -> np.ndarray:
     lwork = int(getri_lwork(A.shape[-1])[0])
     out = np.empty_like(A)
     for a, w in zip(A, out):
-        # a.T is a Fortran-ordered view, so LAPACK inverts it in place of a copy
+        # LAPACK reads a.T in a's memory order and returns inv(a.T) = inv(a).T
         lu, piv, info = getrf(a.T)
         if info == 0:
             inv, info = getri(lu, piv, lwork=lwork, overwrite_lu=True)
