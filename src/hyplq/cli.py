@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import fit_decay_rate, localization_certificate, time_sliced_l2, weighted_spacetime_norms
 from .characteristics import NumericError, VelocityField
-from .domain_check import certify_rates, check_condition_ii, guaranteed_decay
+from .domain_check import Verdict, certify_rates, check_condition_ii, guaranteed_decay
 from .geometry import (
     ExpWeight,
     Grid1D,
@@ -650,20 +650,14 @@ class _Emitter:
         self.created.append(p)
         return p
 
-    def table(self, name, header, columns, metadata) -> Path:
-        p = self.path(name)
-        write_table(p, header, columns, metadata)
-        return p
+    def table(self, name, header, columns, metadata) -> None:
+        write_table(self.path(name), header, columns, metadata)
 
-    def field(self, name, field, grid, tgrid, metadata) -> Path:
-        p = self.path(name)
-        write_field_csv(p, field, grid, tgrid, metadata)
-        return p
+    def field(self, name, field, grid, tgrid, metadata) -> None:
+        write_field_csv(self.path(name), field, grid, tgrid, metadata)
 
-    def json_file(self, name, payload: dict) -> Path:
-        p = self.path(name)
-        _write_atomic(p, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-        return p
+    def json_file(self, name, payload: dict) -> None:
+        _write_atomic(self.path(name), [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _solve_gate(cfg: OCPConfig, tol: float):
@@ -790,12 +784,13 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _verdict(dom: IntervalUnion):
-    """(certificate, None) for a certified layout, else (None, reason)."""
+def _verdict(dom: IntervalUnion) -> Verdict:
+    """The layout's certificate; without one, the first interval is offset
+    or the measure is finite, which any constants report."""
     cert = certify_rates(dom)
     if cert is not None:
-        return cert, None
-    return None, check_condition_ii(dom, 1.0, 2.0).reason or "no-certificate-found"
+        return Verdict(True, cert, None)
+    return check_condition_ii(dom, 1.0, 2.0)
 
 
 def _exp_space_time_field(plan, em, members, sols) -> int:
@@ -836,8 +831,7 @@ def _exp_sliced_norms(plan, em, members, sols) -> int:
     # fit first: a profile below the floor fails before any file exists
     fit = fit_decay_rate(prof, _initial_center(plan), floor=1e-8)
     em.field("x.csv", sol.x, cfg.grid, cfg.tgrid, meta)
-    table_meta = dict(meta)
-    table_meta.update({"L": cfg.grid.L, "N": cfg.grid.N, "T": cfg.tgrid.T, "M": cfg.tgrid.M})
+    table_meta = {**meta, "L": cfg.grid.L, "N": cfg.grid.N, "T": cfg.tgrid.T, "M": cfg.tgrid.M}
     em.table("profile.csv", ["w", "value"], [cfg.grid.nodes, prof.values], table_meta)
     em.json_file("fit.json", _fit_payload(fit))
     if plan.plot:
@@ -876,21 +870,12 @@ def _exp_domain_sweep(plan, em, members, sols) -> int:
         meta.update({"bounded": cert.bounded, "trend": cert.trend, "sup": cert.sup})
     else:
         meta["bounded"] = "insufficient-family"
-    em.table(
-        "reports.csv",
-        ["L", "l2l2", "cl2", "two_and_inf", "one_or_two"],
-        [
-            np.array(sizes),
-            np.array([r.l2l2 for r in reports]),
-            np.array([r.cl2 for r in reports]),
-            np.array([r.two_and_inf for r in reports]),
-            np.array([r.one_or_two for r in reports]),
-        ],
-        meta,
-    )
+    norms = np.array([(r.l2l2, r.cl2, r.two_and_inf, r.one_or_two) for r in reports]).T
+    header = ["L", "l2l2", "cl2", "two_and_inf", "one_or_two"]
+    em.table("reports.csv", header, [np.array(sizes), *norms], meta)
     if plan.plot:
         emit_plot(
-            [("two_and_inf", np.array(sizes), np.array([r.two_and_inf for r in reports]))],
+            [("two_and_inf", np.array(sizes), norms[2])],
             "line",
             em.path("reports.svg"),
             xlabel="L",
@@ -901,29 +886,22 @@ def _exp_domain_sweep(plan, em, members, sols) -> int:
 
 
 def _exp_alpha_sweep(plan, em, members, sols) -> int:
-    alphas = plan.alpha_values
-    rows = [
-        (sol.objective, GridFunction(cfg.grid, sol.x[-1]).l2_norm(), float(np.max(np.abs(sol.u))))
-        for cfg, sol in zip(members, sols)
-    ]
-
+    alphas = np.array(plan.alpha_values)
+    objective, final_norm, peak = np.array(
+        [
+            (sol.objective, GridFunction(cfg.grid, sol.x[-1]).l2_norm(), float(np.max(np.abs(sol.u))))
+            for cfg, sol in zip(members, sols)
+        ]
+    ).T
     em.table(
         "alphas.csv",
         ["alpha", "objective", "final_state_norm", "peak_control"],
-        [
-            np.array(alphas),
-            np.array([r[0] for r in rows]),
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]),
-        ],
+        [alphas, objective, final_norm, peak],
         {"experiment": plan.experiment, "T": plan.T, "L": plan.L},
     )
     if plan.plot:
         emit_plot(
-            [
-                ("final_state_norm", np.array(alphas), np.array([r[1] for r in rows])),
-                ("peak_control", np.array(alphas), np.array([r[2] for r in rows])),
-            ],
+            [("final_state_norm", alphas, final_norm), ("peak_control", alphas, peak)],
             "line",
             em.path("alphas.svg"),
             xlabel="alpha",
@@ -935,31 +913,23 @@ def _exp_alpha_sweep(plan, em, members, sols) -> int:
 
 def _exp_stabilizability_demo(plan, em, members, sols) -> int:
     dom = plan.control_domain
-    cert, reason = _verdict(dom)
+    verdict = _verdict(dom)
+    report = {"stabilizable": verdict.stabilizable, "reason": verdict.reason, "domain": domain_to_config(dom)}
+    cert = verdict.certificate
     if cert is not None:
         c_ref = _velocity_field(plan.velocity, plan.L).c_min
         overshoot, rate = guaranteed_decay(dom, plan.feedback_gain, c_ref)
-        em.json_file(
-            "verdict.json",
-            {
-                "stabilizable": True,
-                "reason": None,
-                "k": cert.k,
-                "K": cert.K,
-                "M": cert.M,
-                "feedback_gain": plan.feedback_gain,
-                "reference_velocity": c_ref,
-                "decay_rate": rate,
-                "decay_overshoot": overshoot,
-                "domain": domain_to_config(dom),
-            },
+        report.update(
+            k=cert.k,
+            K=cert.K,
+            M=cert.M,
+            feedback_gain=plan.feedback_gain,
+            reference_velocity=c_ref,
+            decay_rate=rate,
+            decay_overshoot=overshoot,
         )
-        return 0
-    em.json_file(
-        "verdict.json",
-        {"stabilizable": False, "reason": reason, "domain": domain_to_config(dom)},
-    )
-    return 1
+    em.json_file("verdict.json", report)
+    return 0 if verdict.stabilizable else 1
 
 
 _EXPERIMENTS = {
@@ -1089,9 +1059,10 @@ def _plan_of(args, forced_experiment: Optional[str] = None) -> ExperimentPlan:
         raise ConfigError(f"bad plan config: {exc}") from exc
 
 
-def _print_verdict(cert, reason) -> int:
+def _print_verdict(verdict: Verdict) -> int:
+    cert = verdict.certificate
     if cert is None:
-        print(f"stabilizable: no ({reason})")
+        print(f"stabilizable: no ({verdict.reason})")
         return 1
     print(f"stabilizable: yes (k={cert.k:.6g}, K={cert.K:.6g}, M={cert.M:.6g})")
     return 0
@@ -1119,12 +1090,12 @@ def _cmd_check_domain(args) -> int:
     if (args.k is None) != (args.K is None):
         raise ConfigError("pass both --k and --K or neither")
     if args.k is None:
-        return _print_verdict(*_verdict(dom))
+        return _print_verdict(_verdict(dom))
     try:
         verdict = check_condition_ii(dom, args.k, args.K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _print_verdict(verdict.certificate, verdict.reason)
+    return _print_verdict(verdict)
 
 
 def _cmd_simulate(args) -> int:
@@ -1200,6 +1171,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyplq",
@@ -1221,18 +1206,18 @@ def _build_parser() -> argparse.ArgumentParser:
     so = sub.add_parser("solve-ocp", help="solve one optimal control problem")
     so.add_argument("--config", required=True)
     so.add_argument("--out", help="output directory")
-    so.add_argument("--tol", type=float, default=1e-8, help="residual acceptance gate")
+    so.add_argument("--tol", type=_positive_finite, default=1e-8, help="residual acceptance gate")
 
     sw = sub.add_parser("sweep", help="run the experiment plan in a config file")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--workers", type=_positive_int, default=1)
-    sw.add_argument("--tol", type=float, default=1e-8)
+    sw.add_argument("--tol", type=_positive_finite, default=1e-8)
 
     df = sub.add_parser("decay-fit", help="fit an exponential profile from a CSV")
     df.add_argument("--in", dest="infile", required=True)
-    df.add_argument("--center", type=float, required=True)
-    df.add_argument("--floor", type=float, default=1e-8)
+    df.add_argument("--center", type=_finite, required=True)
+    df.add_argument("--floor", type=_positive_finite, default=1e-8)
     df.add_argument("--out", help="write the JSON report here as well")
 
     pl = sub.add_parser("plot", help="render a CSV table to SVG")

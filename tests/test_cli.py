@@ -921,14 +921,14 @@ def test_check_domain_config_file(tmp_path, capsys):
         ({"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]]}}, None),
         ({"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "start": 0.3}}, "first-interval-offset"),
         ({"finite": [[0.0, 0.2], [1.0, 1.2]]}, "finite-measure"),
-        # one interval, then a long gap before the tail: no (k, K) certifies
-        # it, and at k = 1, K = 2 the tail density 0.2 < k / K
+        # one interval, then a gap of 199.8 before the tail: small enough
+        # constants (k = 0.005, K = 0.0334) certify it
         (
             {"periodic": {"period": 1.0, "pattern": [[0.0, 0.2]], "prefix": [[0.0, 0.2]], "start": 200.0}},
-            "density-deficit",
+            None,
         ),
     ],
-    ids=["certified", "offset-start", "finite-prefix", "density-deficit"],
+    ids=["certified", "offset-start", "finite-prefix", "long-gap-prefix"],
 )
 def test_check_domain_agrees_with_stabilizability_demo(tmp_path, capsys, layout, reason):
     dom_file = tmp_path / "dom.json"
@@ -981,6 +981,49 @@ def test_check_domain_zero_drift_layout(capsys):
     domain = "periodic: {period: 1, pattern: [[0, 0.05]]}"
     assert main(["check-domain", "--domain", domain, "--k", "1", "--K", "20"]) == 0
     assert "stabilizable: yes" in capsys.readouterr().out
+
+
+def test_check_domain_density_deficit_with_explicit_constants(capsys):
+    # k * period = 2 exceeds K * pattern measure = 1: only explicit constants
+    # can ask for more than the layout's density
+    assert main(["check-domain", "--domain", EQUIDISTANT, "--k", "2", "--K", "5"]) == 1
+    assert capsys.readouterr().out.strip() == "stabilizable: no (density-deficit)"
+
+
+def test_check_domain_long_gap_layout_certifies(capsys):
+    # K = 1/8 scaled down by the worst pair value (about 18.7, the gap
+    # before the tail) certifies it
+    domain = "periodic: {prefix: [[0, 0.1]], period: 1, pattern: [[0, 0.2]], start: 1000}"
+    assert main(["check-domain", "--domain", domain]) == 0
+    assert capsys.readouterr().out.strip() == "stabilizable: yes (k=0.0010001, K=0.00666733, M=2.71828)"
+
+
+def test_check_domain_infinite_constant_is_config_error(capsys):
+    assert main(["check-domain", "--domain", EQUIDISTANT, "--k", "0.1", "--K", "inf"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K=inf" in captured.err
+
+
+def test_check_domain_overflowing_overshoot_exits_2(capsys):
+    # the 10000-long first interval makes M = exp(K * 10000) = exp(1250)
+    domain = "periodic: {prefix: [[0, 10000]], period: 1, pattern: [[0, 0.2]], start: 10000}"
+    assert main(["check-domain", "--domain", domain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overshoot constant M = exp(1250) overflows" in captured.err
+
+
+def test_stabilizability_demo_overflowing_decay_overshoot_exits_2(tmp_path, capsys):
+    # certified, but the tail start 3000 puts exp((0.9 / 2) * 3001) in the
+    # decay overshoot
+    layout = {"periodic": {"prefix": [[0.0, 0.1]], "period": 1.0, "pattern": [[0.0, 0.9]], "start": 3000.0}}
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(small_config(experiment="stabilizability-demo", control_domain=layout)))
+    out = tmp_path / "demo"
+    assert main(["sweep", "--config", str(plan_file), "--out", str(out)]) == 2
+    assert "decay overshoot M = exp(1350.45) overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_domain_periodic_text_must_hold_an_object(capsys):
@@ -1182,6 +1225,44 @@ def test_decay_fit_insufficient(tmp_path):
     path = tmp_path / "profile.csv"
     write_table(path, ["w", "value"], [grid.nodes, y], {"L": 1.0, "N": 16})
     assert main(["decay-fit", "--in", str(path), "--center", "0.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve-ocp", "--tol", "nan"),
+        ("solve-ocp", "--tol", "-1"),
+        ("sweep", "--tol", "inf"),
+        ("decay-fit", "--center", "nan"),
+        ("decay-fit", "--floor", "-1"),
+        ("decay-fit", "--floor", "0"),
+    ],
+)
+def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, capsys, command, flag, value):
+    grid = Grid1D(1.0, 64)
+    profile = tmp_path / "profile.csv"
+    write_table(profile, ["w", "value"], [grid.nodes, np.exp(-np.abs(0.5 - grid.nodes))], {"L": 1.0, "N": 64})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    if command == "decay-fit":
+        argv = ["decay-fit", "--in", str(profile), "--center", "0.5", "--out", str(out)]
+    else:
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main([*argv, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_tiny_tolerance_stays_valid(tmp_path):
+    # the gate a failing-solve check uses: parsed, then missed by the solve
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    assert main(["solve-ocp", "--config", str(cfg), "--out", str(out), "--tol", "1e-300"]) == 2
+    assert not out.exists()
 
 
 def test_plot_subcommand_line(tmp_path):

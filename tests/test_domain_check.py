@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyplq.characteristics import NumericError
 from hyplq.domain_check import (
     RateCertificate,
     Verdict,
@@ -93,6 +95,21 @@ def test_invalid_constant_ordering():
         check_condition_ii(EQUI, 5.0, 1.0)
     with pytest.raises(ValueError):
         check_condition_ii(EQUI, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "k, K", [(0.1, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.1, math.nan)]
+)
+def test_non_finite_constants_rejected(k, K):
+    with pytest.raises(ValueError, match="inf"):
+        check_condition_ii(EQUI, k, K)
+
+
+def test_overflowing_overshoot_names_the_constant():
+    # a 10000-long first interval: M = exp(K * 10000) is not a float
+    dom = IntervalUnion(prefix=((0.0, 10000.0),), tail=(1.0, ((0.0, 0.2),)), start=10000.0)
+    with pytest.raises(NumericError, match=r"overshoot constant M = exp\(1250\) overflows"):
+        check_condition_ii(dom, 0.01875, 0.125)
 
 
 def test_worst_pair_matches_enumeration_oracle():
@@ -200,6 +217,63 @@ def test_certify_half_line():
     assert cert.k / cert.K == pytest.approx(0.75, abs=1e-12)
 
 
+def test_certify_keeps_the_first_constants_when_they_pass():
+    # K = 1/8 with k = 0.75 * K * rho passes on the equidistant layout
+    assert certify_rates(EQUI) == check_condition_ii(EQUI, 0.75 * 0.125 * 0.2, 0.125).certificate
+
+
+def test_certify_scales_by_the_worst_pair_value():
+    # the gap of 999.9 before the tail gives a pair value of about 18.7 at
+    # K = 1/8; both constants shrink by it, so the worst pair sits at 1
+    dom = IntervalUnion(prefix=((0.0, 0.1),), tail=(1.0, ((0.0, 0.2),)), start=1000.0)
+    cert = certify_rates(dom)
+    assert cert is not None
+    assert cert.K == pytest.approx(0.125 / (0.75 * 0.125 * 0.2 * 999.9), rel=1e-12)
+    value, pair, _ = worst_pair_value(dom, cert.k, cert.K)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert pair == (2, 1)
+
+
+def test_certify_offset_start_none():
+    assert certify_rates(make_equidistant(0.5, 0.7, 1.0)) is None
+
+
+@st.composite
+def prefix_tail_layouts(draw):
+    """A prefix of 0-3 intervals from 0, then a tail of 1-2 intervals from
+    any start; without a prefix the tail starts at 0 with an interval."""
+    pos, prefix = 0.0, []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.floats(0.01, 10.0))
+        prefix.append((pos, pos + length))
+        pos += length + draw(st.floats(0.0, 100.0))
+    period = draw(st.floats(0.1, 10.0))
+    n = draw(st.integers(1, 2))
+    # gap, length, gap, length, ..., slack as shares of the period
+    shares = draw(st.lists(st.floats(0.01, 1.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    if not prefix:
+        shares[0] = 0.0
+    cuts = np.cumsum(shares) * (period / sum(shares))
+    pattern = tuple((float(cuts[2 * j]), float(cuts[2 * j + 1])) for j in range(n))
+    start = pos + draw(st.floats(0.0, 1000.0)) if prefix else 0.0
+    return IntervalUnion(prefix=tuple(prefix), tail=(period, pattern), start=start)
+
+
+@given(dom=prefix_tail_layouts())
+@settings(max_examples=200, deadline=None)
+def test_certify_every_prefix_tail_layout(dom):
+    cert = certify_rates(dom)
+    assert cert is not None
+    assert check_condition_ii(dom, cert.k, cert.K).stabilizable
+    rho = dom.pattern_measure() / dom.tail[0]
+    assert cert.k / cert.K == pytest.approx(0.75 * rho, rel=1e-12)
+    assert cert.K <= 0.125
+    # where the starting constants pass they are the certificate, bit for bit
+    first = check_condition_ii(dom, 0.75 * 0.125 * rho, 0.125)
+    if first.stabilizable:
+        assert cert == first.certificate
+
+
 # --------------------------------------------------------------condition (iii)
 
 
@@ -252,6 +326,14 @@ def test_decay_zero_gain():
 def test_decay_rejects_unstabilizable():
     with pytest.raises(ValueError):
         guaranteed_decay(IntervalUnion(prefix=((0.0, 0.2),)), 1.0, 2.0)
+
+
+def test_decay_overflowing_overshoot_names_the_constant():
+    # certified, but the tail start enters M = exp((0.9 / 2) * (1 + 3000))
+    dom = IntervalUnion(prefix=((0.0, 0.1),), tail=(1.0, ((0.0, 0.9),)), start=3000.0)
+    assert certify_rates(dom) is not None
+    with pytest.raises(NumericError, match=r"decay overshoot M = exp\(1350\.45\) overflows"):
+        guaranteed_decay(dom, 1.0, 2.0)
 
 
 # ------------------------------------------------------------ make_equidistant

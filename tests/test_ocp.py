@@ -304,6 +304,37 @@ def test_float32_rung_without_control(steps, observed):
     _float32_rung(cfg)
 
 
+EQUIDISTANT = IntervalUnion(tail=(1.0, ((0.0, 0.2),)))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.125, 10.0])
+@pytest.mark.parametrize("steps", [1, 10])
+@pytest.mark.parametrize("layout", [EQUIDISTANT, IntervalUnion()], ids=["equidistant", "empty"])
+def test_float64_rung_with_a_real_factor(alpha, steps, layout):
+    # c = 50 over h = 1/128 and dt = 5/steps: the float32 rung stalls, and
+    # the float64 rung meets the gate
+    L, N = 1.0, 128
+    grid = Grid1D(L, N)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(5.0, steps),
+        velocity=VelocityField.constant(50.0),
+        alpha=alpha,
+        control_domain=layout,
+        x0=bump_initial(0.8, 0.6, grid),
+    )
+    K, rhs = assemble_kkt(cfg, None)
+    tree = ocp_mod._DissectionTree(N, steps)
+    assert ocp_mod._refine(K, rhs, ocp_mod._factor_fronts(K, tree, np.float32), np.float32) is None
+    z, ordering, _, _ = ocp_mod._solve_linear(K, rhs, N, steps)
+    assert ordering == "nested-dissection-f64"
+    assert ocp_mod._defect(K, z, rhs) <= 1e-10
+    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection-f64"
+    assert sol.residual <= 1e-10
+
+
 @given(
     N=st.integers(min_value=4, max_value=48),
     M=st.integers(min_value=1, max_value=30),
