@@ -125,7 +125,8 @@ class OCPSolution:
     "nested-dissection" (float32 front factor refined in float64),
     "nested-dissection-f64" (the same with a float64 factor) or "colamd"
     (the fallback).  refine_steps counts the solves with that factor and
-    factor_bytes is the memory it held; neither goes into any artifact.
+    factor_bytes is the memory it held, each front that repeats in time
+    counted once as the factor keeps it; neither goes into any artifact.
     """
 
     x: np.ndarray
@@ -308,6 +309,13 @@ class _Fronts:
     `origin` holds each member's box origin (level, node); `children` lists
     (child group, its first member, runs) per child, whose members follow
     this group's members in order.
+
+    Members that share a front matrix share a slot: `slot` maps each member
+    to its slot and `order` lists the members by slot, one row per slot and
+    the first member of the slot in column 0.  Only an `interior` group, one
+    whose rectangles touch neither level 0 nor level M, has fewer slots than
+    members: its members of one node origin share one, when every origin
+    has the same number of members.  Elsewhere every member has its own.
     """
 
     depth: int
@@ -316,17 +324,31 @@ class _Fronts:
     local: np.ndarray
     table: np.ndarray
     origin: tuple
+    interior: bool
+    slot: np.ndarray
+    order: np.ndarray
     children: list = dataclasses.field(default_factory=list)
 
     @property
     def count(self) -> int:
         return len(self.origin[0])
 
+    @property
+    def slots(self) -> int:
+        return len(self.order)
+
     def points(self, N: int) -> np.ndarray:
         """Grid point k*N + i of every local point of every member."""
         k = self.origin[0][:, None] + self.local[:, 0]
         i = (self.origin[1][:, None] + self.local[:, 1]) % N
         return k * N + i
+
+    def layout(self, share: bool) -> tuple:
+        """(slot, order) with the shared slots, or with one slot per member."""
+        if share:
+            return self.slot, self.order
+        every = np.arange(self.count)
+        return every, every[:, None]
 
 
 class _DissectionTree:
@@ -342,13 +364,18 @@ class _DissectionTree:
     points outside the rectangle that it couples to.  Fronts of one shape at
     one depth form a group that is assembled and factored by stacked calls.
     `groups` runs from the root down.
+
+    K's rows do not change from level to level between the initial and the
+    terminal row, so the fronts of an interior group (see _Fronts) that
+    share a node origin hold the same matrix; the counts below keep each
+    such front once, as _FrontFactor does whenever K has that invariance.
     """
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
         cuts = (0, N // 2)
         sep = [(r, c) for c in cuts for r in range(1, M + 2)]
-        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N))
+        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N), False)
         halves = [((M + 1, b - a - 1, True, True), 0, a) for a, b in ((0, N // 2), (N // 2, N))]
         self.groups = [root]
         frontier = [(root, halves)]
@@ -365,7 +392,8 @@ class _DissectionTree:
                     np.concatenate([p.origin[0] + dr for p, dr, _ in parents]),
                     np.concatenate([(p.origin[1] + dc) % N for p, _, dc in parents]),
                 )
-                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2))
+                interior = not (shape[2] or shape[3])
+                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2), interior)
                 first = 0
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
@@ -377,34 +405,48 @@ class _DissectionTree:
         self._templates: dict = {}
 
     @staticmethod
-    def _group(depth, sep, rim, origin, box) -> _Fronts:
+    def _group(depth, sep, rim, origin, box, interior) -> _Fronts:
         local = np.array(sep + rim, dtype=np.intp).reshape(-1, 2)
         table = np.full(box, -1, dtype=np.intp)
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
-        return _Fronts(depth, len(sep), len(rim), local, table, origin)
+        slot = np.arange(len(origin[0]))
+        order = slot[:, None]
+        if interior:
+            _, shared, per = np.unique(origin[1], return_inverse=True, return_counts=True)
+            if np.all(per == per[0]):
+                slot = shared
+                order = np.argsort(shared, kind="stable").reshape(-1, per[0])
+        return _Fronts(depth, len(sep), len(rim), local, table, origin, interior, slot, order)
 
     def entries(self) -> int:
-        """Entries of the factor the fronts keep: each front's inverse pivot
+        """Entries of the factor the fronts keep: each slot's inverse pivot
         block and its two Schur multipliers, s^2 + 2 s b with s = 2 ns and
         b = 2 nb unknowns."""
-        return sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in self.groups)
+        return sum(g.slots * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in self.groups)
 
     def peak_entries(self) -> int:
-        """Most entries alive at once while _FrontFactor runs: the factor
-        kept so far, the update matrices not yet added to a parent, and one
-        chunk of fronts with a scratch copy of its pivot blocks."""
-        kept = peak = 0
+        """Most entries alive at once while _FrontFactor runs and solves,
+        index arrays counted as one entry per index.  While it factors: the
+        factor kept so far, the update matrices not yet added to a parent,
+        and one chunk of slots with a scratch copy of its pivot blocks and
+        its children's updates gathered through their slots.  While it
+        solves: the whole factor, and one group's perimeter pushes with
+        their indices and one chunk's gathered vectors, at most 4 (s + b)
+        per member."""
+        kept = peak = solve = 0
         pending: dict = {}
         for g in reversed(self.groups):
             for done in [c for c in pending if c.depth > g.depth + 1]:
                 del pending[done]
             s, b = 2 * g.ns, 2 * g.nb
             n2 = s + b
-            m = min(g.count, max(1, _CHUNK // n2**2))
-            pending[g] = g.count * b * b
-            kept += g.count * (s * s + 2 * s * b)
-            peak = max(peak, kept + sum(pending.values()) + m * (n2 * n2 + s * s))
-        return peak
+            m = min(g.slots, max(1, _CHUNK // n2**2))
+            gathered = m * sum(4 * child.nb**2 for child, _, _ in g.children)
+            pending[g] = g.slots * b * b
+            kept += g.slots * (s * s + 2 * s * b)
+            peak = max(peak, kept + sum(pending.values()) + m * (n2 * n2 + s * s) + gathered)
+            solve = max(solve, 4 * g.count * n2)
+        return max(peak, kept + solve)
 
     def template(self, g: _Fronts, used: np.ndarray):
         """Where the entries of K that the fronts of g own land in them.
@@ -481,6 +523,19 @@ def _inverse(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _repeats(kst: np.ndarray, N: int, M: int) -> bool:
+    """Whether K's rows repeat in time as far as interior fronts read them:
+    the rows of levels 1..M-1 equal those of level 1, and the rows of level
+    0 (M) equal them in their couplings to the level below (above), the
+    only entries of those rows that an interior front holds."""
+    lv = kst.reshape(M + 1, N, 2, 3, 6)  # level, node, row type, dk + 1, (di, column type)
+    return (
+        all(np.array_equal(lv[k], lv[1]) for k in range(2, M))
+        and np.array_equal(lv[0, :, :, 2], lv[1, :, :, 2])
+        and np.array_equal(lv[M, :, :, 0], lv[1, :, :, 0])
+    )
+
+
 class _FrontFactor:
     """Multifrontal LU of K on the dissection tree, held in `dtype`.
 
@@ -489,39 +544,53 @@ class _FrontFactor:
     with partial pivoting inside the block, and the update
     F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
     (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
-    about _CHUNK entries, stacked as (members, 2n, 2n); the children's
-    updates are added by slices, one call per pair of runs for all members
-    of a chunk.  Kept per chunk: W = F_SS^-1, Y = W F_SB and X = F_BS.
+    about _CHUNK entries, stacked as (slots, 2n, 2n); the children's
+    updates are gathered through their slot maps and added by slices, one
+    call per pair of runs for all slots of a chunk.  Kept per chunk:
+    W = F_SS^-1, Y = W F_SB and X = F_BS.
+
+    When K's rows repeat in time (_repeats), only the first member of each
+    slot is assembled and factored.  That is exact: the members of a slot
+    read the same entries of K at the same front positions, and their
+    children's updates are equal by induction up the tree, so their fronts
+    are equal bit for bit.  The solve applies each slot's W, Y and X to all
+    of its members.  Otherwise every member has its own slot.
     """
 
     def __init__(self, K: sparse.csc_matrix, tree: _DissectionTree, dtype):
-        N = tree.N
-        self.half = N * (tree.M + 1)
+        N, M = tree.N, tree.M
+        self.half = N * (M + 1)
         self.dtype = np.dtype(dtype)
         kst = _stencil(K, N, self.half, dtype)
         used = kst.any(axis=0)
-        self.chunks: list = []
+        share = _repeats(kst, N, M)
+        self.groups: list = []
         updates: dict = {}
         scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
         for g in reversed(tree.groups):
             for done in [c for c in updates if c.depth > g.depth + 1]:
                 del updates[done]
             src, code, dest = tree.template(g, used)
-            points = g.points(N)
+            slot, order = g.layout(share)
+            points = g.points(N)[order]  # by slot, (slots, members per slot, points)
+            rank = np.empty(g.count, dtype=np.intp)  # each member's place in `points`
+            rank[order.ravel()] = np.arange(g.count)
             ns, nb = g.ns, g.nb
             s, n2 = 2 * ns, 2 * (ns + nb)
-            upd = np.empty((g.count, 2 * nb, 2 * nb), dtype=dtype)
+            upd = np.empty((len(order), 2 * nb, 2 * nb), dtype=dtype)
             per = max(1, _CHUNK // n2**2)
-            for lo in range(0, g.count, per):
-                hi = min(g.count, lo + per)
+            blocks = []
+            for lo in range(0, len(order), per):
+                hi = min(len(order), lo + per)
                 m = hi - lo
                 if scratch.size < m * n2 * n2:
                     scratch = np.empty(m * n2 * n2, dtype=dtype)
                 F = scratch[: m * n2 * n2].reshape(m, n2, n2)
                 F.fill(0)
-                F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, src], code]
+                F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, 0, src], code]
                 for child, first, runs in g.children:
-                    U = updates[child][first + lo : first + hi]
+                    child_upd, child_slot = updates[child]
+                    U = child_upd[child_slot[first + order[lo:hi, 0]]]
                     for ur, vr, lr in runs:
                         for uc, vc, lc in runs:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
@@ -540,33 +609,42 @@ class _FrontFactor:
                 X = np.ascontiguousarray(F[:, s:, :s])
                 np.matmul(X, Y, out=upd[lo:hi])
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
-                self.chunks.append((points[lo:hi], ns, W, Y, X))
-            updates[g] = upd
+                blocks.append((lo, hi, W, Y, X))
+            updates[g] = (upd, slot)
+            self.groups.append((points, rank, ns, blocks))
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
     def arrays(self):
         """The arrays this factor keeps: W, Y and X of every chunk."""
-        return (a for chunk in self.chunks for a in chunk[2:])
+        return (a for *_, blocks in self.groups for block in blocks for a in block[2:])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K^-1 r in this factor's dtype, r given in K's unknown order."""
         z = np.array(r, dtype=self.dtype)
 
         def unknowns(p):
-            return (p[..., None] + np.array([0, self.half])).reshape(len(p), -1)
+            return (p[..., None] + np.array([0, self.half])).reshape(*p.shape[:-1], -1)
 
-        # forward, up the tree: y_S = W r_S, then r_B -= X y_S
-        for points, ns, W, Y, X in self.chunks:
-            here = unknowns(points[:, :ns])
-            y = np.matmul(W, z[here][..., None])[..., 0]
-            z[here] = y
-            if X.shape[1]:
-                np.subtract.at(z, unknowns(points[:, ns:]), np.matmul(X, y[..., None])[..., 0])
+        # forward, up the tree: y_S = W r_S, then r_B -= X y_S.  A slot's
+        # blocks act on its members side by side; a group's pushes reach the
+        # perimeters in member order, so a point that several members share
+        # sums them in the same order whatever the slots
+        for points, rank, ns, blocks in self.groups:
+            push = np.empty((*points.shape[:2], 2 * (points.shape[2] - ns)), dtype=self.dtype)
+            for lo, hi, W, Y, X in blocks:
+                here = unknowns(points[lo:hi, :, :ns])
+                y = np.matmul(W[:, None], z[here][..., None])
+                z[here] = y[..., 0]
+                np.matmul(X[:, None], y, out=push[lo:hi, ..., None])
+            if push.shape[2]:
+                by_member = points.reshape(len(rank), -1)[rank, ns:]
+                np.subtract.at(z, unknowns(by_member), push.reshape(len(rank), -1)[rank])
         # backward, down the tree: z_S = y_S - Y z_B
-        for points, ns, W, Y, X in reversed(self.chunks):
-            if Y.shape[2]:
-                out = z[unknowns(points[:, ns:])]
-                z[unknowns(points[:, :ns])] -= np.matmul(Y, out[..., None])[..., 0]
+        for points, rank, ns, blocks in reversed(self.groups):
+            if points.shape[2] > ns:
+                for lo, hi, W, Y, X in blocks:
+                    out = z[unknowns(points[lo:hi, :, ns:])]
+                    z[unknowns(points[lo:hi, :, :ns])] -= np.matmul(Y[:, None], out[..., None])[..., 0]
         return z
 
 
@@ -623,8 +701,10 @@ def _subnormals_as_zero():
 
 def factor_entries(config: OCPConfig) -> int:
     """Most entries the front factor of config's optimality system holds at
-    once while it is made, counted on its dissection tree before anything
-    is factored (_DissectionTree.peak_entries)."""
+    once while it is made and used, counted on its dissection tree before
+    anything is factored (_DissectionTree.peak_entries).  assemble_kkt's
+    rows repeat in time for every config, so the count shares the fronts
+    the factor shares."""
     return _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
 
 

@@ -860,12 +860,14 @@ def test_solve_estimate_scales_the_float64_front_count():
         cfg = small_config(grid={"L": L, "nodes_per_unit": nodes_per_unit}, time={"T": 5.0, "steps": steps})
         return plan_from_config(cfg).realize(L=L)
 
-    # the tree counts exactly what a float64 factor keeps, and the estimate
-    # scales the peak of that count, which holds the kept factor too
+    # the tree counts exactly what a float64 factor keeps, each front that
+    # repeats in time once, and the estimate scales the peak of that count,
+    # which holds the kept factor too
     cfg = member(1.0, 32, 24)
     tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
     K, _ = ocp_mod.assemble_kkt(cfg)
     assert ocp_mod._FrontFactor(K, tree, np.float64).nbytes == 8 * tree.entries()
+    assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
     assert tree.peak_entries() > tree.entries()
     assert cli_mod._solve_bytes(cfg) == cli_mod._SOLVE_SCALE * 8 * tree.peak_entries()
     # the sweep-pool benchmark's two largest members (L = 2.5 and 2 at 128

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import hyplq.ocp as ocp_mod
@@ -231,9 +232,9 @@ FINITE = IntervalUnion(prefix=((0.3, 0.7),))
 PERIODIC = IntervalUnion(tail=(0.5, ((0.0, 0.1),)))
 
 
-def _float32_rung(cfg):
+def _float32_rung(cfg, perturbation=None):
     """The float32 rung alone meets the gate and matches COLAMD's solution."""
-    K, rhs = assemble_kkt(cfg, None)
+    K, rhs = assemble_kkt(cfg, perturbation)
     tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
     factor = ocp_mod._factor_fronts(K, tree, np.float32)
     solved = ocp_mod._refine(K, rhs, factor, np.float32)
@@ -339,10 +340,84 @@ def test_float64_rung_with_a_real_factor(alpha, steps, layout):
     N=st.integers(min_value=4, max_value=48),
     M=st.integers(min_value=1, max_value=30),
     alpha=st.sampled_from([0.01, 0.3, 10.0]),
+    sine=st.booleans(),
+    observed=st.sampled_from([None, FINITE, PERIODIC]),
+    data=st.booleans(),
+    perturbed=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_front_factor_matches_colamd_on_small_grids(N, M, alpha):
-    _float32_rung(make_config(N=N, M=M, alpha=alpha, c=2.0, control=((0.1, 0.45),)))
+def test_front_factor_matches_colamd_on_small_grids(N, M, alpha, sine, observed, data, perturbed):
+    # each draw below is a place where repetition in time could break: a
+    # speed that varies in space, an observation domain, forcing and
+    # references on the right-hand side, and residuals in every row block
+    grid = Grid1D(1.0, N)
+    rng = np.random.default_rng(97 * N + M)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(1.0, M),
+        velocity=sinusoidal_velocity(2.0, 0.5, 1.0) if sine else VelocityField.constant(2.0),
+        alpha=alpha,
+        control_domain=IntervalUnion(prefix=((0.1, 0.45),)),
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+        observation_domain=observed,
+        x_ref=GridFunction(grid, rng.standard_normal(N)) if data else None,
+        u_ref=GridFunction(grid, rng.standard_normal(N)) if data else None,
+        forcing=rng.standard_normal((M + 1, N)) if data else None,
+    )
+    _float32_rung(cfg, random_perturbation(cfg, M) if perturbed else None)
+
+
+def _unshared_entries(tree):
+    """What the tree's fronts would keep with one slot per member."""
+    return sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
+
+
+@pytest.mark.parametrize("M", [1, 2, 12])
+def test_fronts_are_shared_only_while_rows_repeat_in_time(M, monkeypatch):
+    N = 32
+    cfg = OCPConfig(
+        grid=Grid1D(1.0, N),
+        tgrid=TimeGrid(1.0, M),
+        velocity=sinusoidal_velocity(2.0, 0.5, 1.0),
+        alpha=0.3,
+        control_domain=PERIODIC,
+        observation_domain=FINITE,
+        x0=bump_initial(0.4, 0.5, Grid1D(1.0, N)),
+    )
+    K, rhs = assemble_kkt(cfg, None)
+    tree = ocp_mod._DissectionTree(N, M)
+    unshared = _unshared_entries(tree)
+    shared = ocp_mod._factor_fronts(K, tree, np.float32)
+    assert shared.nbytes == 4 * tree.entries()
+    if M <= 2:
+        # too few levels for a rectangle to miss both level 0 and level M
+        assert not any(g.interior for g in tree.groups)
+        assert tree.entries() == unshared
+    else:
+        assert tree.entries() < unshared
+        # with one slot per member the refinement runs bit for bit the same
+        # (the perimeters sum their pushes in the same order)
+        monkeypatch.setattr(ocp_mod, "_repeats", lambda kst, N, M: False)
+        alone = ocp_mod._factor_fronts(K, tree, np.float32)
+        monkeypatch.undo()
+        assert alone.nbytes == 4 * unshared
+        z, steps = ocp_mod._refine(K, rhs, shared, np.float32)
+        z_alone, steps_alone = ocp_mod._refine(K, rhs, alone, np.float32)
+        assert steps == steps_alone
+        assert np.array_equal(z, z_alone)
+    # scale the rows of one level the interior fronts would share (any level
+    # of a short horizon): no front is shared, and the solve stays exact
+    k = max(1, M // 2)
+    scale = np.ones(K.shape[0])
+    for start in (k * N, N * (M + 1) + k * N):
+        scale[start : start + N] = 1.5
+    K2 = (sparse.diags(scale) @ K).tocsc()
+    factor = ocp_mod._factor_fronts(K2, tree, np.float32)
+    assert factor.nbytes == 4 * unshared
+    solved = ocp_mod._refine(K2, rhs, factor, np.float32)
+    assert solved is not None
+    assert ocp_mod._defect(K2, solved[0], rhs) <= 1e-10
+    assert np.max(np.abs(solved[0] - splu(K2).solve(rhs))) <= 1e-9
 
 
 @given(
@@ -397,8 +472,11 @@ def test_solve_reports_refinement_steps_and_factor_bytes():
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection"
     assert 1 <= sol.refine_steps <= 8
-    # the float32 factor keeps 4 bytes per entry the dissection tree counts
-    assert sol.factor_bytes == 4 * ocp_mod._DissectionTree(32, 16).entries()
+    # the float32 factor keeps 4 bytes per entry the dissection tree counts,
+    # each shared front once
+    tree = ocp_mod._DissectionTree(32, 16)
+    assert sol.factor_bytes == 4 * tree.entries()
+    assert tree.entries() < _unshared_entries(tree)
     # the fields are optional, so solutions made elsewhere need not name them
     bare = OCPSolution(x=sol.x, lam=sol.lam, u=sol.u, objective=0.0, residual=0.0, ordering="colamd")
     assert bare.refine_steps == 0 and bare.factor_bytes == 0
