@@ -701,9 +701,10 @@ def _unknowns(cfg: OCPConfig) -> int:
 # float64 entries factor_entries counts, measured on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one): the largest
 # ratio from 64,640 unknowns up in BENCH_16.json is 1.467, and repeated
-# runs of one size spread by about 5%.  A solve that stays on the float32
-# rung peaks lower, but any solve can fall back, so the gate keeps the
-# higher peak.  Smaller solves peaked at up to 1.508, at most 44 MiB.
+# runs of one size spread by about 5%.  The two front rungs are the only
+# paths a solve takes, and one that stays on the float32 rung peaks lower,
+# so the gate covers every solve.  Smaller solves peaked at up to 1.508,
+# at most 44 MiB.
 _SOLVE_SCALE = 1.51
 
 
@@ -1124,12 +1125,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_decay_fit(args) -> int:
     try:
         meta, header, cols = read_table(args.infile)
-        grid = Grid1D(float(meta["L"]), int(meta["N"]))
+        if len(cols) < 2:
+            raise ValueError("it needs (w, value) columns")
+        profile = GridFunction(Grid1D(float(meta["L"]), int(meta["N"])), cols[1])
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read profile table: {exc}") from exc
-    if len(cols) < 2:
-        raise ConfigError("profile table needs (w, value) columns")
-    profile = GridFunction(grid, cols[1])
     fit = fit_decay_rate(profile, args.center, floor=args.floor)
     text = json.dumps(_fit_payload(fit), indent=2, sort_keys=True)
     if args.out:
@@ -1145,6 +1145,8 @@ def _cmd_plot(args) -> int:
         else:
             _, header, cols = read_table(args.infile)
             series = [(header[j], cols[0], cols[j]) for j in range(1, len(cols))]
+        if not all(np.all(np.isfinite(x)) and np.all(np.isfinite(y)) for _, x, y in series):
+            raise ValueError("it holds non-finite values")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.style} table: {exc}") from exc
     if not series:

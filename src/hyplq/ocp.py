@@ -120,11 +120,11 @@ class OCPSolution:
 
     x and lam hold the state and adjoint on the M+1 time levels; u is the
     recovered control u = alpha^-2 B* lam + u_ref on the same levels.
-    residual is the relative sup-norm defect of the assembled linear system.
-    ordering names the factorization that produced the solution:
-    "nested-dissection" (float32 front factor refined in float64),
-    "nested-dissection-f64" (the same with a float64 factor) or "colamd"
-    (the fallback).  refine_steps counts the solves with that factor and
+    residual is the relative sup-norm defect of the assembled linear system,
+    as the last refinement step measured it.  ordering names the factor
+    that produced the solution: "nested-dissection" (float32 front factor
+    refined in float64) or "nested-dissection-f64" (the same with a
+    float64 factor).  refine_steps counts the solves with that factor and
     factor_bytes is the memory it held, each front that repeats in time
     counted once as the factor keeps it; neither goes into any artifact.
     """
@@ -714,76 +714,67 @@ def _factor_fronts(K: sparse.csc_matrix, tree: _DissectionTree, dtype) -> _Front
         return _FrontFactor(K, tree, dtype)
 
 
-def _defect(K: sparse.csc_matrix, z: np.ndarray, rhs: np.ndarray) -> float:
-    """Relative sup-norm defect of K z = rhs; NaN when z is not finite."""
-    return _relative(rhs - K @ z, rhs)
-
-
-def _relative(r: np.ndarray, rhs: np.ndarray) -> float:
-    """Relative sup-norm defect of the residual r of K z = rhs."""
-    return float(np.max(np.abs(r))) / (1.0 + float(np.max(np.abs(rhs))))
-
-
 def _refine(
     K: sparse.csc_matrix, rhs: np.ndarray, factor, dtype
-) -> Optional[tuple[np.ndarray, int]]:
+) -> tuple[np.ndarray, int, float]:
     """Iterative refinement of K z = rhs in float64 from z = 0 with a
     factor of K held in `dtype`.
 
-    Each step solves for the correction of the current float64 residual.
-    Returns z and the number of steps once its defect meets _DEFECT_GATE,
-    and None when a step after the first fails to halve the defect (NaN
-    included) or _REFINE_STEPS steps do not reach the gate.
+    Each step solves for the correction of the current float64 residual
+    and measures z's relative sup-norm defect.  Returns z, the number of
+    steps and that defect, once the defect meets _DEFECT_GATE, once a step
+    after the first fails to halve it (NaN included) or after _REFINE_STEPS
+    steps; only the first of these meets the gate.
     """
     z = np.zeros_like(rhs)
     r = rhs
+    scale = 1.0 + float(np.max(np.abs(rhs)))
     defect = np.inf
     for step in range(1, _REFINE_STEPS + 1):
         z += factor.solve(r.astype(dtype, copy=False))
         r = rhs - K @ z
-        last, defect = defect, _relative(r, rhs)
-        if defect <= _DEFECT_GATE:
-            return z, step
-        if not defect <= 0.5 * last:
-            return None
-    return None
+        last, defect = defect, float(np.max(np.abs(r))) / scale
+        if defect <= _DEFECT_GATE or not defect <= 0.5 * last:
+            break
+    return z, step, defect
 
 
 def _solve_linear(
     K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
-) -> tuple[np.ndarray, str, int, int]:
+) -> tuple[np.ndarray, str, int, int, float]:
     """Solve K z = rhs; returns z, the ordering that produced it, the
-    number of solves with its factor and the factor's bytes.
+    number of solves with its factor, the factor's bytes and z's defect.
 
     K is factored on the nested-dissection fronts, first in float32 and
     refined in float64; if that misses the defect gate the float32 factor
     is freed and the same refinement runs once with a float64 factor
-    ("nested-dissection-f64").  COLAMD with partial pivoting is the last
-    fallback; its bytes count SuperLU's values and row indices.  At most
-    one factor is alive at a time.
+    ("nested-dissection-f64"), so at most one factor is alive at a time.
+    When neither meets the gate, raises NumericError naming how each
+    failed: a singular pivot block, or its last defect and step count.
     """
     tree = _DissectionTree(N, M)
+    missed = []
     for dtype, ordering in (
         (np.float32, "nested-dissection"),
         (np.float64, "nested-dissection-f64"),
     ):
+        rung = f"{np.dtype(dtype).name} factor"
         try:
             factor = _factor_fronts(K, tree, dtype)
         except np.linalg.LinAlgError:
+            missed.append(f"{rung}: singular pivot block")
             continue
         nbytes = factor.nbytes
-        solved = _refine(K, rhs, factor, dtype)
+        z, steps, defect = _refine(K, rhs, factor, dtype)
         del factor  # free this factor before the next one is made
-        if solved is not None:
-            return solved[0], ordering, solved[1], nbytes
-    try:
-        lu = splu(K)
-        return lu.solve(rhs), "colamd", 1, lu.nnz * (K.dtype.itemsize + 4)
-    except RuntimeError as exc:
-        raise NumericError(
-            f"sparse factorization failed on a {K.shape[0]}x{K.shape[1]} "
-            f"system with {K.nnz} nonzeros: {exc}"
-        ) from exc
+        if defect <= _DEFECT_GATE:
+            return z, ordering, steps, nbytes, defect
+        stop = "stalled" if steps < _REFINE_STEPS else "out of steps"
+        missed.append(f"{rung}: defect {defect:.3e} after {steps} steps ({stop})")
+    raise NumericError(
+        f"no front factor of the {K.shape[0]}x{K.shape[1]} system met the "
+        f"defect gate {_DEFECT_GATE:.0e}: " + "; ".join(missed)
+    )
 
 
 def discrete_objective(
@@ -815,8 +806,7 @@ def _solve(
     """Assemble, solve and recover the control; the one path behind the solves."""
     K, rhs = assemble_kkt(config, perturbation)
     N, M = config.grid.N, config.tgrid.M
-    z, ordering, steps, factor_bytes = _solve_linear(K, rhs, N, M)
-    residual = _defect(K, z, rhs)
+    z, ordering, steps, factor_bytes, residual = _solve_linear(K, rhs, N, M)
     half = N * (M + 1)
     x = z[:half].reshape(M + 1, N)
     lam = z[half:].reshape(M + 1, N)

@@ -1230,6 +1230,32 @@ def test_decay_fit_insufficient(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, rows, meta",
+    [
+        ("decay-fit", 5, {"L": 1.0, "N": 10}),  # fewer rows than N says
+        ("decay-fit", 10, {"L": 1.0, "N": 10}),  # a NaN value
+        ("plot", 10, {}),  # a NaN value in a line table
+    ],
+    ids=["decay-fit-rows", "decay-fit-nan", "plot-nan"],
+)
+def test_malformed_input_table_is_config_error(tmp_path, capsys, command, rows, meta):
+    w = np.linspace(0.0, 0.9, rows)
+    y = np.exp(-np.abs(0.5 - w))
+    if rows == 10:
+        y[3] = np.nan
+    path = tmp_path / "table.csv"
+    write_table(path, ["w", "value"], [w, y], meta)
+    out = tmp_path / "out.svg"
+    if command == "decay-fit":
+        argv = ["decay-fit", "--in", str(path), "--center", "0.5"]
+    else:
+        argv = ["plot", "--in", str(path), "--style", "line", "--out", str(out)]
+    assert main(argv) == 3
+    assert "config error: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("solve-ocp", "--tol", "nan"),
