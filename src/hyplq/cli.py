@@ -700,12 +700,11 @@ def _unknowns(cfg: OCPConfig) -> int:
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries factor_entries counts, measured on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one): the largest
-# ratio from 64,640 unknowns up in BENCH_16.json is 1.467, and repeated
-# runs of one size spread by about 5%.  The two front rungs are the only
-# paths a solve takes, and one that stays on the float32 rung peaks lower,
-# so the gate covers every solve.  Smaller solves peaked at up to 1.508,
-# at most 44 MiB.
-_SOLVE_SCALE = 1.51
+# ratio over the sizes of BENCH_18.json, 25,856 to 821,248 unknowns, is
+# 1.345, and repeated runs of one size spread by under 1%.  The two front
+# rungs are the only paths a solve takes, and one that stays on the
+# float32 rung peaks lower, so the gate covers every solve.
+_SOLVE_SCALE = 1.39
 
 
 def _solve_bytes(cfg: OCPConfig) -> float:

@@ -4,9 +4,10 @@ The continuous problem: steer the advection state x_t = -c(w) x_w + B u + f
 over a horizon [0, T], paying 1/2 ||C x - x_ref||^2 + alpha^2/2 ||u - u_ref||^2
 per unit time.  B restricts the control to the control domain, C restricts
 observation.  Instead of iterating forward/backward sweeps, the first-order
-optimality conditions for the midpoint-in-time discretization are assembled
-as one sparse linear system in the stacked state and adjoint trajectories and
-solved directly; the control is recovered pointwise from the adjoint.
+optimality conditions for the midpoint-in-time discretization form one
+sparse linear system in the stacked state and adjoint trajectories, whose
+rows are written in closed form and solved directly with numpy alone; the
+control is recovered pointwise from the adjoint.
 
 All time-dependent data live on the M+1 grid levels; the scheme consumes
 them through midpoint averages, so the assembled rows are exactly the
@@ -18,17 +19,18 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 from .characteristics import NumericError, VelocityField
 from .geometry import Grid1D, GridFunction, IntervalUnion, TimeGrid, indicator_on_grid, smooth_bump
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "OCPConfig",
@@ -145,6 +147,7 @@ def build_advection_matrix(grid: Grid1D, vel: VelocityField) -> sparse.csr_matri
     For constant velocity the matrix is exactly skew-symmetric, which is what
     makes the midpoint step an isometry of the grid l2 norm.
     """
+    from scipy import sparse
     N, h = grid.N, grid.h
     coef = vel.eval(grid.nodes) / (2.0 * h)
     rows = np.concatenate([np.arange(N), np.arange(N)])
@@ -179,16 +182,14 @@ def assemble_kkt(
     the M midpoint adjoint equations, and the terminal condition on lam^M.
     Every interior row touches at most 8 nonzeros: two time levels of a
     three-point spatial stencil plus the diagonal coupling to the other
-    variable.
+    variable.  The solvers read these rows in closed form (_kkt_stencil).
     """
+    from scipy import sparse
     grid, tgrid = config.grid, config.tgrid
     N, M, dt = grid.N, tgrid.M, tgrid.dt
     A = build_advection_matrix(grid, config.velocity)
     ind_c = _indicator(config.control_domain, grid)
     ind_o = _indicator(config.observation_domain, grid)
-
-    if perturbation is not None:
-        perturbation = perturbation.validated(grid, tgrid)
 
     # difference and average operators across consecutive time levels
     ones = np.ones(M)
@@ -215,13 +216,20 @@ def assemble_kkt(
         ],
         format="csc",
     )
+    return K, _kkt_rhs(config, perturbation)
 
+
+def _kkt_rhs(config: OCPConfig, perturbation: Optional[PerturbationSpec]) -> np.ndarray:
+    """The right-hand side r of assemble_kkt's system K z = r."""
+    grid, tgrid = config.grid, config.tgrid
+    N, M = grid.N, tgrid.M
+    if perturbation is not None:
+        perturbation = perturbation.validated(grid, tgrid)
     state_rhs = _midpoints(_level_field(config.forcing, M, N))
     if config.u_ref is not None:
-        state_rhs = state_rhs + np.sqrt(ind_c) * config.u_ref.values
-    adj_rhs = np.tile(
-        ind_o * (config.x_ref.values if config.x_ref is not None else 0.0), (M, 1)
-    )
+        state_rhs = state_rhs + np.sqrt(_indicator(config.control_domain, grid)) * config.u_ref.values
+    ind_o = _indicator(config.observation_domain, grid)
+    adj_rhs = np.tile(ind_o * (config.x_ref.values if config.x_ref is not None else 0.0), (M, 1))
     if perturbation is not None:
         state_rhs = state_rhs + _midpoints(perturbation.eps3)
         adj_rhs = adj_rhs + _midpoints(perturbation.eps1)
@@ -233,7 +241,7 @@ def assemble_kkt(
     rhs[N : N * (M + 1)] = state_rhs.ravel()
     rhs[N * (M + 1) : N * (2 * M + 1)] = adj_rhs.ravel()
     rhs[N * (2 * M + 1) :] = perturbation.eps2 if perturbation is not None else 0.0
-    return K, rhs
+    return rhs
 
 
 # Relative defect a solve with a front factor must reach to be accepted.
@@ -247,10 +255,6 @@ _ND_LEAF = 8
 
 # Front entries assembled and factored by one stacked call (at least one front).
 _CHUNK = 1 << 20
-
-# Pivot blocks of at least this order are inverted one at a time by LAPACK
-# getrf/getri, which outruns numpy's stacked gesv loop on large blocks.
-_BIG_PIVOT = 256
 
 
 # The 3x3 stencil offsets (dk, di), numbered o = 3 (dk + 1) + di + 1.
@@ -484,43 +488,46 @@ class _DissectionTree:
         return self._templates[key]
 
 
-def _stencil(K: sparse.csc_matrix, N: int, half: int, dtype) -> np.ndarray:
-    """K's entries by row unknown: (half, 36) with row = grid point of the
-    row, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1 for lam),
-    the 3x3 offset o of the column's grid point and its type tc."""
-    coo = K.tocoo()
+def _kkt_stencil(config: OCPConfig) -> np.ndarray:
+    """assemble_kkt's K by row unknown in closed form, float64 stored by
+    column: row k*N + i holds grid point (k, i), column tr*18 + o*2 + tc the
+    row type tr (0 x, 1 lam), the 3x3 offset o and the column type tc.  Each
+    entry is the sparse assembly's float64 operation, bit for bit: scipy
+    divides by alpha^2 as a product with 1/alpha^2, and 0 - v (not -v) is
+    the +0.0 of a missing entry at v = 0."""
+    grid, N, M, inv_dt = config.grid, config.grid.N, config.tgrid.M, 1.0 / config.tgrid.dt
+    half_c = 0.5 * (config.velocity.eval(grid.nodes) / (2.0 * grid.h))
+    kst = np.zeros((2, 3, 3, 2, M + 1, N))  # tr, dk + 1, di + 1, tc, level, node
+    # state rows, levels 1..M: (x^k - x^(k-1)) / dt - A_h x^(k-1/2) - ind_c lam^(k-1/2) / alpha^2
+    state = kst[0, ..., 1:, :]
+    state[:2, 0, 0], state[:2, 2, 0] = np.subtract(0.0, half_c), half_c
+    state[0, 1, 0], state[1, 1, 0] = -inv_dt, inv_dt
+    state[:2, 1, 1] = np.subtract(0.0, 0.5 * _indicator(config.control_domain, grid) * (1.0 / config.alpha**2))
+    # adjoint rows, levels 0..M-1: (lam^k - lam^(k+1)) / dt - A_h^T lam^(k+1/2) + ind_o x^(k+1/2)
+    adj = kst[1, ..., :M, :]
+    adj[1:, 0, 1], adj[1:, 2, 1] = np.roll(half_c, 1), np.subtract(0.0, np.roll(half_c, -1))
+    adj[1, 1, 1], adj[2, 1, 1] = inv_dt, -inv_dt
+    adj[1:, 1, 0] = 0.5 * _indicator(config.observation_domain, grid)
+    kst[0, 1, 1, 0, 0] = kst[1, 1, 1, 1, M] = 1.0  # x^0 = x0 and lam^M = 0
+    return kst.reshape(36, N * (M + 1)).T
 
-    def split(index, n):  # divmod by n; numpy's // is much faster than %
-        q = index // n
-        return q, index - q * n
 
-    tr, pr = split(coo.row, half)
-    tc, pc = split(coo.col, half)
-    kr, ir = split(pr, N)
-    kc, ic = split(pc, N)
-    o = 3 * (kc - kr + 1) + split(ic - ir + 1, N)[1]
-    kst = np.zeros((half, 36), dtype=dtype)
-    kst[pr, 18 * tr + 2 * o + tc] = coo.data
-    return kst
-
-
-def _inverse(A: np.ndarray) -> np.ndarray:
-    """Inverses of the stacked blocks A, by LU with partial pivoting;
-    raises np.linalg.LinAlgError on an exactly singular block."""
-    if A.shape[-1] < _BIG_PIVOT:
-        return np.linalg.inv(A)
-    getrf, getri, getri_lwork = get_lapack_funcs(("getrf", "getri", "getri_lwork"), (A,))
-    lwork = int(getri_lwork(A.shape[-1])[0])
-    out = np.empty_like(A)
-    for a, w in zip(A, out):
-        # LAPACK reads a.T in a's memory order and returns inv(a.T) = inv(a).T
-        lu, piv, info = getrf(a.T)
-        if info == 0:
-            inv, info = getri(lu, piv, lwork=lwork, overwrite_lu=True)
-        if info != 0:
-            raise np.linalg.LinAlgError("singular pivot block")
-        w[...] = inv.T
-    return out
+def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - K z for the K whose rows kst holds on N nodes, bit for bit as
+    scipy's CSC `K @ z`: each row sums from 0.0 in increasing column order
+    (x, lam; level; node: di = -1, 0, 1 but node 0 takes node N - 1 last and
+    node N - 1 takes node 0 first), skipping offsets that are 0 in all rows."""
+    lv = kst.T.reshape(2, 3, 3, 2, -1, N)  # tr, dk + 1, di + 1, tc, level, node
+    used = kst.any(axis=0).reshape(2, 3, 3, 2)
+    zl = z.reshape(2, -1, N)
+    kz = np.zeros_like(zl)
+    for tr, tc, dk in itertools.product((0, 1), (0, 1), (-1, 0, 1)):
+        k0, k1 = max(0, -dk), len(kz[0]) - max(0, dk)  # the rows whose level k + dk exists
+        for i0, i1 in ((1, N - 1), (0, 1), (N - 1, N)):
+            for d in sorted((d for d in (-1, 0, 1) if used[tr, dk + 1, d + 1, tc]), key=lambda d: (i0 + d) % N):
+                zs = zl[tc, k0 + dk : k1 + dk, (i0 + d) % N :][:, : i1 - i0]
+                kz[tr, k0:k1, i0:i1] += lv[tr, dk + 1, d + 1, tc, k0:k1, i0:i1] * zs
+    return rhs - kz.ravel()
 
 
 def _repeats(kst: np.ndarray, N: int, M: int) -> bool:
@@ -528,20 +535,21 @@ def _repeats(kst: np.ndarray, N: int, M: int) -> bool:
     the rows of levels 1..M-1 equal those of level 1, and the rows of level
     0 (M) equal them in their couplings to the level below (above), the
     only entries of those rows that an interior front holds."""
-    lv = kst.reshape(M + 1, N, 2, 3, 6)  # level, node, row type, dk + 1, (di, column type)
+    lv = kst.T.reshape(2, 3, 3, 2, M + 1, N)  # tr, dk + 1, di + 1, tc, level, node
     return (
-        all(np.array_equal(lv[k], lv[1]) for k in range(2, M))
-        and np.array_equal(lv[0, :, :, 2], lv[1, :, :, 2])
-        and np.array_equal(lv[M, :, :, 0], lv[1, :, :, 0])
+        all(np.array_equal(lv[..., k, :], lv[..., 1, :]) for k in range(2, M))
+        and np.array_equal(lv[:, 2, ..., 0, :], lv[:, 2, ..., 1, :])
+        and np.array_equal(lv[:, 0, ..., M, :], lv[:, 0, ..., 1, :])
     )
 
 
 class _FrontFactor:
     """Multifrontal LU of K on the dissection tree, held in `dtype`.
 
-    Every front is assembled from K's entries and its children's update
-    matrices; the pivot block F_SS of the unknowns it eliminates is inverted
-    with partial pivoting inside the block, and the update
+    Every front is assembled from K's entries in kst, rounded to `dtype`,
+    and its children's update matrices; the pivot block F_SS of the unknowns
+    it eliminates is inverted by np.linalg.inv (partial pivoting inside the
+    block), and the update
     F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
     (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
     about _CHUNK entries, stacked as (slots, 2n, 2n); the children's
@@ -557,11 +565,10 @@ class _FrontFactor:
     of its members.  Otherwise every member has its own slot.
     """
 
-    def __init__(self, K: sparse.csc_matrix, tree: _DissectionTree, dtype):
+    def __init__(self, kst: np.ndarray, tree: _DissectionTree, dtype):
         N, M = tree.N, tree.M
         self.half = N * (M + 1)
         self.dtype = np.dtype(dtype)
-        kst = _stencil(K, N, self.half, dtype)
         used = kst.any(axis=0)
         share = _repeats(kst, N, M)
         self.groups: list = []
@@ -596,7 +603,7 @@ class _FrontFactor:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
                                 :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
                             ]
-                W = _inverse(F[:, :s, :s])
+                W = np.linalg.inv(F[:, :s, :s])
                 # one refinement step gives Y = F_SS^-1 F_SB the accuracy of
                 # a solve with the block's LU; W alone loses it on
                 # ill-conditioned blocks, and that error grows up the tree
@@ -702,23 +709,23 @@ def _subnormals_as_zero():
 def factor_entries(config: OCPConfig) -> int:
     """Most entries the front factor of config's optimality system holds at
     once while it is made and used, counted on its dissection tree before
-    anything is factored (_DissectionTree.peak_entries).  assemble_kkt's
+    anything is factored (_DissectionTree.peak_entries).  _kkt_stencil's
     rows repeat in time for every config, so the count shares the fronts
     the factor shares."""
     return _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
 
 
-def _factor_fronts(K: sparse.csc_matrix, tree: _DissectionTree, dtype) -> _FrontFactor:
-    """The front factor of K in `dtype`, made with subnormals flushed to zero."""
+def _factor_fronts(kst: np.ndarray, tree: _DissectionTree, dtype) -> _FrontFactor:
+    """The front factor of kst's K in `dtype`, made with subnormals flushed to zero."""
     with _subnormals_as_zero():
-        return _FrontFactor(K, tree, dtype)
+        return _FrontFactor(kst, tree, dtype)
 
 
 def _refine(
-    K: sparse.csc_matrix, rhs: np.ndarray, factor, dtype
+    kst: np.ndarray, N: int, rhs: np.ndarray, factor, dtype
 ) -> tuple[np.ndarray, int, float]:
     """Iterative refinement of K z = rhs in float64 from z = 0 with a
-    factor of K held in `dtype`.
+    factor of K held in `dtype`; K's rows are kst's, on N nodes.
 
     Each step solves for the correction of the current float64 residual
     and measures z's relative sup-norm defect.  Returns z, the number of
@@ -732,7 +739,7 @@ def _refine(
     defect = np.inf
     for step in range(1, _REFINE_STEPS + 1):
         z += factor.solve(r.astype(dtype, copy=False))
-        r = rhs - K @ z
+        r = _kkt_defect(kst, N, z, rhs)
         last, defect = defect, float(np.max(np.abs(r))) / scale
         if defect <= _DEFECT_GATE or not defect <= 0.5 * last:
             break
@@ -740,10 +747,11 @@ def _refine(
 
 
 def _solve_linear(
-    K: sparse.csc_matrix, rhs: np.ndarray, N: int, M: int
+    kst: np.ndarray, rhs: np.ndarray, N: int, M: int
 ) -> tuple[np.ndarray, str, int, int, float]:
-    """Solve K z = rhs; returns z, the ordering that produced it, the
-    number of solves with its factor, the factor's bytes and z's defect.
+    """Solve K z = rhs, K's rows in kst; returns z, the ordering that
+    produced it, the number of solves with its factor, the factor's bytes
+    and z's defect.
 
     K is factored on the nested-dissection fronts, first in float32 and
     refined in float64; if that misses the defect gate the float32 factor
@@ -760,19 +768,19 @@ def _solve_linear(
     ):
         rung = f"{np.dtype(dtype).name} factor"
         try:
-            factor = _factor_fronts(K, tree, dtype)
+            factor = _factor_fronts(kst, tree, dtype)
         except np.linalg.LinAlgError:
             missed.append(f"{rung}: singular pivot block")
             continue
         nbytes = factor.nbytes
-        z, steps, defect = _refine(K, rhs, factor, dtype)
+        z, steps, defect = _refine(kst, N, rhs, factor, dtype)
         del factor  # free this factor before the next one is made
         if defect <= _DEFECT_GATE:
             return z, ordering, steps, nbytes, defect
         stop = "stalled" if steps < _REFINE_STEPS else "out of steps"
         missed.append(f"{rung}: defect {defect:.3e} after {steps} steps ({stop})")
     raise NumericError(
-        f"no front factor of the {K.shape[0]}x{K.shape[1]} system met the "
+        f"no front factor of the {len(rhs)}x{len(rhs)} system met the "
         f"defect gate {_DEFECT_GATE:.0e}: " + "; ".join(missed)
     )
 
@@ -803,27 +811,18 @@ def discrete_objective(
 def _solve(
     config: OCPConfig, perturbation: Optional[PerturbationSpec]
 ) -> OCPSolution:
-    """Assemble, solve and recover the control; the one path behind the solves."""
-    K, rhs = assemble_kkt(config, perturbation)
+    """Write the system's rows, solve and recover the control; the one path behind the solves."""
     N, M = config.grid.N, config.tgrid.M
-    z, ordering, steps, factor_bytes, residual = _solve_linear(K, rhs, N, M)
-    half = N * (M + 1)
-    x = z[:half].reshape(M + 1, N)
-    lam = z[half:].reshape(M + 1, N)
-    ind_c = _indicator(config.control_domain, config.grid)
-    u = np.sqrt(ind_c) * lam / config.alpha**2
+    rhs = _kkt_rhs(config, perturbation)
+    z, ordering, steps, factor_bytes, residual = _solve_linear(_kkt_stencil(config), rhs, N, M)
+    x, lam = z.reshape(2, M + 1, N)
+    u = np.sqrt(_indicator(config.control_domain, config.grid)) * lam / config.alpha**2
     if config.u_ref is not None:
         u = u + config.u_ref.values
     obj = discrete_objective(config, x, _midpoints(u))
     return OCPSolution(
-        x=x,
-        lam=lam,
-        u=u,
-        objective=obj,
-        residual=residual,
-        ordering=ordering,
-        refine_steps=steps,
-        factor_bytes=factor_bytes,
+        x=x, lam=lam, u=u, objective=obj, residual=residual,
+        ordering=ordering, refine_steps=steps, factor_bytes=factor_bytes,
     )
 
 
@@ -879,6 +878,8 @@ def rollout_midpoint(
     """
     if controls is not None and feedback_gain is not None:
         raise ValueError("pass midpoint controls or a feedback gain, not both")
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
     grid, tgrid = config.grid, config.tgrid
     N, M, dt = grid.N, tgrid.M, tgrid.dt
     A = build_advection_matrix(grid, config.velocity)

@@ -865,8 +865,7 @@ def test_solve_estimate_scales_the_float64_front_count():
     # which holds the kept factor too
     cfg = member(1.0, 32, 24)
     tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
-    K, _ = ocp_mod.assemble_kkt(cfg)
-    assert ocp_mod._FrontFactor(K, tree, np.float64).nbytes == 8 * tree.entries()
+    assert ocp_mod._FrontFactor(ocp_mod._kkt_stencil(cfg), tree, np.float64).nbytes == 8 * tree.entries()
     assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
     assert tree.peak_entries() > tree.entries()
     assert cli_mod._solve_bytes(cfg) == cli_mod._SOLVE_SCALE * 8 * tree.peak_entries()
@@ -1546,3 +1545,71 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "stabilizable: yes" in proc.stdout
+
+
+# every CLI command runs on numpy alone; only the sparse library API
+# (assemble_kkt, build_advection_matrix, rollout_midpoint) imports scipy
+_WITHOUT_SCIPY = r"""
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import hyplq
+import hyplq.cli
+from hyplq.cli import main, write_table
+
+out = Path(sys.argv[1])
+base = {"grid": {"L": 1.0, "nodes_per_unit": 16}, "time": {"T": 0.5, "steps": 8}}
+sine = {"type": "sinusoidal", "mean": 2.0, "amplitude": 0.5}
+
+
+def config(name, obj):
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+w = np.linspace(0.0, 1.0, 64, endpoint=False)
+write_table(out / "profile.csv", ["w", "value"], [w, 3.0 * np.exp(-2.0 * np.abs(0.5 - w))], {"L": 1.0, "N": 64})
+codes = {
+    "check-domain": main(["check-domain", "--domain", "periodic: {period: 1, pattern: [[0, 0.2]]}"]),
+    "simulate": main(["simulate", "--config", config("sim", {"equation": "transport-var", **base, "velocity": sine}),
+                      "--out", str(out / "sim")]),
+    "solve-ocp": main(["solve-ocp", "--config", config("ocp", base), "--out", str(out / "ocp")]),
+    "sweep": main(["sweep", "--config", config("sweep", {"experiment": "domain-sweep", **base, "l_values": [1.0, 1.5]}),
+                   "--out", str(out / "sweep"), "--workers", "2"]),
+    "plot": main(["plot", "--in", str(out / "ocp" / "x.csv"), "--style", "heatmap", "--out", str(out / "x.svg")]),
+    "decay-fit": main(["decay-fit", "--in", str(out / "profile.csv"), "--center", "0.5"]),
+}
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+grid = hyplq.Grid1D(1.0, 16)
+cfg = hyplq.OCPConfig(
+    grid=grid,
+    tgrid=hyplq.TimeGrid(0.5, 8),
+    velocity=hyplq.VelocityField.constant(2.0),
+    alpha=0.25,
+    control_domain=hyplq.IntervalUnion(prefix=((0.0, 0.3),)),
+    x0=hyplq.bump_initial(0.4, 0.5, grid),
+)
+K, rhs = hyplq.assemble_kkt(cfg)
+print(json.dumps({"codes": codes, "scipy": before, "kkt": list(K.shape), "rhs": len(rhs),
+                  "scipy_after": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == {name: 0 for name in report["codes"]}
+    assert len(report["codes"]) == 6
+    assert report["scipy"] == []
+    # the library's sparse assembly still works, importing scipy when called
+    assert report["kkt"] == [2 * 16 * 9, 2 * 16 * 9] and report["rhs"] == 2 * 16 * 9
+    assert report["scipy_after"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -239,15 +240,45 @@ def _defect(K, z, rhs):
     return float(np.max(np.abs(rhs - K @ z))) / (1.0 + float(np.max(np.abs(rhs))))
 
 
+def _decode(K, N):
+    """K's entries by row unknown, decoded from its COO form into the
+    solver's stencil layout: (N(M+1), 36) float64 with row = grid point of
+    the row, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1 for
+    lam), the 3x3 offset o of the column's grid point and its type tc."""
+    half = K.shape[0] // 2
+    coo = K.tocoo()
+    tr, pr = np.divmod(coo.row, half)
+    tc, pc = np.divmod(coo.col, half)
+    kr, ir = np.divmod(pr, N)
+    kc, ic = np.divmod(pc, N)
+    o = 3 * (kc - kr + 1) + np.mod(ic - ir + 1, N)
+    kst = np.zeros((half, 36))
+    kst[pr, 18 * tr + 2 * o + tc] = coo.data
+    return kst
+
+
+def _reference(K, rhs):
+    """SuperLU's solution of K z = rhs refined once in float64.  A bare
+    solve is not accurate enough to judge the solver by: near alpha = 1e-3
+    the condition number of K reaches about 3e12 and it strays by up to
+    1e-8, where one refinement step brings it within 1e-10."""
+    lu = splu(K)
+    ref = lu.solve(rhs)
+    ref += lu.solve(rhs - K @ ref)
+    return ref
+
+
 def _float32_rung(cfg, perturbation=None):
-    """The float32 rung alone meets the gate and matches SuperLU's solution."""
+    """The float32 rung alone meets the gate and matches a refined SuperLU
+    solution."""
     K, rhs = assemble_kkt(cfg, perturbation)
+    kst = _decode(K, cfg.grid.N)
     tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
-    factor = ocp_mod._factor_fronts(K, tree, np.float32)
-    z, _, defect = ocp_mod._refine(K, rhs, factor, np.float32)
+    factor = ocp_mod._factor_fronts(kst, tree, np.float32)
+    z, _, defect = ocp_mod._refine(kst, cfg.grid.N, rhs, factor, np.float32)
     assert defect <= 1e-10
     assert _defect(K, z, rhs) == defect
-    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+    assert np.max(np.abs(z - _reference(K, rhs))) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 10.0, 100.0])
@@ -314,7 +345,7 @@ def test_float32_rung_without_control(steps, observed):
 EQUIDISTANT = IntervalUnion(tail=(1.0, ((0.0, 0.2),)))
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.125, 10.0])
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.125, 10.0])
 @pytest.mark.parametrize("steps", [1, 10])
 @pytest.mark.parametrize("layout", [EQUIDISTANT, IntervalUnion()], ids=["equidistant", "empty"])
 def test_float64_rung_with_a_real_factor(alpha, steps, layout):
@@ -331,13 +362,14 @@ def test_float64_rung_with_a_real_factor(alpha, steps, layout):
         x0=bump_initial(0.8, 0.6, grid),
     )
     K, rhs = assemble_kkt(cfg, None)
+    kst = _decode(K, N)
     tree = ocp_mod._DissectionTree(N, steps)
-    assert ocp_mod._refine(K, rhs, ocp_mod._factor_fronts(K, tree, np.float32), np.float32)[2] > 1e-10
-    z, ordering, _, _, defect = ocp_mod._solve_linear(K, rhs, N, steps)
+    assert ocp_mod._refine(kst, N, rhs, ocp_mod._factor_fronts(kst, tree, np.float32), np.float32)[2] > 1e-10
+    z, ordering, _, _, defect = ocp_mod._solve_linear(kst, rhs, N, steps)
     assert ordering == "nested-dissection-f64"
     assert defect <= 1e-10
     assert _defect(K, z, rhs) == defect
-    assert np.max(np.abs(z - splu(K).solve(rhs))) <= 1e-9
+    assert np.max(np.abs(z - _reference(K, rhs))) <= 1e-9
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection-f64"
     assert sol.residual <= 1e-10
@@ -405,17 +437,64 @@ def test_front_ladder_meets_the_gate_across_alpha_speed_and_layout(
         x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
     )
     K, rhs = assemble_kkt(cfg, None)
-    z, ordering, _, _, defect = ocp_mod._solve_linear(K, rhs, N, M)
+    z, ordering, _, _, defect = ocp_mod._solve_linear(_decode(K, N), rhs, N, M)
     assert ordering in ("nested-dissection", "nested-dissection-f64")
     assert defect <= 1e-10
     assert _defect(K, z, rhs) == defect
-    # near alpha = 1e-3 the condition number of K reaches about 3e12 and a
-    # bare SuperLU solve strays by up to 1e-8; one refinement step brings
-    # the reference back within 1e-10 of the solution
-    lu = splu(K)
-    ref = lu.solve(rhs)
-    ref += lu.solve(rhs - K @ ref)
-    assert np.max(np.abs(z - ref)) <= 1e-9
+    assert np.max(np.abs(z - _reference(K, rhs))) <= 1e-9
+
+
+SINGLE = IntervalUnion(prefix=((0.0, 0.2),))
+
+
+def _stencil_configs(alpha, M):
+    """Constant and sinusoidal speed, the single-interval, equidistant and
+    prefix layouts, observed everywhere or on a finite domain.  The prefix
+    ends inside a cell, so the control indicator takes a value other than
+    0, 1/2 and 1 there."""
+    grid = Grid1D(1.0, 20)
+    for velocity, layout, observed in itertools.product(
+        [VelocityField.constant(2.0), sinusoidal_velocity(2.0, 0.5, 1.0)],
+        [SINGLE, EQUIDISTANT, IntervalUnion(prefix=((0.1, 0.43),))],
+        [None, FINITE],
+    ):
+        yield OCPConfig(
+            grid=grid,
+            tgrid=TimeGrid(1.3, M),
+            velocity=velocity,
+            alpha=alpha,
+            control_domain=layout,
+            observation_domain=observed,
+            x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+        )
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.125, 0.7, 1e3])
+@pytest.mark.parametrize("M", [1, 2, 12])
+def test_closed_form_stencil_is_the_assembled_matrix(alpha, M):
+    # bit for bit, the signs of zeros included: the factor reads these
+    # entries.  At alpha = 0.7 the indicator's fraction in the prefix's last
+    # cell over alpha^2 differs in the last bit from the fraction times
+    # 1 / alpha^2, which is how scipy divides a sparse matrix
+    for cfg in _stencil_configs(alpha, M):
+        K, _ = assemble_kkt(cfg)
+        kst = ocp_mod._kkt_stencil(cfg)
+        assert kst.dtype == np.float64
+        assert np.array_equal(kst.view(np.uint64), _decode(K, cfg.grid.N).view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.125, 1e3])
+@pytest.mark.parametrize("M", [1, 2, 12])
+def test_matrix_free_defect_is_rhs_minus_k_z(alpha, M):
+    # the refinement's defect equals scipy's rhs - K @ z bit for bit, the
+    # wrap of the ring at nodes 0 and N - 1 included
+    rng = np.random.default_rng(M)
+    for cfg in _stencil_configs(alpha, M):
+        K, rhs = assemble_kkt(cfg)
+        for scale in (1e-3, 1.0, 1e3):
+            z = scale * rng.standard_normal(K.shape[0])
+            got = ocp_mod._kkt_defect(ocp_mod._kkt_stencil(cfg), cfg.grid.N, z, rhs)
+            assert np.array_equal(got.view(np.uint64), (rhs - K @ z).view(np.uint64))
 
 
 def _unshared_entries(tree):
@@ -436,9 +515,10 @@ def test_fronts_are_shared_only_while_rows_repeat_in_time(M, monkeypatch):
         x0=bump_initial(0.4, 0.5, Grid1D(1.0, N)),
     )
     K, rhs = assemble_kkt(cfg, None)
+    kst = _decode(K, N)
     tree = ocp_mod._DissectionTree(N, M)
     unshared = _unshared_entries(tree)
-    shared = ocp_mod._factor_fronts(K, tree, np.float32)
+    shared = ocp_mod._factor_fronts(kst, tree, np.float32)
     assert shared.nbytes == 4 * tree.entries()
     if M <= 2:
         # too few levels for a rectangle to miss both level 0 and level M
@@ -449,11 +529,11 @@ def test_fronts_are_shared_only_while_rows_repeat_in_time(M, monkeypatch):
         # with one slot per member the refinement runs bit for bit the same
         # (the perimeters sum their pushes in the same order)
         monkeypatch.setattr(ocp_mod, "_repeats", lambda kst, N, M: False)
-        alone = ocp_mod._factor_fronts(K, tree, np.float32)
+        alone = ocp_mod._factor_fronts(kst, tree, np.float32)
         monkeypatch.undo()
         assert alone.nbytes == 4 * unshared
-        z, steps, _ = ocp_mod._refine(K, rhs, shared, np.float32)
-        z_alone, steps_alone, _ = ocp_mod._refine(K, rhs, alone, np.float32)
+        z, steps, _ = ocp_mod._refine(kst, N, rhs, shared, np.float32)
+        z_alone, steps_alone, _ = ocp_mod._refine(kst, N, rhs, alone, np.float32)
         assert steps == steps_alone
         assert np.array_equal(z, z_alone)
     # scale the rows of one level the interior fronts would share (any level
@@ -463,12 +543,13 @@ def test_fronts_are_shared_only_while_rows_repeat_in_time(M, monkeypatch):
     for start in (k * N, N * (M + 1) + k * N):
         scale[start : start + N] = 1.5
     K2 = (sparse.diags(scale) @ K).tocsc()
-    factor = ocp_mod._factor_fronts(K2, tree, np.float32)
+    kst2 = _decode(K2, N)
+    factor = ocp_mod._factor_fronts(kst2, tree, np.float32)
     assert factor.nbytes == 4 * unshared
-    z2, _, defect = ocp_mod._refine(K2, rhs, factor, np.float32)
+    z2, _, defect = ocp_mod._refine(kst2, N, rhs, factor, np.float32)
     assert defect <= 1e-10
     assert _defect(K2, z2, rhs) == defect
-    assert np.max(np.abs(z2 - splu(K2).solve(rhs))) <= 1e-9
+    assert np.max(np.abs(z2 - _reference(K2, rhs))) <= 1e-9
 
 
 @given(
@@ -510,7 +591,7 @@ def test_refinement_rescues_inexact_factor(monkeypatch):
     monkeypatch.setattr(
         ocp_mod,
         "_factor_fronts",
-        lambda K, tree, dtype: exact(K * (1 + 1e-6), tree, dtype),
+        lambda kst, tree, dtype: exact(kst * (1 + 1e-6), tree, dtype),
     )
     cfg = make_config(N=32, M=16, alpha=0.3)
     sol = solve_ocp(cfg)
@@ -543,7 +624,7 @@ class _ConstantFactor:
         return np.full_like(rhs, self.value)
 
 
-def _singular(K, tree, dtype):
+def _singular(kst, tree, dtype):
     raise np.linalg.LinAlgError("singular pivot block")
 
 
@@ -551,8 +632,8 @@ def _singular(K, tree, dtype):
     "fake",
     [
         _singular,
-        lambda K, tree, dtype: _ConstantFactor(0.0),
-        lambda K, tree, dtype: _ConstantFactor(np.nan),
+        lambda kst, tree, dtype: _ConstantFactor(0.0),
+        lambda kst, tree, dtype: _ConstantFactor(np.nan),
     ],
     ids=["raises", "wrong", "nan"],
 )
@@ -608,9 +689,9 @@ def test_precision_ladder(monkeypatch, gains, want, float32_steps):
     exact = ocp_mod._factor_fronts
     steps: dict = {}
 
-    def fake(K, tree, dtype):
+    def fake(kst, tree, dtype):
         gain = gains[0] if dtype is np.float32 else gains[1]
-        return _Damped(exact(K, tree, dtype), gain, steps)
+        return _Damped(exact(kst, tree, dtype), gain, steps)
 
     monkeypatch.setattr(ocp_mod, "_factor_fronts", fake)
     monkeypatch.setattr(_Damped, "most_live", 0)
@@ -643,9 +724,8 @@ def test_float32_factor_holds_no_subnormals():
         control_domain=IntervalUnion(),
         x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
     )
-    K, _ = assemble_kkt(cfg, None)
     tree = ocp_mod._DissectionTree(grid.N, cfg.tgrid.M)
-    factor = ocp_mod._factor_fronts(K, tree, np.float32)
+    factor = ocp_mod._factor_fronts(ocp_mod._kkt_stencil(cfg), tree, np.float32)
     tiny = np.finfo(np.float32).tiny
     for part in factor.arrays():
         assert not np.any((part != 0) & (np.abs(part) < tiny))
