@@ -47,7 +47,7 @@ from .geometry import (
     domain_to_config,
     parse_domain,
 )
-from .ocp import OCPConfig, bump_initial, check_bump_window, factor_entries, solve_ocp
+from .ocp import OCPConfig, bump_initial, check_bump_window, solve_bytes, solve_ocp
 from .semigroup import (
     LEVEL_BLOCK,
     FeedbackProfile,
@@ -697,23 +697,6 @@ def _unknowns(cfg: OCPConfig) -> int:
     return 2 * cfg.grid.N * (cfg.tgrid.M + 1)
 
 
-# Peak RSS of one solve_ocp call above the RSS before it, per byte of the
-# float64 entries factor_entries counts, measured on the float64 rung (a
-# float32 factor that missed its gate, then the float64 one): the largest
-# ratio over the sizes of BENCH_18.json, 25,856 to 821,248 unknowns, is
-# 1.345, and repeated runs of one size spread by under 1%.  The two front
-# rungs are the only paths a solve takes, and one that stays on the
-# float32 rung peaks lower, so the gate covers every solve.
-_SOLVE_SCALE = 1.39
-
-
-def _solve_bytes(cfg: OCPConfig) -> float:
-    """Estimated memory one KKT solve of cfg adds at its peak, in bytes:
-    _SOLVE_SCALE times the float64 entries its front factor holds at once,
-    which the dissection tree counts before anything is factored."""
-    return _SOLVE_SCALE * 8 * factor_entries(cfg)
-
-
 def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
     """How many of `configs` may solve at once with `workers` threads.
 
@@ -723,7 +706,7 @@ def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
     alone does not fit; skips the check where MemAvailable cannot be read.
     """
     width = min(workers, len(configs))
-    sized = sorted(((_solve_bytes(c), _unknowns(c)) for c in configs), reverse=True)
+    sized = sorted(((solve_bytes(c), _unknowns(c)) for c in configs), reverse=True)
     need = [b for b, _ in sized]
     avail = _require_memory(need[0], f"a KKT solve of {sized[0][1]} unknowns")
     if avail is None:

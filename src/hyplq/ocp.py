@@ -41,9 +41,9 @@ __all__ = [
     "bump_initial",
     "check_bump_window",
     "discrete_objective",
-    "factor_entries",
     "rollout_midpoint",
     "solve_error_system",
+    "solve_bytes",
     "solve_ocp",
     "solve_perturbed",
 ]
@@ -260,6 +260,13 @@ _CHUNK = 1 << 20
 # The 3x3 stencil offsets (dk, di), numbered o = 3 (dk + 1) + di + 1.
 _OFFSETS = np.array([(dk, di) for dk in (-1, 0, 1) for di in (-1, 0, 1)])
 
+# The 16 of the 36 stencil codes tr*18 + o*2 + tc that _kkt_stencil writes:
+# state rows (tr = 0) reach levels k - 1 and k, adjoint rows (tr = 1) k and
+# k + 1, and a row reaches the other type (tc != tr) only at its own node.
+_USED = np.array(
+    [dk in (tr - 1, tr) and (di == 0 or tc == tr) for tr in (0, 1) for dk, di in _OFFSETS for tc in (0, 1)]
+)
+
 
 def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
     """Local geometry of an nk x ni rectangle of the level-by-node grid.
@@ -316,10 +323,10 @@ class _Fronts:
 
     Members that share a front matrix share a slot: `slot` maps each member
     to its slot and `order` lists the members by slot, one row per slot and
-    the first member of the slot in column 0.  Only an `interior` group, one
-    whose rectangles touch neither level 0 nor level M, has fewer slots than
-    members: its members of one node origin share one, when every origin
-    has the same number of members.  Elsewhere every member has its own.
+    the first member of the slot in column 0.  In a group whose rectangles
+    touch neither level 0 nor level M, the members of one node origin share
+    one, when every origin has the same number of members.  Elsewhere every
+    member has its own.
     """
 
     depth: int
@@ -328,7 +335,6 @@ class _Fronts:
     local: np.ndarray
     table: np.ndarray
     origin: tuple
-    interior: bool
     slot: np.ndarray
     order: np.ndarray
     children: list = dataclasses.field(default_factory=list)
@@ -347,13 +353,6 @@ class _Fronts:
         i = (self.origin[1][:, None] + self.local[:, 1]) % N
         return k * N + i
 
-    def layout(self, share: bool) -> tuple:
-        """(slot, order) with the shared slots, or with one slot per member."""
-        if share:
-            return self.slot, self.order
-        every = np.arange(self.count)
-        return every, every[:, None]
-
 
 class _DissectionTree:
     """Nested dissection of the (M+1) x N level-by-node grid, by front shape.
@@ -370,9 +369,10 @@ class _DissectionTree:
     `groups` runs from the root down.
 
     K's rows do not change from level to level between the initial and the
-    terminal row, so the fronts of an interior group (see _Fronts) that
-    share a node origin hold the same matrix; the counts below keep each
-    such front once, as _FrontFactor does whenever K has that invariance.
+    terminal row (_kkt_stencil writes them so), so the fronts of a group
+    whose rectangles touch neither level 0 nor level M and that share a
+    node origin hold the same matrix: they share a slot (see _Fronts), and
+    the counts below keep each slot once, as _FrontFactor does.
     """
 
     def __init__(self, N: int, M: int):
@@ -396,8 +396,7 @@ class _DissectionTree:
                     np.concatenate([p.origin[0] + dr for p, dr, _ in parents]),
                     np.concatenate([(p.origin[1] + dc) % N for p, _, dc in parents]),
                 )
-                interior = not (shape[2] or shape[3])
-                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2), interior)
+                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2), not (shape[2] or shape[3]))
                 first = 0
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
@@ -418,9 +417,8 @@ class _DissectionTree:
         if interior:
             _, shared, per = np.unique(origin[1], return_inverse=True, return_counts=True)
             if np.all(per == per[0]):
-                slot = shared
-                order = np.argsort(shared, kind="stable").reshape(-1, per[0])
-        return _Fronts(depth, len(sep), len(rim), local, table, origin, interior, slot, order)
+                slot, order = shared, np.argsort(shared, kind="stable").reshape(-1, per[0])
+        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order)
 
     def entries(self) -> int:
         """Entries of the factor the fronts keep: each slot's inverse pivot
@@ -452,16 +450,15 @@ class _DissectionTree:
             solve = max(solve, 4 * g.count * n2)
         return max(peak, kept + solve)
 
-    def template(self, g: _Fronts, used: np.ndarray):
+    def template(self, g: _Fronts):
         """Where the entries of K that the fronts of g own land in them.
 
         A front owns the entries with one end at a point it eliminates and
         the other inside the front.  Returns (local point, stencil code,
         flat index in the front) per entry, the same for every member; only
-        stencil codes flagged in `used` are kept.
+        the stencil codes _kkt_stencil writes (_USED) are kept.
         """
-        key = (id(g), used.tobytes())
-        if key not in self._templates:
+        if id(g) not in self._templates:
             ns, nb = g.ns, g.nb
             n2 = 2 * (ns + nb)
             # every 3x3 neighbour q of every eliminated point a, by offset o
@@ -483,9 +480,9 @@ class _DissectionTree:
                     ((2 * q[out, None] + tr) * n2 + 2 * a[out, None] + tc).ravel(),
                 ]
             )
-            keep = used[code]
-            self._templates[key] = (src[keep], code[keep], dest[keep])
-        return self._templates[key]
+            keep = _USED[code]
+            self._templates[id(g)] = (src[keep], code[keep], dest[keep])
+        return self._templates[id(g)]
 
 
 def _kkt_stencil(config: OCPConfig) -> np.ndarray:
@@ -516,9 +513,10 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
     """rhs - K z for the K whose rows kst holds on N nodes, bit for bit as
     scipy's CSC `K @ z`: each row sums from 0.0 in increasing column order
     (x, lam; level; node: di = -1, 0, 1 but node 0 takes node N - 1 last and
-    node N - 1 takes node 0 first), skipping offsets that are 0 in all rows."""
+    node N - 1 takes node 0 first), over the offsets _kkt_stencil writes (an
+    entry that is 0 adds a zero product, which leaves the sum as it is)."""
     lv = kst.T.reshape(2, 3, 3, 2, -1, N)  # tr, dk + 1, di + 1, tc, level, node
-    used = kst.any(axis=0).reshape(2, 3, 3, 2)
+    used = _USED.reshape(2, 3, 3, 2)
     zl = z.reshape(2, -1, N)
     kz = np.zeros_like(zl)
     for tr, tc, dk in itertools.product((0, 1), (0, 1), (-1, 0, 1)):
@@ -528,19 +526,6 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
                 zs = zl[tc, k0 + dk : k1 + dk, (i0 + d) % N :][:, : i1 - i0]
                 kz[tr, k0:k1, i0:i1] += lv[tr, dk + 1, d + 1, tc, k0:k1, i0:i1] * zs
     return rhs - kz.ravel()
-
-
-def _repeats(kst: np.ndarray, N: int, M: int) -> bool:
-    """Whether K's rows repeat in time as far as interior fronts read them:
-    the rows of levels 1..M-1 equal those of level 1, and the rows of level
-    0 (M) equal them in their couplings to the level below (above), the
-    only entries of those rows that an interior front holds."""
-    lv = kst.T.reshape(2, 3, 3, 2, M + 1, N)  # tr, dk + 1, di + 1, tc, level, node
-    return (
-        all(np.array_equal(lv[..., k, :], lv[..., 1, :]) for k in range(2, M))
-        and np.array_equal(lv[:, 2, ..., 0, :], lv[:, 2, ..., 1, :])
-        and np.array_equal(lv[:, 0, ..., M, :], lv[:, 0, ..., 1, :])
-    )
 
 
 class _FrontFactor:
@@ -557,38 +542,32 @@ class _FrontFactor:
     call per pair of runs for all slots of a chunk.  Kept per chunk:
     W = F_SS^-1, Y = W F_SB and X = F_BS.
 
-    When K's rows repeat in time (_repeats), only the first member of each
-    slot is assembled and factored.  That is exact: the members of a slot
-    read the same entries of K at the same front positions, and their
-    children's updates are equal by induction up the tree, so their fronts
-    are equal bit for bit.  The solve applies each slot's W, Y and X to all
-    of its members.  Otherwise every member has its own slot.
+    Only the first member of each slot is assembled and factored, exactly:
+    K's rows repeat in time, so the members of a slot read the same entries
+    of K at the same front positions, their children's updates are equal by
+    induction up the tree, and their fronts are equal bit for bit.  The
+    solve applies each slot's W, Y and X to all of its members.
     """
 
     def __init__(self, kst: np.ndarray, tree: _DissectionTree, dtype):
         N, M = tree.N, tree.M
         self.half = N * (M + 1)
         self.dtype = np.dtype(dtype)
-        used = kst.any(axis=0)
-        share = _repeats(kst, N, M)
         self.groups: list = []
         updates: dict = {}
         scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
         for g in reversed(tree.groups):
             for done in [c for c in updates if c.depth > g.depth + 1]:
                 del updates[done]
-            src, code, dest = tree.template(g, used)
-            slot, order = g.layout(share)
-            points = g.points(N)[order]  # by slot, (slots, members per slot, points)
-            rank = np.empty(g.count, dtype=np.intp)  # each member's place in `points`
-            rank[order.ravel()] = np.arange(g.count)
+            src, code, dest = tree.template(g)
+            points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
             ns, nb = g.ns, g.nb
             s, n2 = 2 * ns, 2 * (ns + nb)
-            upd = np.empty((len(order), 2 * nb, 2 * nb), dtype=dtype)
+            upd = np.empty((g.slots, 2 * nb, 2 * nb), dtype=dtype)
             per = max(1, _CHUNK // n2**2)
             blocks = []
-            for lo in range(0, len(order), per):
-                hi = min(len(order), lo + per)
+            for lo in range(0, g.slots, per):
+                hi = min(g.slots, lo + per)
                 m = hi - lo
                 if scratch.size < m * n2 * n2:
                     scratch = np.empty(m * n2 * n2, dtype=dtype)
@@ -597,7 +576,7 @@ class _FrontFactor:
                 F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, 0, src], code]
                 for child, first, runs in g.children:
                     child_upd, child_slot = updates[child]
-                    U = child_upd[child_slot[first + order[lo:hi, 0]]]
+                    U = child_upd[child_slot[first + g.order[lo:hi, 0]]]
                     for ur, vr, lr in runs:
                         for uc, vc, lc in runs:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
@@ -617,8 +596,8 @@ class _FrontFactor:
                 np.matmul(X, Y, out=upd[lo:hi])
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
                 blocks.append((lo, hi, W, Y, X))
-            updates[g] = (upd, slot)
-            self.groups.append((points, rank, ns, blocks))
+            updates[g] = (upd, g.slot)
+            self.groups.append((points, ns, blocks))
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
     def arrays(self):
@@ -632,26 +611,21 @@ class _FrontFactor:
         def unknowns(p):
             return (p[..., None] + np.array([0, self.half])).reshape(*p.shape[:-1], -1)
 
-        # forward, up the tree: y_S = W r_S, then r_B -= X y_S.  A slot's
-        # blocks act on its members side by side; a group's pushes reach the
-        # perimeters in member order, so a point that several members share
-        # sums them in the same order whatever the slots
-        for points, rank, ns, blocks in self.groups:
+        # forward, up the tree: y_S = W r_S, then r_B -= X y_S, a slot's blocks
+        # acting on its members side by side; one scatter per group, in slot order
+        for points, ns, blocks in self.groups:
             push = np.empty((*points.shape[:2], 2 * (points.shape[2] - ns)), dtype=self.dtype)
             for lo, hi, W, Y, X in blocks:
                 here = unknowns(points[lo:hi, :, :ns])
                 y = np.matmul(W[:, None], z[here][..., None])
                 z[here] = y[..., 0]
                 np.matmul(X[:, None], y, out=push[lo:hi, ..., None])
-            if push.shape[2]:
-                by_member = points.reshape(len(rank), -1)[rank, ns:]
-                np.subtract.at(z, unknowns(by_member), push.reshape(len(rank), -1)[rank])
+            np.subtract.at(z, unknowns(points[..., ns:]), push)
         # backward, down the tree: z_S = y_S - Y z_B
-        for points, rank, ns, blocks in reversed(self.groups):
-            if points.shape[2] > ns:
-                for lo, hi, W, Y, X in blocks:
-                    out = z[unknowns(points[lo:hi, :, ns:])]
-                    z[unknowns(points[lo:hi, :, :ns])] -= np.matmul(Y[:, None], out[..., None])[..., 0]
+        for points, ns, blocks in reversed(self.groups):
+            for lo, hi, W, Y, X in blocks:
+                out = z[unknowns(points[lo:hi, :, ns:])]
+                z[unknowns(points[lo:hi, :, :ns])] -= np.matmul(Y[:, None], out[..., None])[..., 0]
         return z
 
 
@@ -706,13 +680,19 @@ def _subnormals_as_zero():
         _LIBC.fesetenv(env)
 
 
-def factor_entries(config: OCPConfig) -> int:
-    """Most entries the front factor of config's optimality system holds at
-    once while it is made and used, counted on its dissection tree before
-    anything is factored (_DissectionTree.peak_entries).  _kkt_stencil's
-    rows repeat in time for every config, so the count shares the fronts
-    the factor shares."""
-    return _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
+# Peak RSS of one solve_ocp call above the RSS before it, per byte of the
+# float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
+# float32 factor that missed its gate, then the float64 one, which peaks
+# above a solve that stays on float32): at most 1.345 over the sizes of
+# BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%.
+_SOLVE_SCALE = 1.39
+
+
+def solve_bytes(config: OCPConfig) -> float:
+    """Estimated peak memory one solve of config adds, in bytes: _SOLVE_SCALE
+    times the float64 entries its front factor holds at once, which the
+    dissection tree counts before anything is factored."""
+    return _SOLVE_SCALE * 8 * _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
 
 
 def _factor_fronts(kst: np.ndarray, tree: _DissectionTree, dtype) -> _FrontFactor:

@@ -29,6 +29,7 @@ from hyplq.cli import (
     write_table,
 )
 from hyplq.geometry import Grid1D, GridFunction, TimeGrid
+from hyplq.ocp import solve_bytes
 from hyplq.semigroup import LEVEL_BLOCK, transport_free
 
 EQUIDISTANT = "periodic: {period: 1, pattern: [[0, 0.2]]}"
@@ -801,7 +802,7 @@ def test_memory_caps_the_sweep_pool(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Pool)
     plan = plan_from_config(sweep_config("domain-sweep", tmp_path / "free"))
-    need = sorted((cli_mod._solve_bytes(plan.realize(L=L)) for L in plan.l_values), reverse=True)
+    need = sorted((solve_bytes(plan.realize(L=L)) for L in plan.l_values), reverse=True)
     assert need[0] > need[1] > need[2]
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: None)
     assert run_experiment(plan, workers=3) == 0
@@ -833,7 +834,7 @@ def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, c
     import hyplq.cli as cli_mod
 
     plan = plan_from_config(sweep_config(kind, tmp_path))
-    largest = max(cli_mod._solve_bytes(c) for c in cli_mod._members(plan))
+    largest = max(solve_bytes(c) for c in cli_mod._members(plan))
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.floor(largest) - 1)
 
     def refuse(cfg):
@@ -853,7 +854,6 @@ def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, c
 
 
 def test_solve_estimate_scales_the_float64_front_count():
-    import hyplq.cli as cli_mod
     import hyplq.ocp as ocp_mod
 
     def member(L, nodes_per_unit, steps):
@@ -868,10 +868,10 @@ def test_solve_estimate_scales_the_float64_front_count():
     assert ocp_mod._FrontFactor(ocp_mod._kkt_stencil(cfg), tree, np.float64).nbytes == 8 * tree.entries()
     assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
     assert tree.peak_entries() > tree.entries()
-    assert cli_mod._solve_bytes(cfg) == cli_mod._SOLVE_SCALE * 8 * tree.peak_entries()
+    assert solve_bytes(cfg) == ocp_mod._SOLVE_SCALE * 8 * tree.peak_entries()
     # the sweep-pool benchmark's two largest members (L = 2.5 and 2 at 128
     # nodes per unit, 100 steps) run together well inside a small machine
-    assert cli_mod._solve_bytes(member(2.5, 128, 100)) + cli_mod._solve_bytes(member(2.0, 128, 100)) < 256 * 2**20
+    assert solve_bytes(member(2.5, 128, 100)) + solve_bytes(member(2.0, 128, 100)) < 256 * 2**20
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import hyplq.ocp as ocp_mod
@@ -285,6 +284,7 @@ def _float32_rung(cfg, perturbation=None):
 @pytest.mark.parametrize("steps", [1, 2])
 @pytest.mark.parametrize("layout", [FINITE, PERIODIC], ids=["finite", "periodic"])
 def test_nested_dissection_matches_colamd(alpha, steps, layout):
+    # the reference is SuperLU under its default COLAMD ordering (_reference)
     L, N = 2.0, 48
     grid = Grid1D(L, N)
     cfg = OCPConfig(
@@ -385,7 +385,7 @@ def test_float64_rung_with_a_real_factor(alpha, steps, layout):
     perturbed=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_front_factor_matches_colamd_on_small_grids(N, M, alpha, sine, observed, data, perturbed):
+def test_float32_rung_on_small_grids_with_data_and_perturbations(N, M, alpha, sine, observed, data, perturbed):
     # each draw below is a place where repetition in time could break: a
     # speed that varies in space, an observation domain, forcing and
     # references on the right-hand side, and residuals in every row block
@@ -502,54 +502,84 @@ def _unshared_entries(tree):
     return sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
 
 
-@pytest.mark.parametrize("M", [1, 2, 12])
-def test_fronts_are_shared_only_while_rows_repeat_in_time(M, monkeypatch):
-    N = 32
+@given(
+    N=st.integers(min_value=4, max_value=48),
+    M=st.integers(min_value=1, max_value=30),
+    alpha_exponent=st.floats(min_value=-3.0, max_value=3.0),
+    c=st.floats(min_value=0.01, max_value=50.0),
+    sine=st.booleans(),
+    layout=st.sampled_from([IntervalUnion(), FULL, PREFIX, EQUIDISTANT]),
+    observed=st.sampled_from([None, IntervalUnion(), FINITE, PERIODIC]),
+)
+@settings(max_examples=200, deadline=None)
+def test_stencil_rows_repeat_in_time_on_the_used_codes(N, M, alpha_exponent, c, sine, layout, observed):
+    # what the front factor takes from the closed form without checking it:
+    # interior fronts of one node origin share a matrix because levels
+    # 1..M-1 write the same rows and levels 0 and M write them too toward
+    # the interior, bit for bit; the template and the defect read only the
+    # stencil codes in _USED
+    grid = Grid1D(1.0, N)
     cfg = OCPConfig(
-        grid=Grid1D(1.0, N),
+        grid=grid,
+        tgrid=TimeGrid(1.0, M),
+        velocity=sinusoidal_velocity(c, 0.25 * c, 1.0) if sine else VelocityField.constant(c),
+        alpha=10.0**alpha_exponent,
+        control_domain=layout,
+        observation_domain=observed,
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+    )
+    kst = ocp_mod._kkt_stencil(cfg)
+    assert np.count_nonzero(ocp_mod._USED) == 16
+    assert not np.any(kst[:, ~ocp_mod._USED])
+    lv = kst.view(np.uint64).T.reshape(2, 3, 3, 2, M + 1, N)  # tr, dk + 1, di + 1, tc, level, node
+    for k in range(2, M):
+        assert np.array_equal(lv[..., k, :], lv[..., 1, :])
+    if M >= 2:
+        assert np.array_equal(lv[:, 2, ..., 0, :], lv[:, 2, ..., 1, :])
+        assert np.array_equal(lv[:, 0, ..., M, :], lv[:, 0, ..., 1, :])
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-11), (np.float64, 1e-14)], ids=["float32", "float64"])
+@pytest.mark.parametrize("M", [1, 2, 12])
+def test_shared_fronts_solve_like_one_slot_per_member(M, dtype, rtol):
+    N = 32
+    grid = Grid1D(1.0, N)
+    cfg = OCPConfig(
+        grid=grid,
         tgrid=TimeGrid(1.0, M),
         velocity=sinusoidal_velocity(2.0, 0.5, 1.0),
         alpha=0.3,
         control_domain=PERIODIC,
         observation_domain=FINITE,
-        x0=bump_initial(0.4, 0.5, Grid1D(1.0, N)),
+        x0=bump_initial(0.4, 0.5, grid),
     )
-    K, rhs = assemble_kkt(cfg, None)
-    kst = _decode(K, N)
+    kst, rhs = ocp_mod._kkt_stencil(cfg), ocp_mod._kkt_rhs(cfg, None)
     tree = ocp_mod._DissectionTree(N, M)
-    unshared = _unshared_entries(tree)
-    shared = ocp_mod._factor_fronts(kst, tree, np.float32)
-    assert shared.nbytes == 4 * tree.entries()
-    if M <= 2:
-        # too few levels for a rectangle to miss both level 0 and level M
-        assert not any(g.interior for g in tree.groups)
-        assert tree.entries() == unshared
-    else:
-        assert tree.entries() < unshared
-        # with one slot per member the refinement runs bit for bit the same
-        # (the perimeters sum their pushes in the same order)
-        monkeypatch.setattr(ocp_mod, "_repeats", lambda kst, N, M: False)
-        alone = ocp_mod._factor_fronts(kst, tree, np.float32)
-        monkeypatch.undo()
-        assert alone.nbytes == 4 * unshared
-        z, steps, _ = ocp_mod._refine(kst, N, rhs, shared, np.float32)
-        z_alone, steps_alone, _ = ocp_mod._refine(kst, N, rhs, alone, np.float32)
-        assert steps == steps_alone
-        assert np.array_equal(z, z_alone)
-    # scale the rows of one level the interior fronts would share (any level
-    # of a short horizon): no front is shared, and the solve stays exact
-    k = max(1, M // 2)
-    scale = np.ones(K.shape[0])
-    for start in (k * N, N * (M + 1) + k * N):
-        scale[start : start + N] = 1.5
-    K2 = (sparse.diags(scale) @ K).tocsc()
-    kst2 = _decode(K2, N)
-    factor = ocp_mod._factor_fronts(kst2, tree, np.float32)
-    assert factor.nbytes == 4 * unshared
-    z2, _, defect = ocp_mod._refine(kst2, N, rhs, factor, np.float32)
+    alone = ocp_mod._DissectionTree(N, M)
+    for g in alone.groups:
+        g.slot = np.arange(g.count)
+        g.order = g.slot[:, None]
+    shared = ocp_mod._factor_fronts(kst, tree, dtype)
+    single = ocp_mod._factor_fronts(kst, alone, dtype)
+    size = np.dtype(dtype).itemsize
+    assert shared.nbytes == size * tree.entries()
+    assert single.nbytes == size * _unshared_entries(tree)
+    # M <= 2 leaves no rectangle that misses both level 0 and level M
+    assert (tree.entries() < _unshared_entries(tree)) == (M > 2)
+    # every member's W, Y and X equal its slot's bit for bit
+    for g, (_, _, blocks), (_, _, own) in zip(reversed(tree.groups), shared.groups, single.groups):
+        for k in (2, 3, 4):
+            kept = np.concatenate([b[k] for b in blocks])
+            every = np.concatenate([b[k] for b in own])
+            assert np.array_equal(every[g.order], np.broadcast_to(kept[:, None], every[g.order].shape))
+    # the shared slots scatter their perimeter pushes in slot order, not in
+    # member order, so the refined solutions agree to what a float32 factor
+    # leaves after the gate (3.4e-13 at M = 12) or to float64 rounding
+    z, steps, defect = ocp_mod._refine(kst, N, rhs, shared, dtype)
+    z_alone, steps_alone, _ = ocp_mod._refine(kst, N, rhs, single, dtype)
     assert defect <= 1e-10
-    assert _defect(K2, z2, rhs) == defect
-    assert np.max(np.abs(z2 - _reference(K2, rhs))) <= 1e-9
+    assert steps == steps_alone
+    assert np.max(np.abs(z - z_alone)) <= rtol * np.max(np.abs(z_alone))
 
 
 @given(
@@ -637,8 +667,8 @@ def _singular(kst, tree, dtype):
     ],
     ids=["raises", "wrong", "nan"],
 )
-def test_colamd_fallback(monkeypatch, tmp_path, fake):
-    # no COLAMD rung follows the two front factors: when both miss the gate
+def test_both_rungs_missing_the_gate_exit_2_without_files(monkeypatch, tmp_path, fake):
+    # no third rung follows the two front factors: when both miss the gate
     # the solve fails, and the CLI exits 2 before it makes its directory
     monkeypatch.setattr(ocp_mod, "_factor_fronts", fake)
     with pytest.raises(NumericError, match="float32 factor: .*; float64 factor: "):
