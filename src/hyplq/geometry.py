@@ -4,6 +4,9 @@ Shared substrate for every other module: uniform periodic grids on [0, L],
 control/observation domains as sorted disjoint closed intervals (with an
 optional periodic tail generator), cell-averaged indicator sampling and the
 exponential localization weights e^{mu*|P - w|}.
+
+periodized_measure, the weighted measure of periodized segments inside a
+window, serves the indicator, measure_intersection and the propagators.
 """
 
 from __future__ import annotations
@@ -285,39 +288,48 @@ def restrict_domain(dom: IntervalUnion, L: float) -> IntervalUnion:
     clipped = []
     for a, b in dom.intervals_until(L):
         lo, hi = max(a, 0.0), min(b, L)
+        if clipped and lo < clipped[-1][1]:  # pattern copies overlapping by rounding
+            lo, hi = clipped[-1][0], max(hi, clipped.pop()[1])
         if hi > lo:
             clipped.append((lo, hi))
     return IntervalUnion(prefix=tuple(clipped))
 
 
-def _overlap(a: float, b: float, p: float, q: float) -> float:
-    return max(0.0, min(b, q) - max(a, p))
+def periodized_measure(segs, period: float, p, q):
+    """Sum of weight * |copies ∩ [p, q]| over the period-periodized (a, b,
+    weight) segments; p and q broadcast against each other (e.g. (levels, N)
+    against (N,)).  No segments measure exactly 0.0."""
+
+    def periods(y):
+        j = np.floor(y / period)
+        return j, y - j * period
+
+    (jp, rp), (jq, rq) = periods(p), periods(q)
+
+    def upto(j, r, a, b):
+        return j * (b - a) + np.minimum(np.maximum(r - a, 0.0), b - a)
+
+    total = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
+    for a, b, g in segs:
+        total += g * (upto(jq, rq, a, b) - upto(jp, rp, a, b))
+    return total
 
 
 def measure_intersection(dom: IntervalUnion, I: Interval) -> float:
     """Lebesgue measure of dom intersected with the closed interval I.
 
-    Exact closed-form summation: the periodic tail is handled by counting
-    complete periods (pattern measure each) plus the two partial ends,
-    never by enumerating periods.
+    Exact closed-form summation: the periodic tail is the pattern
+    periodized from the tail start, measured by periodized_measure on the
+    window clamped there, never by enumerating periods.
     """
     p, q = float(I[0]), float(I[1])
     if q < p:
         raise ValueError(f"probe interval reversed: [{p}, {q}]")
-    total = sum(_overlap(a, b, p, q) for a, b in dom.prefix)
+    total = sum(max(0.0, min(b, q) - max(a, p)) for a, b in dom.prefix)
     if dom.tail is not None:
-        period, pattern = dom.tail
-
-        def upto(y: float) -> float:
-            # measure of the periodized pattern inside [0, y], local coords
-            if y <= 0:
-                return 0.0
-            full, rest = divmod(y, period)
-            return full * sum(b - a for a, b in pattern) + sum(
-                _overlap(a, b, 0.0, rest) for a, b in pattern
-            )
-
-        total += upto(q - dom.start) - upto(p - dom.start)
+        (period, pattern), s = dom.tail, dom.start
+        segs = [(a, b, 1.0) for a, b in pattern]
+        total += float(periodized_measure(segs, period, max(p, s) - s, max(q, s) - s))
     return total
 
 
@@ -325,22 +337,13 @@ def indicator_on_grid(dom: IntervalUnion, grid: Grid1D) -> GridFunction:
     """Cell-averaged indicator of dom ∩ [0, L] on the grid.
 
     Node i carries the fraction of [w_i - h/2, w_i + h/2] covered by the
-    domain (cell 0 wraps periodically), so h * sum(values) reproduces the
-    measure of dom ∩ [0, L] exactly.
+    domain, periodized with period L (so cell 0 wraps), and h * sum(values)
+    reproduces the measure of dom ∩ [0, L] exactly.
     """
-    restricted = restrict_domain(dom, grid.L)
-    h, N = grid.h, grid.N
-    vals = np.empty(N)
-    for i in range(N):
-        lo, hi = grid.nodes[i] - 0.5 * h, grid.nodes[i] + 0.5 * h
-        if lo < 0.0:
-            m = measure_intersection(restricted, (0.0, hi)) + measure_intersection(
-                restricted, (grid.L + lo, grid.L)
-            )
-        else:
-            m = measure_intersection(restricted, (lo, min(hi, grid.L)))
-        vals[i] = m / h
-    return GridFunction(grid, np.clip(vals, 0.0, 1.0))
+    segs = [(a, b, 1.0) for a, b in restrict_domain(dom, grid.L).prefix]
+    h = grid.h
+    m = periodized_measure(segs, grid.L, grid.nodes - 0.5 * h, grid.nodes + 0.5 * h)
+    return GridFunction(grid, np.clip(m / h, 0.0, 1.0))
 
 
 def exp_weight_on_grid(w: ExpWeight, grid: Grid1D) -> GridFunction:

@@ -94,7 +94,7 @@ class PerturbationSpec:
 
     eps1 perturbs the adjoint equation and eps3 the state equation (both on
     time levels, shape (M+1, N)); eps2 shifts the terminal adjoint value and
-    eps4 the initial state (shape (N,)).
+    eps4 the initial state (shape (N,)).  Each is stored as a float array.
     """
 
     eps1: np.ndarray
@@ -102,15 +102,14 @@ class PerturbationSpec:
     eps3: np.ndarray
     eps4: np.ndarray
 
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "eps3", "eps4"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
     def validated(self, grid: Grid1D, tgrid: TimeGrid) -> "PerturbationSpec":
-        levels = (tgrid.M + 1, grid.N)
-        for name, want in (
-            ("eps1", levels),
-            ("eps2", (grid.N,)),
-            ("eps3", levels),
-            ("eps4", (grid.N,)),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        levels, nodes = (tgrid.M + 1, grid.N), (grid.N,)
+        for name, want in (("eps1", levels), ("eps2", nodes), ("eps3", levels), ("eps4", nodes)):
+            arr = getattr(self, name)
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
         return self
@@ -323,10 +322,10 @@ class _Fronts:
 
     Members that share a front matrix share a slot: `slot` maps each member
     to its slot and `order` lists the members by slot, one row per slot and
-    the first member of the slot in column 0.  In a group whose rectangles
-    touch neither level 0 nor level M, the members of one node origin share
-    one, when every origin has the same number of members.  Elsewhere every
-    member has its own.
+    the first member of the slot in column 0.  The members of one node
+    origin share one when every origin has the same number of members;
+    otherwise, and where rectangles touch level 0 or M (one member per
+    origin), every member has its own.
     """
 
     depth: int
@@ -370,8 +369,8 @@ class _DissectionTree:
 
     K's rows do not change from level to level between the initial and the
     terminal row (_kkt_stencil writes them so), so the fronts of a group
-    whose rectangles touch neither level 0 nor level M and that share a
-    node origin hold the same matrix: they share a slot (see _Fronts), and
+    that share a node origin hold the same matrix: they share a slot (see
+    _Fronts; a group touching level 0 or M has one member per origin), and
     the counts below keep each slot once, as _FrontFactor does.
     """
 
@@ -379,7 +378,7 @@ class _DissectionTree:
         self.N, self.M = N, M
         cuts = (0, N // 2)
         sep = [(r, c) for c in cuts for r in range(1, M + 2)]
-        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N), False)
+        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N))
         halves = [((M + 1, b - a - 1, True, True), 0, a) for a, b in ((0, N // 2), (N // 2, N))]
         self.groups = [root]
         frontier = [(root, halves)]
@@ -396,7 +395,7 @@ class _DissectionTree:
                     np.concatenate([p.origin[0] + dr for p, dr, _ in parents]),
                     np.concatenate([(p.origin[1] + dc) % N for p, _, dc in parents]),
                 )
-                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2), not (shape[2] or shape[3]))
+                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2))
                 first = 0
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
@@ -408,16 +407,15 @@ class _DissectionTree:
         self._templates: dict = {}
 
     @staticmethod
-    def _group(depth, sep, rim, origin, box, interior) -> _Fronts:
+    def _group(depth, sep, rim, origin, box) -> _Fronts:
         local = np.array(sep + rim, dtype=np.intp).reshape(-1, 2)
         table = np.full(box, -1, dtype=np.intp)
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
         slot = np.arange(len(origin[0]))
         order = slot[:, None]
-        if interior:
-            _, shared, per = np.unique(origin[1], return_inverse=True, return_counts=True)
-            if np.all(per == per[0]):
-                slot, order = shared, np.argsort(shared, kind="stable").reshape(-1, per[0])
+        _, shared, per = np.unique(origin[1], return_inverse=True, return_counts=True)
+        if np.all(per == per[0]):
+            slot, order = shared, np.argsort(shared, kind="stable").reshape(-1, per[0])
         return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order)
 
     def entries(self) -> int:

@@ -6,6 +6,9 @@ solver is validated against.  Transport solutions are periodized shifts with
 an exact exponential attenuation collected along characteristics; the damped
 wave equation is reduced to one damped transport problem on the doubled
 interval via its Riemann invariants and solved by the same machinery.
+
+Every attenuation exponent is geometry.periodized_measure of the damping
+segments; undamped runs take the same path, as no segments measure exactly 0.0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .geometry import (
     Grid1D,
     GridFunction,
     IntervalUnion,
+    periodized_measure,
     restrict_domain,
     smooth_bump,
 )
@@ -95,25 +99,6 @@ def _damping(fb: Optional[FeedbackProfile], L: float) -> tuple:
     return () if fb is None or fb.gain == 0.0 else fb.segments(L)
 
 
-def _periodized_window_gain(segs, L: float, p: np.ndarray, q: np.ndarray):
-    """Sum of gain * |interval-copies ∩ [p, q]| over the L-periodized segments;
-    p and q broadcast against each other (e.g. (levels, N) against (N,))."""
-
-    def periods(y):
-        j = np.floor(y / L)
-        return j, y - j * L
-
-    (jp, rp), (jq, rq) = periods(p), periods(q)
-
-    def upto(j, r, a, b):
-        return j * (b - a) + np.minimum(np.maximum(r - a, 0.0), b - a)
-
-    total = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
-    for a, b, g in segs:
-        total += g * (upto(jq, rq, a, b) - upto(jp, rp, a, b))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # transport propagators
 # ---------------------------------------------------------------------------
@@ -165,8 +150,7 @@ def _shift_rows(x0: GridFunction, times: np.ndarray, c: float, segs, L: float) -
         rows[exact] = x0.values[(np.arange(grid.N) - shift[:, None]) % grid.N]
     if not exact.all():
         rows[~exact] = sample_periodic(x0, feet[~exact])
-    if segs:
-        rows *= np.exp(-_periodized_window_gain(segs, L, feet, grid.nodes) / c)
+    rows *= np.exp(-periodized_measure(segs, L, feet, grid.nodes) / c)
     _require_finite(rows)
     return rows
 
@@ -243,15 +227,12 @@ def transport_variable_levels(
     _require_grid(x0, L)
     grid = x0.grid
     tau_w = travel_time(grid.nodes, vel, L)
-    segs = _damping(fb, L)
-    if segs:
-        segs, tau_L = _time_segments(segs, vel, L)
+    segs, tau_L = _time_segments(_damping(fb, L), vel, L)
     out = np.empty((times.size, grid.N))
     for block in _level_blocks(times.size):
         feet = tau_w - times[block, None]
         rows = sample_periodic(x0, invert_travel_time(feet, vel, L))
-        if segs:
-            rows *= np.exp(-_periodized_window_gain(segs, tau_L, feet, tau_w))
+        rows *= np.exp(-periodized_measure(segs, tau_L, feet, tau_w))
         _require_finite(rows)
         out[block] = rows
     return out
@@ -298,16 +279,13 @@ def continuity_levels(
     log_w = log_speed_integral(grid.nodes, vel, L)
     seam = vel.eval(0.0) / vel.eval(L)
     tau_w = travel_time(grid.nodes, vel, L)
-    segs = _damping(fb, L)
-    if segs:
-        segs, tau_L = _time_segments(segs, vel, L)
+    segs, tau_L = _time_segments(_damping(fb, L), vel, L)
     out = np.empty((times.size, grid.N))
     for block in _level_blocks(times.size):
         heads = tau_w + times[block, None]
         p = invert_travel_time(heads, vel, L)
         expo = log_speed_integral(p, vel, L) - log_w
-        if segs:
-            expo -= _periodized_window_gain(segs, tau_L, tau_w, heads)
+        expo -= periodized_measure(segs, tau_L, tau_w, heads)
         # an overflow is reported by the finiteness check, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             rows = seam ** np.floor(p / L) * np.exp(expo) * sample_periodic(x0, p % L)

@@ -319,6 +319,31 @@ def test_decay_full_domain():
     assert (M, rate) == (1.0, 0.7)
 
 
+FULL_TAIL = (1.0, ((0.0, 1.0),))
+
+
+def test_decay_gap_free_prefix_damps_everywhere():
+    # the prefix tiles [0, start] and the pattern fills its period
+    dom = IntervalUnion(prefix=((0.0, 0.5), (0.5, 1.25)), tail=FULL_TAIL, start=1.25)
+    assert guaranteed_decay(dom, 0.7, 3.0) == (1.0, 0.7)
+
+
+@pytest.mark.parametrize(
+    "prefix, start",
+    [(((0.0, 0.3), (0.5, 1.0)), 1.0), (((0.0, 1.0),), 2.0)],
+    ids=["gapped-prefix", "prefix-ends-before-start"],
+)
+def test_decay_prefix_with_a_gap_takes_the_certificate(prefix, start):
+    # a gap inside the prefix, or between its end and the tail start,
+    # leaves the full rate but an overshoot from the certificate path
+    dom = IntervalUnion(prefix=prefix, tail=FULL_TAIL, start=start)
+    assert certify_rates(dom) is not None
+    M, rate = guaranteed_decay(dom, 0.7, 2.0)
+    assert rate == 0.7
+    assert M == pytest.approx(math.exp((0.7 / 2.0) * (1.0 + start)), rel=1e-14)
+    assert M > 1.0
+
+
 def test_decay_zero_gain():
     assert guaranteed_decay(EQUI, 0.0, 2.0) == (1.0, 0.0)
 

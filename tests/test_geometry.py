@@ -95,6 +95,15 @@ def test_restrict_clips_boundary():
     assert restrict_domain(dom, 0.1).prefix == ((0.0, 0.1),)
 
 
+def test_restrict_merges_copies_that_overlap_by_rounding():
+    # 12 * 0.1 + 0.1 rounds above 13 * 0.1: the copies of a pattern that
+    # fills its period overlap by an ulp, which restrict_domain merges
+    dom = IntervalUnion(tail=(0.1, ((0.0, 0.1),)))
+    assert restrict_domain(dom, 3.0).prefix[0][0] == 0.0
+    assert sum(b - a for a, b in restrict_domain(dom, 3.0).prefix) == pytest.approx(3.0, abs=1e-12)
+    assert np.allclose(indicator_on_grid(dom, Grid1D(3.0, 30)).values, 1.0, rtol=0.0, atol=1e-13)
+
+
 def test_restrict_disjoint_is_empty():
     dom = IntervalUnion(prefix=((3.0, 4.0),))
     assert restrict_domain(dom, 2.0).prefix == ()
@@ -181,6 +190,94 @@ def test_indicator_mass_matches_measure(edges, n):
     g = Grid1D(1.0, n)
     mass = g.h * indicator_on_grid(dom, g).values.sum()
     assert mass == pytest.approx(measure_intersection(dom, (0.0, 1.0)), rel=1e-12, abs=1e-12)
+
+
+# ------------------------------------------- references for the window measure
+
+
+def reference_measure(dom, p, q):
+    """measure_intersection as it was before periodized_measure: the tail
+    by a scalar measure of the periodized pattern inside [0, y]."""
+
+    def overlap(a, b, lo, hi):
+        return max(0.0, min(b, hi) - max(a, lo))
+
+    total = sum(overlap(a, b, p, q) for a, b in dom.prefix)
+    if dom.tail is not None:
+        period, pattern = dom.tail
+
+        def upto(y):
+            if y <= 0:
+                return 0.0
+            full, rest = divmod(y, period)
+            return full * sum(b - a for a, b in pattern) + sum(overlap(a, b, 0.0, rest) for a, b in pattern)
+
+        total += upto(q - dom.start) - upto(p - dom.start)
+    return total
+
+
+def reference_indicator(dom, grid):
+    """indicator_on_grid as it was: one or two measures per cell, cell 0
+    split at 0 and wrapped to [L - h/2, L]."""
+    restricted = restrict_domain(dom, grid.L)
+    h = grid.h
+    vals = np.empty(grid.N)
+    for i in range(grid.N):
+        lo, hi = grid.nodes[i] - 0.5 * h, grid.nodes[i] + 0.5 * h
+        if lo < 0.0:
+            m = reference_measure(restricted, 0.0, hi) + reference_measure(restricted, grid.L + lo, grid.L)
+        else:
+            m = reference_measure(restricted, lo, min(hi, grid.L))
+        vals[i] = m / h
+    return np.clip(vals, 0.0, 1.0)
+
+
+@st.composite
+def window_layouts(draw):
+    """(domain, L, N): a prefix, an optional tail with an offset start, a
+    length L and a node count that need not be powers of two.  Breakpoints
+    snap now and then to 0, to L and to cell edges, so intervals meet the
+    wrapped cell 0 and the seam at L."""
+    L = draw(st.floats(0.3, 6.0))
+    N = draw(st.integers(4, 97))
+    h = L / N
+
+    def point(top):
+        kind = draw(st.sampled_from(["free", "free", "zero", "L", "edge"]))
+        if kind == "zero":
+            return 0.0
+        if kind == "L":
+            return L
+        if kind == "edge":
+            return (draw(st.integers(0, N)) + 0.5) * h
+        return draw(st.floats(0.0, top))
+
+    pts = sorted({point(1.5 * L) for _ in range(draw(st.integers(0, 8)))})
+    prefix = tuple((a, b) for a, b in zip(pts[::2], pts[1::2]) if b > a)
+    if not draw(st.booleans()):
+        return IntervalUnion(prefix=prefix), L, N
+    period = draw(st.floats(0.05, 2.0))
+    cuts = sorted({draw(st.floats(0.0, period)) for _ in range(draw(st.integers(2, 6)))})
+    pattern = tuple((a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a)
+    if not pattern:
+        pattern = ((0.0, 0.5 * period),)
+    end = prefix[-1][1] if prefix else 0.0
+    start = end + draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 2.0 * L))]))
+    return IntervalUnion(prefix=prefix, tail=(period, pattern), start=start), L, N
+
+
+@given(layout=window_layouts(), p=st.floats(-1.0, 40.0), width=st.floats(0.0, 20.0))
+@settings(max_examples=300, deadline=None)
+def test_window_measure_matches_the_references(layout, p, width):
+    dom, L, N = layout
+    grid = Grid1D(L, N)
+    got = indicator_on_grid(dom, grid).values
+    assert np.max(np.abs(got - reference_indicator(dom, grid))) <= 1e-13
+    # the tail term is a difference of two measures from the tail start,
+    # so both forms round relative to the measure of dom ∩ [0, q]
+    q = p + width
+    err = abs(measure_intersection(dom, (p, q)) - reference_measure(dom, p, q))
+    assert err <= 1e-13 * reference_measure(dom, 0.0, q)
 
 
 # ------------------------------------------------------------------- weights

@@ -257,6 +257,33 @@ def test_variable_speed_levels_match_one_level_calls(levels, gain, layout, amp):
         assert same_bits(cont[m], ref_continuity(x0, t, vel, fb, L1))
 
 
+@pytest.mark.parametrize("levels", [1, LEVEL_BLOCK + 1])
+def test_no_damping_takes_the_damped_path_bit_for_bit(levels):
+    # no profile, a zero gain and an empty control set all measure no
+    # segments: the exponent is exactly 0.0 and exp(-0.0) multiplies each
+    # row by exactly 1.0, so the three agree bit for bit, with each other
+    # and with the undamped per-level references
+    grid, c, vel = Grid1D(L1, 16), 1.3, sinusoid(0.5)
+    times = np.arange(levels) * 0.0173
+    x0 = bump(grid)
+    x1 = GridFunction(grid, np.cos(2 * np.pi * grid.nodes))
+    undamped = [None, FeedbackProfile(LAYOUTS["finite"], 0.0), FeedbackProfile(IntervalUnion(), 1.5)]
+    runs = {
+        "transport": [transport_levels(x0, times, c, L1, fb) for fb in undamped],
+        "variable": [transport_variable_levels(x0, times, vel, L1, fb) for fb in undamped],
+        "continuity": [continuity_levels(x0, times, vel, fb, L1) for fb in undamped],
+        "wave": [np.stack(wave_levels(x0, x1, times, c, fb, L1)) for fb in undamped],
+    }
+    for rows in runs.values():
+        assert same_bits(rows[0], rows[1]) and same_bits(rows[0], rows[2])
+    no_segments = FeedbackProfile(IntervalUnion(), 0.0)
+    for m, t in enumerate(times.tolist()):
+        assert same_bits(runs["transport"][0][m], ref_transport(x0, t, c, (), L1))
+        assert same_bits(runs["variable"][0][m], ref_transport_variable(x0, t, vel, L1, None))
+        assert same_bits(runs["continuity"][0][m], ref_continuity(x0, t, vel, no_segments, L1))
+        assert same_bits(runs["wave"][0][:, m], np.stack(ref_wave(x0, x1, t, c, 0.0, IntervalUnion(), L1)))
+
+
 # (amplitude, time step, levels) at which a level's Newton iteration on
 # (levels, 16) arrays converges a step before the slowest one; one more step
 # there moves last bits, so each level must stop on its own

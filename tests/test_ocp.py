@@ -582,6 +582,23 @@ def test_shared_fronts_solve_like_one_slot_per_member(M, dtype, rtol):
     assert np.max(np.abs(z - z_alone)) <= rtol * np.max(np.abs(z_alone))
 
 
+@pytest.mark.parametrize("N, M", [(4, 1), (16, 2), (32, 12), (24, 30), (64, 100)])
+def test_fronts_share_slots_by_node_origin(N, M):
+    # every group puts the members of one node origin in one slot; a group
+    # whose rectangles reach level 0 or M has one member per node origin,
+    # so there every member keeps its own slot
+    tree = ocp_mod._DissectionTree(N, M)
+    for g in tree.groups:
+        nodes = g.origin[1]
+        assert np.all(nodes[g.order] == nodes[g.order[:, :1]])
+        assert np.array_equal(np.sort(g.order.ravel()), np.arange(g.count))
+        assert np.array_equal(g.slot[g.order], np.broadcast_to(np.arange(g.slots)[:, None], g.order.shape))
+        assert g.slots == len(np.unique(nodes))
+        levels = g.origin[0][:, None] + g.local[: g.ns, 0]
+        if np.any((levels == 0) | (levels == M)):
+            assert g.slots == g.count
+
+
 @given(
     N=st.integers(min_value=4, max_value=70),
     M=st.integers(min_value=1, max_value=40),
@@ -867,6 +884,49 @@ def test_perturbation_error_identity():
     # the perturbed boundary rows hold exactly
     assert np.allclose(pert.x[0], cfg.x0.values + eps.eps4, atol=1e-12)
     assert np.allclose(pert.lam[-1], eps.eps2, atol=1e-12)
+
+
+def test_perturbation_lists_solve_like_arrays():
+    # nested lists are stored as float arrays, so they solve bit for bit
+    # like the arrays they were made from
+    cfg = make_config(N=16, M=8, alpha=0.3)
+    eps = random_perturbation(cfg, 3)
+    lists = PerturbationSpec(eps.eps1.tolist(), eps.eps2.tolist(), eps.eps3.tolist(), eps.eps4.tolist())
+    assert all(isinstance(getattr(lists, n), np.ndarray) for n in ("eps1", "eps2", "eps3", "eps4"))
+    for solve in (solve_perturbed, solve_error_system):
+        a, b = solve(cfg, eps), solve(cfg, lists)
+        for name in ("x", "lam", "u"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.objective == b.objective
+
+
+@pytest.mark.parametrize("sine", [False, True], ids=["constant", "sinusoidal"])
+def test_solve_with_references_and_forcing_is_the_optimum(sine):
+    # x_ref, u_ref, forcing and an observation domain all enter: the
+    # recovered control reproduces the state when marched alone, and no
+    # other control has a lower objective
+    N, M = 24, 20
+    grid = Grid1D(1.0, N)
+    rng = np.random.default_rng(11)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(1.0, M),
+        velocity=sinusoidal_velocity(2.0, 0.5, 1.0) if sine else VelocityField.constant(2.0),
+        alpha=0.3,
+        control_domain=PREFIX,
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+        observation_domain=FINITE,
+        x_ref=GridFunction(grid, rng.standard_normal(N)),
+        u_ref=GridFunction(grid, rng.standard_normal(N)),
+        forcing=rng.standard_normal((M + 1, N)),
+    )
+    sol = solve_ocp(cfg)
+    v = ocp_mod._midpoints(sol.u)
+    x = rollout_midpoint(cfg, controls=v)
+    assert np.max(np.abs(x - sol.x)) <= 1e-10 * np.max(np.abs(sol.x))
+    for _ in range(4):
+        w = v + 0.05 * rng.standard_normal(v.shape)
+        assert discrete_objective(cfg, rollout_midpoint(cfg, controls=w), w) >= sol.objective
 
 
 # ----------------------------------------------------------------- bump data
