@@ -49,9 +49,9 @@ from .geometry import (
 )
 from .ocp import OCPConfig, bump_initial, check_bump_window, solve_bytes, solve_ocp
 from .semigroup import (
-    LEVEL_BLOCK,
     FeedbackProfile,
     continuity_levels,
+    levels_per_block,
     transport_levels,
     transport_variable_levels,
     wave_levels,
@@ -353,14 +353,25 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
     """Write a float table with `# key: value` metadata comment lines.
 
     Floats are written with shortest round-trip repr, so reading the file
-    back reproduces the exact binary values.
+    back reproduces the exact binary values.  A column is either an array
+    of floats, or a pair (values, index): its distinct floats, formatted
+    once, and a function giving the position in values of each row of an
+    array of row numbers.  The row count is that of the float arrays.
     """
-    cols = [np.ascontiguousarray(c, dtype=float).reshape(-1) for c in columns]
-    if len(cols) != len(header):
-        raise ValueError(f"{len(header)} names for {len(cols)} columns")
-    n = cols[0].size
-    if any(c.size != n for c in cols):
-        raise ValueError("columns must have equal length")
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} names for {len(columns)} columns")
+    cols = []
+    for c in columns:
+        if isinstance(c, tuple):
+            values, index = c
+            text = [repr(v) for v in np.asarray(values, dtype=float).reshape(-1).tolist()]
+            cols.append((np.array(text, dtype=object), index))
+        else:
+            cols.append(np.ascontiguousarray(c, dtype=float).reshape(-1))
+    sizes = {c.size for c in cols if not isinstance(c, tuple)}
+    if len(sizes) != 1:
+        raise ValueError("columns must have equal length" if sizes else "a table needs one float array")
+    (n,) = sizes
     if any("," in name for name in header):
         raise ValueError("column names must not contain commas")
     lines = ["# hyplq-table"]
@@ -376,7 +387,11 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
             # cell j of row i at 2(ki + j), each followed by "," or "\n"
             cells = [","] * (2 * k * rows)
             for j, c in enumerate(cols):
-                cells[2 * j :: 2 * k] = _format_column(c[lo : lo + rows])
+                if isinstance(c, tuple):
+                    text, index = c
+                    cells[2 * j :: 2 * k] = text[index(np.arange(lo, lo + rows))].tolist()
+                else:
+                    cells[2 * j :: 2 * k] = _format_column(c[lo : lo + rows])
             cells[2 * k - 1 :: 2 * k] = ["\n"] * rows
             yield "".join(cells)
 
@@ -409,19 +424,18 @@ def read_table(path) -> tuple[dict, list[str], list[np.ndarray]]:
     return meta, header, [data[:, j] for j in range(len(header))]
 
 
-def _field_axes(grid: Grid1D, tgrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The t and w columns of a long-format field table, level by level."""
-    return np.repeat(tgrid.times, grid.N), np.tile(grid.nodes, tgrid.M + 1)
-
-
 def write_field_csv(path, field: np.ndarray, grid: Grid1D, tgrid: TimeGrid, metadata: dict) -> None:
-    """Long-format (t, w, value) dump of one space-time field."""
+    """Long-format (t, w, value) dump of one space-time field, level by
+    level; row r sits at time level r // N and node r % N."""
     f = np.asarray(field, dtype=float)
     if f.shape != (tgrid.M + 1, grid.N):
         raise ValueError(f"field shape {f.shape} does not match the grids")
     meta = dict(metadata)
     meta.update({"L": grid.L, "N": grid.N, "T": tgrid.T, "M": tgrid.M})
-    write_table(path, ["t", "w", "value"], [*_field_axes(grid, tgrid), f.ravel()], meta)
+    n = grid.N
+    t = (tgrid.times, lambda rows: rows // n)
+    w = (grid.nodes, lambda rows: rows % n)
+    write_table(path, ["t", "w", "value"], [t, w, f.ravel()], meta)
 
 
 def read_field_csv(path) -> tuple[Grid1D, TimeGrid, np.ndarray]:
@@ -438,12 +452,14 @@ def read_field_csv(path) -> tuple[Grid1D, TimeGrid, np.ndarray]:
     if cols[2].size != want:
         raise ValueError(f"expected {want} rows, got {cols[2].size}")
     # write_field_csv writes exactly these bits, so any other t or w means
-    # reordered or edited rows
-    for name, got, expect in zip("tw", cols, _field_axes(grid, tgrid)):
-        differs = got.view(np.int64) != expect.view(np.int64)
+    # reordered or edited rows; on the (levels, N) view the flat index of a
+    # cell is its row number
+    shape = (tgrid.M + 1, grid.N)
+    for name, got, expect in (("t", cols[0], tgrid.times[:, None]), ("w", cols[1], grid.nodes)):
+        differs = got.reshape(shape).view(np.int64) != expect.view(np.int64)
         if differs.any():
             raise ValueError(f"column {name} of {path} differs from the grid at row {np.argmax(differs)}")
-    return grid, tgrid, cols[2].reshape(tgrid.M + 1, grid.N)
+    return grid, tgrid, cols[2].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -964,15 +980,16 @@ def _simulate_bytes(eq: str, n_nodes: int, n_levels: int) -> int:
     """Estimated memory of one simulate run, in bytes.
 
     The estimate counts the (levels, N) float arrays alive at once (the
-    wave's two, one otherwise, plus the t and w columns of the table
-    writer), about sixteen (LEVEL_BLOCK, 2N) temporaries of one kernel
-    block, for the variable-speed equations about four more
-    (LEVEL_BLOCK, N, 16) Gauss-Legendre temporaries, and about 256 bytes
-    of text per row of one table block.
+    wave's two, one otherwise), about sixteen (block, width) temporaries of
+    one kernel block (width 2N on the wave's doubled circle, N otherwise,
+    block = levels_per_block(width)), for the variable-speed equations
+    about four more (block, N, 16) Gauss-Legendre temporaries, and about
+    256 bytes of text per row of one table block.
     """
-    arrays = (2 if eq == "wave" else 1) + 2
-    block = 32 + (64 if eq in ("transport-var", "continuity") else 0)
-    return 8 * (arrays * n_levels + block * LEVEL_BLOCK) * n_nodes + 256 * _TABLE_BLOCK
+    arrays, width = (2, 2 * n_nodes) if eq == "wave" else (1, n_nodes)
+    temps = 16 + (64 if eq in ("transport-var", "continuity") else 0)
+    block = levels_per_block(width) * width
+    return 8 * (arrays * n_levels * n_nodes + temps * block) + 256 * _TABLE_BLOCK
 
 
 def _simulate(cfg: dict, out_dir: Optional[str]) -> int:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characteristics import NumericError
-from .geometry import Interval, IntervalUnion
+from .geometry import Interval, IntervalUnion, _measure_windows
 
 __all__ = [
     "RateCertificate",
@@ -215,8 +217,6 @@ def check_condition_iii(
     Default probes are the gap-to-gap intervals [b_m, a_n] (the family on
     which the inequality is tight) up to the enumeration horizon.
     """
-    from .geometry import measure_intersection
-
     if not (c1 > 0 and c0 > 0):
         raise ValueError(f"need positive constants, got c1={c1}, c0={c0}")
     if probes is None:
@@ -230,10 +230,11 @@ def check_condition_iii(
         ]
     if not probes:
         raise ValueError("probe list is empty")
-    for p, q in probes:
-        if measure_intersection(dom, (p, q)) < c1 * (q - p) - c0 - _TOL:
-            return False
-    return True
+    p, q = np.array(probes, dtype=float).reshape(-1, 2).T
+    if np.any(q < p):
+        k = int(np.argmax(q < p))
+        raise ValueError(f"probe interval reversed: [{p[k]}, {q[k]}]")
+    return not np.any(_measure_windows(dom, p, q) < c1 * (q - p) - c0 - _TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ optional periodic tail generator), cell-averaged indicator sampling and the
 exponential localization weights e^{mu*|P - w|}.
 
 periodized_measure, the weighted measure of periodized segments inside a
-window, serves the indicator, measure_intersection and the propagators.
+window, serves the indicator, the window measures of domains and the
+propagators.
 """
 
 from __future__ import annotations
@@ -315,22 +316,32 @@ def periodized_measure(segs, period: float, p, q):
     return total
 
 
-def measure_intersection(dom: IntervalUnion, I: Interval) -> float:
-    """Lebesgue measure of dom intersected with the closed interval I.
+def _measure_windows(dom: IntervalUnion, p, q) -> np.ndarray:
+    """Lebesgue measure of dom intersected with each closed window [p, q];
+    p and q broadcast against each other.
 
-    Exact closed-form summation: the periodic tail is the pattern
-    periodized from the tail start, measured by periodized_measure on the
-    window clamped there, never by enumerating periods.
+    Exact closed-form summation: the prefix overlaps are one array
+    expression per interval, and the periodic tail is the pattern
+    periodized from the tail start, measured by one periodized_measure call
+    on the windows clamped there, never by enumerating periods.
     """
-    p, q = float(I[0]), float(I[1])
-    if q < p:
-        raise ValueError(f"probe interval reversed: [{p}, {q}]")
-    total = sum(max(0.0, min(b, q) - max(a, p)) for a, b in dom.prefix)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    total = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    for a, b in dom.prefix:
+        total += np.maximum(0.0, np.minimum(b, q) - np.maximum(a, p))
     if dom.tail is not None:
         (period, pattern), s = dom.tail, dom.start
         segs = [(a, b, 1.0) for a, b in pattern]
-        total += float(periodized_measure(segs, period, max(p, s) - s, max(q, s) - s))
+        total += periodized_measure(segs, period, np.maximum(p, s) - s, np.maximum(q, s) - s)
     return total
+
+
+def measure_intersection(dom: IntervalUnion, I: Interval) -> float:
+    """Lebesgue measure of dom intersected with the closed interval I."""
+    p, q = float(I[0]), float(I[1])
+    if q < p:
+        raise ValueError(f"probe interval reversed: [{p}, {q}]")
+    return float(_measure_windows(dom, p, q))
 
 
 def indicator_on_grid(dom: IntervalUnion, grid: Grid1D) -> GridFunction:

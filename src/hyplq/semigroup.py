@@ -109,13 +109,21 @@ def _require_grid(x0: GridFunction, L: float):
         raise ValueError(f"grid length {x0.grid.L} does not match domain {L}")
 
 
-# Time levels resolved per block: enough levels to amortize the per-call
-# work, few enough that a block's (levels, 2N) temporaries stay in cache.
-LEVEL_BLOCK = 128
+# Bytes of one (levels, width) float temporary of a level block.  Under
+# malloc's 128 KiB mmap threshold a block's temporaries are reused from the
+# heap; above it each one is mapped, page-faulted in and unmapped again.
+LEVEL_BLOCK_BYTES = 64 * 1024
 
 
-def _level_blocks(n: int) -> list:
-    return [slice(lo, min(lo + LEVEL_BLOCK, n)) for lo in range(0, n, LEVEL_BLOCK)]
+def levels_per_block(width: int) -> int:
+    """Time levels resolved per block for rows of `width` floats: 16 on the
+    wave's doubled circle at N = 256 (width 2N), 128 for width 64."""
+    return max(1, LEVEL_BLOCK_BYTES // (8 * width))
+
+
+def _level_blocks(n: int, width: int) -> list:
+    step = levels_per_block(width)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _check_times(times, c: float) -> np.ndarray:
@@ -163,13 +171,13 @@ def transport_levels(
     fb: Optional[FeedbackProfile] = None,
 ) -> np.ndarray:
     """Rows x(., t) of the constant-speed transport for every t of times,
-    damped by fb when given (see transport_damped), resolved LEVEL_BLOCK
-    levels at a time."""
+    damped by fb when given (see transport_damped), resolved
+    levels_per_block(N) levels at a time."""
     times = _check_times(times, c)
     _require_grid(x0, L)
     segs = _damping(fb, L)
     out = np.empty((times.size, x0.grid.N))
-    for block in _level_blocks(times.size):
+    for block in _level_blocks(times.size, x0.grid.N):
         out[block] = _shift_rows(x0, times[block], c, segs, L)
     return out
 
@@ -220,8 +228,8 @@ def transport_variable_levels(
     q = tau^{-1}(tau(w) - t), the periodized initial state is evaluated
     there, and the attenuation exp(-int_q^w gain/c) is applied when a
     feedback profile is given.  tau at the nodes and the tau-mapped
-    feedback segments are computed once; levels are resolved LEVEL_BLOCK
-    at a time.
+    feedback segments are computed once; levels are resolved
+    levels_per_block(N) at a time.
     """
     times = _check_times(times, vel.c_min)
     _require_grid(x0, L)
@@ -229,7 +237,7 @@ def transport_variable_levels(
     tau_w = travel_time(grid.nodes, vel, L)
     segs, tau_L = _time_segments(_damping(fb, L), vel, L)
     out = np.empty((times.size, grid.N))
-    for block in _level_blocks(times.size):
+    for block in _level_blocks(times.size, grid.N):
         feet = tau_w - times[block, None]
         rows = sample_periodic(x0, invert_travel_time(feet, vel, L))
         rows *= np.exp(-periodized_measure(segs, tau_L, feet, tau_w))
@@ -271,7 +279,7 @@ def continuity_levels(
     boundary factor).  The c'/c part comes from a cumulative table, the
     gain part from the tau-space window.  tau and the c'/c integral at the
     nodes and the tau-mapped segments are computed once; levels are
-    resolved LEVEL_BLOCK at a time.
+    resolved levels_per_block(N) at a time.
     """
     times = _check_times(times, vel.c_min)
     _require_grid(x0, L)
@@ -281,7 +289,7 @@ def continuity_levels(
     tau_w = travel_time(grid.nodes, vel, L)
     segs, tau_L = _time_segments(_damping(fb, L), vel, L)
     out = np.empty((times.size, grid.N))
-    for block in _level_blocks(times.size):
+    for block in _level_blocks(times.size, grid.N):
         heads = tau_w + times[block, None]
         p = invert_travel_time(heads, vel, L)
         expo = log_speed_integral(p, vel, L) - log_w
@@ -470,7 +478,7 @@ def _wave_blocks(x0, x1, times, c: float, fb: Optional[FeedbackProfile], L: floa
     segs = _mirror_segments(segs, L)
     refl = (2 * n - np.arange(2 * n)) % (2 * n)
 
-    for block in _level_blocks(times.size):
+    for block in _level_blocks(times.size, 2 * n):
         w = _shift_rows(fold0, times[block], c, segs, 2.0 * L)
         zeta2 = w[:, refl]
         # an overflow is reported by the finiteness check, not as a warning

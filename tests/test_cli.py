@@ -30,7 +30,7 @@ from hyplq.cli import (
 )
 from hyplq.geometry import Grid1D, GridFunction, TimeGrid
 from hyplq.ocp import solve_bytes
-from hyplq.semigroup import LEVEL_BLOCK, transport_free
+from hyplq.semigroup import levels_per_block, transport_free
 
 EQUIDISTANT = "periodic: {period: 1, pattern: [[0, 0.2]]}"
 
@@ -233,6 +233,48 @@ def test_streamed_table_bytes_match_one_string_format(tmp_path, rows):
 @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
 def test_streamed_one_column_table_bytes_match_one_string_format(tmp_path, rows):
     _check_streamed_table(tmp_path / "t.csv", rows, ncols=1)
+
+
+# every special text a float column can carry, with a second NaN bit pattern
+INDEXED_VALUES = np.array(
+    [-0.0, 0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, 0.1, -2.5, 1e308]
+)
+
+
+def _index(rows):
+    """A repeating, non-monotone position into INDEXED_VALUES per row."""
+    return (3 * rows + rows // 7) % INDEXED_VALUES.size
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_indexed_columns_write_the_expanded_table_bytes(tmp_path, rows):
+    plain = np.random.default_rng(rows).standard_normal(rows)
+    plain[: min(rows, 3)] = [-0.0, np.nan, -np.inf][: min(rows, 3)]
+    flipped = INDEXED_VALUES[::-1].copy()
+    expanded = [INDEXED_VALUES[_index(np.arange(rows))], plain, flipped[np.arange(rows) % flipped.size]]
+    indexed = [(INDEXED_VALUES, _index), plain, (flipped, lambda r: r % flipped.size)]
+    header, meta = ["a", "x", "b"], {"N": rows}
+    write_table(tmp_path / "expanded.csv", header, expanded, meta)
+    write_table(tmp_path / "indexed.csv", header, indexed, meta)
+    assert (tmp_path / "indexed.csv").read_bytes() == (tmp_path / "expanded.csv").read_bytes()
+
+
+def test_field_table_bytes_match_expanded_axes(tmp_path):
+    # 1030 levels of 64 nodes: 65920 rows, past two table blocks
+    grid, tgrid = Grid1D(1.0, 64), TimeGrid(2.0, 1029)
+    field = np.random.default_rng(3).standard_normal((tgrid.M + 1, grid.N))
+    field[0, :4] = [-0.0, np.nan, np.inf, -np.inf]
+    write_field_csv(tmp_path / "field.csv", field, grid, tgrid, {"equation": "demo"})
+    axes = [np.repeat(tgrid.times, grid.N), np.tile(grid.nodes, tgrid.M + 1), field.ravel()]
+    meta = {"equation": "demo", "L": grid.L, "N": grid.N, "T": tgrid.T, "M": tgrid.M}
+    write_table(tmp_path / "expanded.csv", ["t", "w", "value"], axes, meta)
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "expanded.csv").read_bytes()
+
+
+def test_table_of_indexed_columns_alone_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="one float array"):
+        write_table(tmp_path / "t.csv", ["a"], [(INDEXED_VALUES, _index)], {})
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_read_table_round_trips_extreme_values_bit_exact(tmp_path):
@@ -1167,10 +1209,12 @@ def test_simulate_memory_preflight_exits_2_without_files(tmp_path, capsys, monke
     assert "MiB is available" in capsys.readouterr().err
     assert not out.exists()
     if equation in ("transport-var", "continuity"):
-        # 16 nodes, 3 levels; the variable-speed block also holds about four
-        # (LEVEL_BLOCK, N, 16) Gauss-Legendre temporaries
-        shared = 8 * (3 * 3 + 32 * LEVEL_BLOCK) * 16 + 256 * _TABLE_BLOCK
-        quadrature = 8 * 64 * LEVEL_BLOCK * 16
+        # 16 nodes, 3 levels, blocks of levels_per_block(16) levels; the
+        # variable-speed block also holds about four (block, N, 16)
+        # Gauss-Legendre temporaries
+        block = levels_per_block(16) * 16
+        shared = 8 * (3 * 16 + 16 * block) + 256 * _TABLE_BLOCK
+        quadrature = 8 * 64 * block
         monkeypatch.setattr(cli_mod, "_mem_available", lambda: shared + quadrature // 2)
         assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
         assert "MiB is available" in capsys.readouterr().err

@@ -18,10 +18,10 @@ from hyplq.characteristics import VelocityField, invert_travel_time, log_speed_i
 from hyplq.cli import main, plan_from_config, read_field_csv
 from hyplq.geometry import Grid1D, GridFunction, IntervalUnion, TimeGrid, restrict_domain
 from hyplq.semigroup import (
-    LEVEL_BLOCK,
     FeedbackProfile,
     continuity_damped,
     continuity_levels,
+    levels_per_block,
     sample_periodic,
     transport_damped,
     transport_free,
@@ -198,21 +198,36 @@ def test_wave_levels_match_one_level_calls(gain, layout, steps):
         assert same_bits(veloc[m], want_v)
 
 
-@pytest.mark.parametrize("levels", [1, LEVEL_BLOCK, LEVEL_BLOCK + 1, 2 * LEVEL_BLOCK + 3])
+# Levels per block at row width 64: N = 64 on [0, L] for transport,
+# variable-speed transport and continuity, N = 32 for the wave, whose rows
+# span the doubled circle (width 2N).
+B = levels_per_block(64)
+EDGE_GRID, EDGE_WAVE_GRID = Grid1D(L1, 64), Grid1D(L1, 32)
+
+
+@pytest.mark.parametrize("levels", [1, B, B + 1, 2 * B + 3])
 def test_level_counts_across_block_edges(levels):
-    grid, c, gain = Grid1D(L1, 16), 1.3, 0.7
+    c, gain = 1.3, 0.7
     dom = LAYOUTS["finite"]
     fb = FeedbackProfile(dom, gain)
     times = np.arange(levels) * 0.0123  # fractional shifts, t = 0 first
-    x0 = bump(grid)
-    x1 = GridFunction(grid, np.zeros(grid.N))
-    rows = transport_levels(x0, times, c, L1, fb)
-    disp, veloc = wave_levels(x0, x1, times, c, fb, L1)
-    assert rows.shape == disp.shape == veloc.shape == (levels, grid.N)
     segs = fb.segments(L1)
-    for m, t in enumerate(times):
-        assert same_bits(rows[m], ref_transport(x0, float(t), c, segs, L1))
-        want_d, want_v = ref_wave(x0, x1, float(t), c, gain, dom, L1)
+    x0 = bump(EDGE_GRID)
+    rows = transport_levels(x0, times, c, L1, fb)
+    assert rows.shape == (levels, EDGE_GRID.N)
+    vel = sinusoid(0.5)
+    var = transport_variable_levels(x0, times, vel, L1, fb)
+    cont = continuity_levels(x0, times, vel, fb, L1)
+    for m, t in enumerate(times.tolist()):
+        assert same_bits(rows[m], ref_transport(x0, t, c, segs, L1))
+        assert same_bits(var[m], ref_transport_variable(x0, t, vel, L1, fb))
+        assert same_bits(cont[m], ref_continuity(x0, t, vel, fb, L1))
+    y0 = bump(EDGE_WAVE_GRID)
+    y1 = GridFunction(EDGE_WAVE_GRID, np.zeros(EDGE_WAVE_GRID.N))
+    disp, veloc = wave_levels(y0, y1, times, c, fb, L1)
+    assert disp.shape == veloc.shape == (levels, EDGE_WAVE_GRID.N)
+    for m, t in enumerate(times.tolist()):
+        want_d, want_v = ref_wave(y0, y1, t, c, gain, dom, L1)
         assert same_bits(disp[m], want_d)
         assert same_bits(veloc[m], want_v)
 
@@ -237,9 +252,9 @@ def sinusoid(amp, L=L1):
 @pytest.mark.parametrize("amp", [0.5, -0.5])
 @pytest.mark.parametrize("layout", ["finite", "periodic"])
 @pytest.mark.parametrize("gain", [0.0, 1.5])
-@pytest.mark.parametrize("levels", [1, LEVEL_BLOCK, LEVEL_BLOCK + 1])
+@pytest.mark.parametrize("levels", [1, B, B + 1])
 def test_variable_speed_levels_match_one_level_calls(levels, gain, layout, amp):
-    grid, vel = Grid1D(L1, 16), sinusoid(amp)
+    grid, vel = EDGE_GRID, sinusoid(amp)
     fb = FeedbackProfile(LAYOUTS[layout], gain)
     times = np.arange(levels) * 0.0173  # t = 0 first, then past one period
     x0 = bump(grid)
@@ -257,13 +272,13 @@ def test_variable_speed_levels_match_one_level_calls(levels, gain, layout, amp):
         assert same_bits(cont[m], ref_continuity(x0, t, vel, fb, L1))
 
 
-@pytest.mark.parametrize("levels", [1, LEVEL_BLOCK + 1])
+@pytest.mark.parametrize("levels", [1, B + 1])
 def test_no_damping_takes_the_damped_path_bit_for_bit(levels):
     # no profile, a zero gain and an empty control set all measure no
     # segments: the exponent is exactly 0.0 and exp(-0.0) multiplies each
     # row by exactly 1.0, so the three agree bit for bit, with each other
     # and with the undamped per-level references
-    grid, c, vel = Grid1D(L1, 16), 1.3, sinusoid(0.5)
+    grid, c, vel = EDGE_GRID, 1.3, sinusoid(0.5)
     times = np.arange(levels) * 0.0173
     x0 = bump(grid)
     x1 = GridFunction(grid, np.cos(2 * np.pi * grid.nodes))
@@ -360,7 +375,7 @@ def test_variable_speed_tables_take_a_handful_of_evaluator_calls():
     assert calls[0][-1] == calls[1][-1] == 16
     assert calls[1] == (grid.N, 16)
     calls.clear()
-    transport_variable_levels(bump(grid), np.arange(LEVEL_BLOCK + 1) * 0.01, vel, L1)
+    transport_variable_levels(bump(grid), np.arange(levels_per_block(grid.N) + 1) * 0.01, vel, L1)
     # tau(nodes) once, then per block at most 8 Newton steps of two calls
     assert 0 < len(calls) <= 1 + 2 * 2 * 8
 
@@ -457,7 +472,7 @@ def test_simulate_variable_speed_equals_one_level_calls(tmp_path, equation):
     cfg = {
         "equation": equation,
         "grid": {"L": 1.0, "nodes_per_unit": 32},
-        "time": {"T": 3.0},
+        "time": {"T": 4.0},  # 321 levels at c_max dt = h
         "velocity": {"type": "sinusoidal", "mean": 2.0, "amplitude": -0.5},
         "control_domain": SIM_DOMAIN,
         "initial": {"type": "bump", "width": 0.4, "center": 0.5},
@@ -465,7 +480,7 @@ def test_simulate_variable_speed_equals_one_level_calls(tmp_path, equation):
     }
     out, x0 = _simulate(tmp_path, cfg)
     grid, tgrid, field = read_field_csv(out / "field.csv")
-    assert tgrid.M + 1 > LEVEL_BLOCK  # more than one block of levels
+    assert tgrid.M + 1 > levels_per_block(grid.N)  # more than one block of levels
     vel = plan_from_config({k: v for k, v in cfg.items() if k != "equation"}).realize().velocity
     dom = IntervalUnion(prefix=tuple(tuple(iv) for iv in SIM_DOMAIN["finite"]))
     fb = FeedbackProfile(dom, 1.5)
@@ -490,7 +505,7 @@ def test_simulate_wave_equals_per_level_reference(tmp_path):
     out, x0 = _simulate(tmp_path, cfg)
     grid, tgrid, disp = read_field_csv(out / "displacement.csv")
     _, _, veloc = read_field_csv(out / "velocity.csv")
-    assert tgrid.M + 1 > LEVEL_BLOCK  # more than one block of levels
+    assert tgrid.M + 1 > levels_per_block(2 * grid.N)  # more than one block of levels
     x1 = GridFunction(grid, np.zeros(grid.N))
     dom = IntervalUnion(prefix=tuple(tuple(iv) for iv in SIM_DOMAIN["finite"]))
     for m, t in enumerate(tgrid.times):
