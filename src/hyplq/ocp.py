@@ -323,9 +323,8 @@ class _Fronts:
     Members that share a front matrix share a slot: `slot` maps each member
     to its slot and `order` lists the members by slot, one row per slot and
     the first member of the slot in column 0.  The members of one node
-    origin share one when every origin has the same number of members;
-    otherwise, and where rectangles touch level 0 or M (one member per
-    origin), every member has its own.
+    origin share one, and every origin has the same number of members;
+    where rectangles touch level 0 or M that number is one.
     """
 
     depth: int
@@ -367,11 +366,11 @@ class _DissectionTree:
     one depth form a group that is assembled and factored by stacked calls.
     `groups` runs from the root down.
 
-    K's rows do not change from level to level between the initial and the
-    terminal row (_kkt_stencil writes them so), so the fronts of a group
-    that share a node origin hold the same matrix: they share a slot (see
-    _Fronts; a group touching level 0 or M has one member per origin), and
-    the counts below keep each slot once, as _FrontFactor does.
+    _kkt_stencil holds one row per node and level class, so the fronts of a
+    group that share a node origin read the same class rows and hold the
+    same matrix: they share a slot (see _Fronts; a group touching level 0
+    or M has one member per origin), and the counts below keep each slot
+    once, as _FrontFactor does.
     """
 
     def __init__(self, N: int, M: int):
@@ -411,11 +410,8 @@ class _DissectionTree:
         local = np.array(sep + rim, dtype=np.intp).reshape(-1, 2)
         table = np.full(box, -1, dtype=np.intp)
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
-        slot = np.arange(len(origin[0]))
-        order = slot[:, None]
-        _, shared, per = np.unique(origin[1], return_inverse=True, return_counts=True)
-        if np.all(per == per[0]):
-            slot, order = shared, np.argsort(shared, kind="stable").reshape(-1, per[0])
+        _, slot, per = np.unique(origin[1], return_inverse=True, return_counts=True)
+        order = np.argsort(slot, kind="stable").reshape(-1, per[0])
         return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order)
 
     def entries(self) -> int:
@@ -483,28 +479,35 @@ class _DissectionTree:
         return self._templates[id(g)]
 
 
+def _level_class(k, M):
+    """The level class of level k (0..M): 0 at k = 0, 2 at k = M and 1
+    between, which no level takes at M = 1.  A, B and C do not depend on
+    time, so every level of one class has the same rows of K."""
+    return np.minimum(k, 1) + (k == M)
+
+
 def _kkt_stencil(config: OCPConfig) -> np.ndarray:
     """assemble_kkt's K by row unknown in closed form, float64 stored by
-    column: row k*N + i holds grid point (k, i), column tr*18 + o*2 + tc the
-    row type tr (0 x, 1 lam), the 3x3 offset o and the column type tc.  Each
-    entry is the sparse assembly's float64 operation, bit for bit: scipy
-    divides by alpha^2 as a product with 1/alpha^2, and 0 - v (not -v) is
-    the +0.0 of a missing entry at v = 0."""
-    grid, N, M, inv_dt = config.grid, config.grid.N, config.tgrid.M, 1.0 / config.tgrid.dt
+    column: row c*N + i holds node i of level class c (_level_class), column
+    tr*18 + o*2 + tc the row type tr (0 x, 1 lam), the 3x3 offset o and the
+    column type tc.  Each entry is the sparse assembly's float64 operation,
+    bit for bit: scipy divides by alpha^2 as a product with 1/alpha^2, and
+    0 - v (not -v) is the +0.0 of a missing entry at v = 0."""
+    grid, N, inv_dt = config.grid, config.grid.N, 1.0 / config.tgrid.dt
     half_c = 0.5 * (config.velocity.eval(grid.nodes) / (2.0 * grid.h))
-    kst = np.zeros((2, 3, 3, 2, M + 1, N))  # tr, dk + 1, di + 1, tc, level, node
+    kst = np.zeros((2, 3, 3, 2, 3, N))  # tr, dk + 1, di + 1, tc, level class, node
     # state rows, levels 1..M: (x^k - x^(k-1)) / dt - A_h x^(k-1/2) - ind_c lam^(k-1/2) / alpha^2
     state = kst[0, ..., 1:, :]
     state[:2, 0, 0], state[:2, 2, 0] = np.subtract(0.0, half_c), half_c
     state[0, 1, 0], state[1, 1, 0] = -inv_dt, inv_dt
     state[:2, 1, 1] = np.subtract(0.0, 0.5 * _indicator(config.control_domain, grid) * (1.0 / config.alpha**2))
     # adjoint rows, levels 0..M-1: (lam^k - lam^(k+1)) / dt - A_h^T lam^(k+1/2) + ind_o x^(k+1/2)
-    adj = kst[1, ..., :M, :]
+    adj = kst[1, ..., :2, :]
     adj[1:, 0, 1], adj[1:, 2, 1] = np.roll(half_c, 1), np.subtract(0.0, np.roll(half_c, -1))
     adj[1, 1, 1], adj[2, 1, 1] = inv_dt, -inv_dt
     adj[1:, 1, 0] = 0.5 * _indicator(config.observation_domain, grid)
-    kst[0, 1, 1, 0, 0] = kst[1, 1, 1, 1, M] = 1.0  # x^0 = x0 and lam^M = 0
-    return kst.reshape(36, N * (M + 1)).T
+    kst[0, 1, 1, 0, 0] = kst[1, 1, 1, 1, 2] = 1.0  # x^0 = x0 and lam^M = 0
+    return kst.reshape(36, 3 * N).T
 
 
 def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -512,17 +515,19 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
     scipy's CSC `K @ z`: each row sums from 0.0 in increasing column order
     (x, lam; level; node: di = -1, 0, 1 but node 0 takes node N - 1 last and
     node N - 1 takes node 0 first), over the offsets _kkt_stencil writes (an
-    entry that is 0 adds a zero product, which leaves the sum as it is)."""
-    lv = kst.T.reshape(2, 3, 3, 2, -1, N)  # tr, dk + 1, di + 1, tc, level, node
+    entry that is 0 adds a zero product, which leaves the sum as it is).
+    Each level multiplies by the rows of its level class."""
+    lv = kst.T.reshape(2, 3, 3, 2, 3, N)  # tr, dk + 1, di + 1, tc, level class, node
     used = _USED.reshape(2, 3, 3, 2)
     zl = z.reshape(2, -1, N)
     kz = np.zeros_like(zl)
+    cls = _level_class(np.arange(len(kz[0])), len(kz[0]) - 1)
     for tr, tc, dk in itertools.product((0, 1), (0, 1), (-1, 0, 1)):
         k0, k1 = max(0, -dk), len(kz[0]) - max(0, dk)  # the rows whose level k + dk exists
         for i0, i1 in ((1, N - 1), (0, 1), (N - 1, N)):
             for d in sorted((d for d in (-1, 0, 1) if used[tr, dk + 1, d + 1, tc]), key=lambda d: (i0 + d) % N):
                 zs = zl[tc, k0 + dk : k1 + dk, (i0 + d) % N :][:, : i1 - i0]
-                kz[tr, k0:k1, i0:i1] += lv[tr, dk + 1, d + 1, tc, k0:k1, i0:i1] * zs
+                kz[tr, k0:k1, i0:i1] += lv[tr, dk + 1, d + 1, tc, :, i0:i1][cls[k0:k1]] * zs
     return rhs - kz.ravel()
 
 
@@ -541,10 +546,10 @@ class _FrontFactor:
     W = F_SS^-1, Y = W F_SB and X = F_BS.
 
     Only the first member of each slot is assembled and factored, exactly:
-    K's rows repeat in time, so the members of a slot read the same entries
-    of K at the same front positions, their children's updates are equal by
-    induction up the tree, and their fronts are equal bit for bit.  The
-    solve applies each slot's W, Y and X to all of its members.
+    the members of a slot read the same class rows of kst at the same front
+    positions, their children's updates are equal by induction up the tree,
+    and their fronts are equal bit for bit.  The solve applies each slot's
+    W, Y and X to all of its members.
     """
 
     def __init__(self, kst: np.ndarray, tree: _DissectionTree, dtype):
@@ -559,6 +564,8 @@ class _FrontFactor:
                 del updates[done]
             src, code, dest = tree.template(g)
             points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
+            k, i = np.divmod(points[:, 0], N)
+            rows = _level_class(k, M) * N + i  # the stencil rows of each slot's first member
             ns, nb = g.ns, g.nb
             s, n2 = 2 * ns, 2 * (ns + nb)
             upd = np.empty((g.slots, 2 * nb, 2 * nb), dtype=dtype)
@@ -571,7 +578,7 @@ class _FrontFactor:
                     scratch = np.empty(m * n2 * n2, dtype=dtype)
                 F = scratch[: m * n2 * n2].reshape(m, n2, n2)
                 F.fill(0)
-                F.reshape(m, n2 * n2)[:, dest] = kst[points[lo:hi, 0, src], code]
+                F.reshape(m, n2 * n2)[:, dest] = kst[rows[lo:hi, src], code]
                 for child, first, runs in g.children:
                     child_upd, child_slot = updates[child]
                     U = child_upd[child_slot[first + g.order[lo:hi, 0]]]
@@ -681,8 +688,9 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.345 over the sizes of
-# BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%.
+# above a solve that stays on float32): at most 1.349 over the sizes of
+# BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%
+# (BENCH_22.json, measured with one stencil row per level class).
 _SOLVE_SCALE = 1.39
 
 

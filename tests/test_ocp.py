@@ -241,19 +241,32 @@ def _defect(K, z, rhs):
 
 def _decode(K, N):
     """K's entries by row unknown, decoded from its COO form into the
-    solver's stencil layout: (N(M+1), 36) float64 with row = grid point of
-    the row, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1 for
-    lam), the 3x3 offset o of the column's grid point and its type tc."""
+    solver's stencil layout: (3N, 36) float64 with row c*N + i for node i of
+    level class c, column tr*18 + o*2 + tc for the row's type tr (0 for x, 1
+    for lam), the 3x3 offset o of the column's grid point and its type tc.
+    Every level's rows equal its class's bit for bit; at M = 1 no level
+    takes class 1, whose rows stay zero."""
     half = K.shape[0] // 2
+    M = half // N - 1
     coo = K.tocoo()
     tr, pr = np.divmod(coo.row, half)
     tc, pc = np.divmod(coo.col, half)
     kr, ir = np.divmod(pr, N)
     kc, ic = np.divmod(pc, N)
     o = 3 * (kc - kr + 1) + np.mod(ic - ir + 1, N)
-    kst = np.zeros((half, 36))
-    kst[pr, 18 * tr + 2 * o + tc] = coo.data
-    return kst
+    levels = np.zeros((M + 1, N, 36))
+    levels[kr, ir, 18 * tr + 2 * o + tc] = coo.data
+    cls = ocp_mod._level_class(np.arange(M + 1), M)
+    kst = np.zeros((3, N, 36))
+    kst[cls] = levels
+    assert np.array_equal(kst[cls].view(np.uint64), levels.view(np.uint64))
+    return kst.reshape(3 * N, 36)
+
+
+def _by_level(kst, M):
+    """A (3N, 36) stencil expanded to one row per grid point, (N(M+1), 36)."""
+    N = len(kst) // 3
+    return kst.reshape(3, N, 36)[ocp_mod._level_class(np.arange(M + 1), M)].reshape(-1, 36)
 
 
 def _reference(K, rhs):
@@ -480,7 +493,15 @@ def test_closed_form_stencil_is_the_assembled_matrix(alpha, M):
         K, _ = assemble_kkt(cfg)
         kst = ocp_mod._kkt_stencil(cfg)
         assert kst.dtype == np.float64
-        assert np.array_equal(kst.view(np.uint64), _decode(K, cfg.grid.N).view(np.uint64))
+        got, want = _by_level(kst, M), _by_level(_decode(K, cfg.grid.N), M)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("M", [1, 2, 200])
+def test_stencil_holds_three_rows_per_node_at_any_horizon(M):
+    cfg = next(_stencil_configs(0.125, M))
+    assert ocp_mod._kkt_stencil(cfg).shape == (3 * cfg.grid.N, 36)
+    assert np.array_equal(ocp_mod._level_class(np.arange(M + 1), M), [0] + [1] * (M - 1) + [2])
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.125, 1e3])
@@ -515,9 +536,10 @@ def _unshared_entries(tree):
 def test_stencil_rows_repeat_in_time_on_the_used_codes(N, M, alpha_exponent, c, sine, layout, observed):
     # what the front factor takes from the closed form without checking it:
     # interior fronts of one node origin share a matrix because levels
-    # 1..M-1 write the same rows and levels 0 and M write them too toward
-    # the interior, bit for bit; the template and the defect read only the
-    # stencil codes in _USED
+    # 1..M-1 read the rows of class 1 (_decode checks that against the
+    # assembled K) and classes 0 and 2 write them too toward the interior,
+    # bit for bit; the template and the defect read only the stencil codes
+    # in _USED
     grid = Grid1D(1.0, N)
     cfg = OCPConfig(
         grid=grid,
@@ -531,12 +553,10 @@ def test_stencil_rows_repeat_in_time_on_the_used_codes(N, M, alpha_exponent, c, 
     kst = ocp_mod._kkt_stencil(cfg)
     assert np.count_nonzero(ocp_mod._USED) == 16
     assert not np.any(kst[:, ~ocp_mod._USED])
-    lv = kst.view(np.uint64).T.reshape(2, 3, 3, 2, M + 1, N)  # tr, dk + 1, di + 1, tc, level, node
-    for k in range(2, M):
-        assert np.array_equal(lv[..., k, :], lv[..., 1, :])
+    lv = kst.view(np.uint64).T.reshape(2, 3, 3, 2, 3, N)  # tr, dk + 1, di + 1, tc, level class, node
     if M >= 2:
         assert np.array_equal(lv[:, 2, ..., 0, :], lv[:, 2, ..., 1, :])
-        assert np.array_equal(lv[:, 0, ..., M, :], lv[:, 0, ..., 1, :])
+        assert np.array_equal(lv[:, 0, ..., 2, :], lv[:, 0, ..., 1, :])
 
 
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-11), (np.float64, 1e-14)], ids=["float32", "float64"])
