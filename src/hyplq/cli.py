@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 

@@ -246,6 +246,9 @@ def _kkt_rhs(config: OCPConfig, perturbation: Optional[PerturbationSpec]) -> np.
 # Relative defect a solve with a front factor must reach to be accepted.
 _DEFECT_GATE = 1e-10
 
+# Relative defect at which refinement stops: float64 rounding, which later steps do not improve on.
+_DEFECT_FLOOR = 1e-13
+
 # Refinement steps (triangular solves) allowed to one factor.
 _REFINE_STEPS = 8
 
@@ -351,6 +354,38 @@ class _Fronts:
         i = (self.origin[1][:, None] + self.local[:, 1]) % N
         return k * N + i
 
+    def template(self):
+        """Where the entries of K that these fronts own land in them.
+
+        A front owns the entries with one end at a point it eliminates and
+        the other inside the front.  Returns (local point, stencil code,
+        flat index in the front) per entry, the same for every member; only
+        the stencil codes _kkt_stencil writes (_USED) are kept.
+        """
+        ns, nb = self.ns, self.nb
+        n2 = 2 * (ns + nb)
+        # every 3x3 neighbour q of every eliminated point a, by offset o
+        box = self.local[:ns, None, :] + _OFFSETS
+        q = self.table[box[..., 0], box[..., 1] % self.table.shape[1]]
+        a, o = np.nonzero(q >= 0)
+        q = q[a, o]
+        tr, tc = np.divmod(np.arange(4), 2)  # the four (row, column) types
+        # K[(a, tr), (q, tc)], and K[(q, tr), (a, tc)] when q lies outside;
+        # local unknown 2p + t is x (t = 0) or lam (t = 1) of local point p
+        out = q >= ns
+        fwd = (tr * 18 + tc) + 2 * o[:, None]
+        rev = (tr * 18 + tc) + 2 * (8 - o[out])[:, None]
+        src = np.concatenate([np.repeat(a, 4), np.repeat(q[out], 4)])
+        code = np.concatenate([fwd.ravel(), rev.ravel()])
+        dest = np.concatenate(
+            [
+                ((2 * a[:, None] + tr) * n2 + 2 * q[:, None] + tc).ravel(),
+                ((2 * q[out, None] + tr) * n2 + 2 * a[out, None] + tc).ravel(),
+            ]
+        )
+        keep = _USED[code]
+        return src[keep], code[keep], dest[keep]
+
 
 class _DissectionTree:
     """Nested dissection of the (M+1) x N level-by-node grid, by front shape.
@@ -403,7 +438,6 @@ class _DissectionTree:
                     first += p.count
                 self.groups.append(g)
                 frontier.append((g, parts))
-        self._templates: dict = {}
 
     @staticmethod
     def _group(depth, sep, rim, origin, box) -> _Fronts:
@@ -443,40 +477,6 @@ class _DissectionTree:
             peak = max(peak, kept + sum(pending.values()) + m * (n2 * n2 + s * s) + gathered)
             solve = max(solve, 4 * g.count * n2)
         return max(peak, kept + solve)
-
-    def template(self, g: _Fronts):
-        """Where the entries of K that the fronts of g own land in them.
-
-        A front owns the entries with one end at a point it eliminates and
-        the other inside the front.  Returns (local point, stencil code,
-        flat index in the front) per entry, the same for every member; only
-        the stencil codes _kkt_stencil writes (_USED) are kept.
-        """
-        if id(g) not in self._templates:
-            ns, nb = g.ns, g.nb
-            n2 = 2 * (ns + nb)
-            # every 3x3 neighbour q of every eliminated point a, by offset o
-            box = g.local[:ns, None, :] + _OFFSETS
-            q = g.table[box[..., 0], box[..., 1] % g.table.shape[1]]
-            a, o = np.nonzero(q >= 0)
-            q = q[a, o]
-            tr, tc = np.divmod(np.arange(4), 2)  # the four (row, column) types
-            # K[(a, tr), (q, tc)], and K[(q, tr), (a, tc)] when q lies outside;
-            # local unknown 2p + t is x (t = 0) or lam (t = 1) of local point p
-            out = q >= ns
-            fwd = (tr * 18 + tc) + 2 * o[:, None]
-            rev = (tr * 18 + tc) + 2 * (8 - o[out])[:, None]
-            src = np.concatenate([np.repeat(a, 4), np.repeat(q[out], 4)])
-            code = np.concatenate([fwd.ravel(), rev.ravel()])
-            dest = np.concatenate(
-                [
-                    ((2 * a[:, None] + tr) * n2 + 2 * q[:, None] + tc).ravel(),
-                    ((2 * q[out, None] + tr) * n2 + 2 * a[out, None] + tc).ravel(),
-                ]
-            )
-            keep = _USED[code]
-            self._templates[id(g)] = (src[keep], code[keep], dest[keep])
-        return self._templates[id(g)]
 
 
 def _level_class(k, M):
@@ -543,7 +543,8 @@ class _FrontFactor:
     about _CHUNK entries, stacked as (slots, 2n, 2n); the children's
     updates are gathered through their slot maps and added by slices, one
     call per pair of runs for all slots of a chunk.  Kept per chunk:
-    W = F_SS^-1, Y = W F_SB and X = F_BS.
+    W = F_SS^-1, Y = W F_SB and X = F_BS; per group, the unknowns of each
+    member's eliminated points and perimeter, int32 below 2^31 unknowns.
 
     Only the first member of each slot is assembled and factored, exactly:
     the members of a slot read the same class rows of kst at the same front
@@ -554,7 +555,8 @@ class _FrontFactor:
 
     def __init__(self, kst: np.ndarray, tree: _DissectionTree, dtype):
         N, M = tree.N, tree.M
-        self.half = N * (M + 1)
+        half = N * (M + 1)  # x^k_i is unknown k*N + i, lam^k_i unknown half + k*N + i
+        index = np.int32 if 2 * half < 2**31 else np.intp
         self.dtype = np.dtype(dtype)
         self.groups: list = []
         updates: dict = {}
@@ -562,11 +564,15 @@ class _FrontFactor:
         for g in reversed(tree.groups):
             for done in [c for c in updates if c.depth > g.depth + 1]:
                 del updates[done]
-            src, code, dest = tree.template(g)
+            src, code, dest = g.template()
             points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
             k, i = np.divmod(points[:, 0], N)
             rows = _level_class(k, M) * N + i  # the stencil rows of each slot's first member
             ns, nb = g.ns, g.nb
+            # the unknowns x, lam of each eliminated point, then of each perimeter point
+            parts = np.split(points.astype(index), [ns], axis=2)
+            here, rim = (np.stack((p, p + half), axis=-1).reshape(*p.shape[:2], -1) for p in parts)
+            del points, parts  # so that only the unknowns stay alive while the group is factored
             s, n2 = 2 * ns, 2 * (ns + nb)
             upd = np.empty((g.slots, 2 * nb, 2 * nb), dtype=dtype)
             per = max(1, _CHUNK // n2**2)
@@ -580,8 +586,7 @@ class _FrontFactor:
                 F.fill(0)
                 F.reshape(m, n2 * n2)[:, dest] = kst[rows[lo:hi, src], code]
                 for child, first, runs in g.children:
-                    child_upd, child_slot = updates[child]
-                    U = child_upd[child_slot[first + g.order[lo:hi, 0]]]
+                    U = updates[child][child.slot[first + g.order[lo:hi, 0]]]
                     for ur, vr, lr in runs:
                         for uc, vc, lc in runs:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
@@ -601,8 +606,8 @@ class _FrontFactor:
                 np.matmul(X, Y, out=upd[lo:hi])
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
                 blocks.append((lo, hi, W, Y, X))
-            updates[g] = (upd, g.slot)
-            self.groups.append((points, ns, blocks))
+            updates[g] = upd
+            self.groups.append((here, rim, blocks))
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
     def arrays(self):
@@ -612,25 +617,19 @@ class _FrontFactor:
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K^-1 r in this factor's dtype, r given in K's unknown order."""
         z = np.array(r, dtype=self.dtype)
-
-        def unknowns(p):
-            return (p[..., None] + np.array([0, self.half])).reshape(*p.shape[:-1], -1)
-
         # forward, up the tree: y_S = W r_S, then r_B -= X y_S, a slot's blocks
         # acting on its members side by side; one scatter per group, in slot order
-        for points, ns, blocks in self.groups:
-            push = np.empty((*points.shape[:2], 2 * (points.shape[2] - ns)), dtype=self.dtype)
+        for here, rim, blocks in self.groups:
+            push = np.empty(rim.shape, dtype=self.dtype)
             for lo, hi, W, Y, X in blocks:
-                here = unknowns(points[lo:hi, :, :ns])
-                y = np.matmul(W[:, None], z[here][..., None])
-                z[here] = y[..., 0]
+                y = np.matmul(W[:, None], z[here[lo:hi]][..., None])
+                z[here[lo:hi]] = y[..., 0]
                 np.matmul(X[:, None], y, out=push[lo:hi, ..., None])
-            np.subtract.at(z, unknowns(points[..., ns:]), push)
+            np.subtract.at(z, rim, push)
         # backward, down the tree: z_S = y_S - Y z_B
-        for points, ns, blocks in reversed(self.groups):
+        for here, rim, blocks in reversed(self.groups):
             for lo, hi, W, Y, X in blocks:
-                out = z[unknowns(points[lo:hi, :, ns:])]
-                z[unknowns(points[lo:hi, :, :ns])] -= np.matmul(Y[:, None], out[..., None])[..., 0]
+                z[here[lo:hi]] -= np.matmul(Y[:, None], z[rim[lo:hi]][..., None])[..., 0]
         return z
 
 
@@ -688,9 +687,9 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.349 over the sizes of
+# above a solve that stays on float32): at most 1.192 over the sizes of
 # BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%
-# (BENCH_22.json, measured with one stencil row per level class).
+# (BENCH_23.json, measured with the unknown indices kept by the factor).
 _SOLVE_SCALE = 1.39
 
 
@@ -715,9 +714,10 @@ def _refine(
 
     Each step solves for the correction of the current float64 residual
     and measures z's relative sup-norm defect.  Returns z, the number of
-    steps and that defect, once the defect meets _DEFECT_GATE, once a step
+    steps and that defect, once the defect meets _DEFECT_FLOOR, once a step
     after the first fails to halve it (NaN included) or after _REFINE_STEPS
-    steps; only the first of these meets the gate.
+    steps.  Stopping at the floor, not at _DEFECT_GATE, keeps z from hanging
+    on rounding that differs with BLAS threads or summation order.
     """
     z = np.zeros_like(rhs)
     r = rhs
@@ -727,7 +727,7 @@ def _refine(
         z += factor.solve(r.astype(dtype, copy=False))
         r = _kkt_defect(kst, N, z, rhs)
         last, defect = defect, float(np.max(np.abs(r))) / scale
-        if defect <= _DEFECT_GATE or not defect <= 0.5 * last:
+        if defect <= _DEFECT_FLOOR or not defect <= 0.5 * last:
             break
     return z, step, defect
 

@@ -586,6 +586,11 @@ def test_shared_fronts_solve_like_one_slot_per_member(M, dtype, rtol):
     assert single.nbytes == size * _unshared_entries(tree)
     # M <= 2 leaves no rectangle that misses both level 0 and level M
     assert (tree.entries() < _unshared_entries(tree)) == (M > 2)
+    # the factor keeps every member's unknowns as int32, and each unknown of
+    # K is eliminated at exactly one front
+    here = np.concatenate([h.ravel() for h, _, _ in shared.groups])
+    assert here.dtype == np.int32
+    assert np.array_equal(np.sort(here), np.arange(len(rhs)))
     # every member's W, Y and X equal its slot's bit for bit
     for g, (_, _, blocks), (_, _, own) in zip(reversed(tree.groups), shared.groups, single.groups):
         for k in (2, 3, 4):
@@ -664,6 +669,25 @@ def test_refinement_rescues_inexact_factor(monkeypatch):
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection"
     assert sol.residual <= 1e-10
+
+
+def test_refinement_runs_to_the_rounding_floor():
+    # a benchmark field-solve draw whose second step lands at 6.0e-11, just
+    # under the 1e-10 gate: refinement goes on to the rounding floor, so
+    # where it stops does not hang on BLAS threads or summation order
+    grid = Grid1D(2.0, 256)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(5.0, 200),
+        velocity=VelocityField.constant(2.0),
+        alpha=0.125,
+        control_domain=IntervalUnion(tail=(0.567182, ((0.0, 0.095387), (0.446055, 0.504261)))),
+        x0=bump_initial(0.69039, 0.483182, grid),
+    )
+    sol = solve_ocp(cfg)
+    assert sol.ordering == "nested-dissection"
+    assert sol.residual <= 1e-13
+    assert sol.refine_steps == 3
 
 
 def test_solve_reports_refinement_steps_and_factor_bytes():
