@@ -16,6 +16,7 @@ stationarity conditions of the discrete objective (see discrete_objective).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -257,6 +258,10 @@ _ND_LEAF = 8
 
 # Front entries assembled and factored by one stacked call (at least one front).
 _CHUNK = 1 << 20
+
+# Pivot blocks of at most this order are inverted by one LAPACK call; larger
+# ones by 2x2 blocks (_inverse), whose products run at matmul speed.
+_INV_LEAF = 128
 
 
 # The 3x3 stencil offsets (dk, di), numbered o = 3 (dk + 1) + di + 1.
@@ -531,18 +536,61 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
     return rhs - kz.ravel()
 
 
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of square blocks A, in A's dtype.
+
+    Blocks of order at most _INV_LEAF go to np.linalg.inv (partial pivoting
+    inside the block).  Larger ones are inverted by 2x2 blocks in float64,
+    W11 = A11^-1, Y = W11 A12 and S^-1 = (A22 - A21 Y)^-1, recursively, so
+    that most of the work is matrix products.  The recursion pivots only
+    inside its leaves.  Run in float64, the accuracy that costs stays below
+    a float32 factor's rounding; run in float32, it changed the rung or the
+    refinement steps of most solves tried (BENCH_24.json).  When a leading
+    block is singular or the result is not finite, the whole stack goes to
+    np.linalg.inv, which raises LinAlgError when A itself is singular.
+    """
+    if A.shape[-1] <= _INV_LEAF:
+        return np.linalg.inv(A)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = _block_inverse(A.astype(np.float64, copy=False)).astype(A.dtype, copy=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.inv(A)
+    return W if np.isfinite(W).all() else np.linalg.inv(A)
+
+
+def _block_inverse(A: np.ndarray) -> np.ndarray:
+    """_inverse's float64 recursion on a stack of blocks A."""
+    n = A.shape[-1]
+    if n <= _INV_LEAF:
+        return np.linalg.inv(A)
+    h = n // 2
+    W = np.empty_like(A)
+    W11 = _block_inverse(A[..., :h, :h])
+    Y = W11 @ A[..., :h, h:]
+    Z = W[..., h:, h:] = _block_inverse(A[..., h:, h:] - A[..., h:, :h] @ Y)
+    V = Z @ (A[..., h:, :h] @ W11)  # S^-1 A21 W11
+    np.negative(V, out=W[..., h:, :h])
+    np.negative(Y @ Z, out=W[..., :h, h:])
+    np.add(W11, Y @ V, out=W[..., :h, :h])
+    return W
+
+
 class _FrontFactor:
     """Multifrontal LU of K on the dissection tree, held in `dtype`.
 
     Every front is assembled from K's entries in kst, rounded to `dtype`,
     and its children's update matrices; the pivot block F_SS of the unknowns
-    it eliminates is inverted by np.linalg.inv (partial pivoting inside the
-    block), and the update
+    it eliminates is inverted by _inverse (np.linalg.inv up to order
+    _INV_LEAF, float64 2x2 blocks above), and the update
     F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
     (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
     about _CHUNK entries, stacked as (slots, 2n, 2n); the children's
-    updates are gathered through their slot maps and added by slices, one
-    call per pair of runs for all slots of a chunk.  Kept per chunk:
+    updates are read through their slot maps (a slice where the slots run
+    in order) and added by slices, one call per pair of runs for all slots
+    of a chunk.  A group's updates are freed once the last chunk of its
+    last parent group has added them, before that chunk's pivot blocks are
+    inverted.  Kept per chunk:
     W = F_SS^-1, Y = W F_SB and X = F_BS; per group, the unknowns of each
     member's eliminated points and perimeter, int32 below 2^31 unknowns.
 
@@ -560,10 +608,10 @@ class _FrontFactor:
         self.dtype = np.dtype(dtype)
         self.groups: list = []
         updates: dict = {}
+        # per group, its entries in the parents' children lists not yet added
+        parents = collections.Counter(c for g in tree.groups for c, _, _ in g.children)
         scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
         for g in reversed(tree.groups):
-            for done in [c for c in updates if c.depth > g.depth + 1]:
-                del updates[done]
             src, code, dest = g.template()
             points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
             k, i = np.divmod(points[:, 0], N)
@@ -586,13 +634,22 @@ class _FrontFactor:
                 F.fill(0)
                 F.reshape(m, n2 * n2)[:, dest] = kst[rows[lo:hi, src], code]
                 for child, first, runs in g.children:
-                    U = updates[child][child.slot[first + g.order[lo:hi, 0]]]
+                    at = child.slot[first + g.order[lo:hi, 0]]
+                    if np.array_equal(at, np.arange(at[0], at[0] + m)):
+                        at = slice(at[0], at[0] + m)
+                    U = updates[child][at]
                     for ur, vr, lr in runs:
                         for uc, vc, lc in runs:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
                                 :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
                             ]
-                W = np.linalg.inv(F[:, :s, :s])
+                    del U  # a slice of it would keep the whole array alive
+                if hi == g.slots:
+                    for child, _, _ in g.children:
+                        parents[child] -= 1
+                        if not parents[child]:
+                            del updates[child]
+                W = _inverse(F[:, :s, :s])
                 # one refinement step gives Y = F_SS^-1 F_SB the accuracy of
                 # a solve with the block's LU; W alone loses it on
                 # ill-conditioned blocks, and that error grows up the tree
@@ -687,9 +744,10 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.192 over the sizes of
+# above a solve that stays on float32): at most 1.048 over the sizes of
 # BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%
-# (BENCH_23.json, measured with the unknown indices kept by the factor).
+# (BENCH_24.json, measured with child updates freed at their last use;
+# 1.192 in BENCH_23.json before).
 _SOLVE_SCALE = 1.39
 
 

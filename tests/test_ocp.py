@@ -460,6 +460,98 @@ def test_front_ladder_meets_the_gate_across_alpha_speed_and_layout(
 SINGLE = IntervalUnion(prefix=((0.0, 0.2),))
 
 
+# every pair of values of alpha, c, layout and speed form appears in some
+# row (an L9 orthogonal array), the speed sinusoidal in a third of the rows
+@pytest.mark.parametrize(
+    "alpha, c, layout, sine",
+    [
+        (1e-3, 0.5, IntervalUnion(), False),
+        (1e-3, 2.0, SINGLE, True),
+        (1e-3, 50.0, EQUIDISTANT, False),
+        (0.125, 0.5, SINGLE, False),
+        (0.125, 2.0, EQUIDISTANT, False),
+        (0.125, 50.0, IntervalUnion(), True),
+        (10.0, 0.5, EQUIDISTANT, True),
+        (10.0, 2.0, IntervalUnion(), False),
+        (10.0, 50.0, SINGLE, False),
+    ],
+)
+def test_front_ladder_above_the_inverse_leaf(monkeypatch, alpha, c, layout, sine):
+    # at M = 100 the root's pivot block has order 404 > _INV_LEAF, so it is
+    # inverted by float64 2x2 blocks; the ladder must meet the gate there
+    # and take the rung it takes with one LAPACK inverse per block
+    L, N, M = 1.0, 128, 100
+    grid = Grid1D(L, N)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(5.0, M),
+        velocity=sinusoidal_velocity(c, 0.25 * c, L) if sine else VelocityField.constant(c),
+        alpha=alpha,
+        control_domain=layout,
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+    )
+    assert 4 * (M + 1) > ocp_mod._INV_LEAF
+    K, rhs = assemble_kkt(cfg, None)
+    kst = _decode(K, N)
+    z, ordering, _, _, defect = ocp_mod._solve_linear(kst, rhs, N, M)
+    assert defect <= 1e-10
+    assert _defect(K, z, rhs) == defect
+    assert np.max(np.abs(z - _reference(K, rhs))) <= 1e-9
+    monkeypatch.setattr(ocp_mod, "_inverse", np.linalg.inv)
+    assert ocp_mod._solve_linear(kst, rhs, N, M)[1] == ordering
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 257, 804])
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-13)])
+def test_inverse_matches_numpy(n, dtype, rtol):
+    # the 2x2 recursion pivots only inside its leaf blocks, so these random
+    # blocks lean on their diagonal, which keeps every leading block and
+    # Schur complement well conditioned
+    rng = np.random.default_rng(n)
+    A = (rng.standard_normal((3, n, n)) + 2 * np.sqrt(n) * np.eye(n)).astype(dtype)
+    W = ocp_mod._inverse(A)
+    assert W.dtype == dtype and W.shape == A.shape
+    ref = np.linalg.inv(A)
+    assert np.max(np.abs(W - ref)) <= rtol * np.max(np.abs(ref))
+    if n <= ocp_mod._INV_LEAF:
+        assert np.array_equal(W, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inverse_falls_back_when_a_leading_block_is_singular(dtype):
+    # [[0, I], [I, 0]]: the leading half is singular, so the block path
+    # raises and one LAPACK inverse of the whole block, which pivots, runs
+    n = 2 * ocp_mod._INV_LEAF + 2
+    h = n // 2
+    swap = np.zeros((2, n, n), dtype=dtype)
+    swap[:, :h, h:] = swap[:, h:, :h] = np.eye(h)
+    with pytest.raises(np.linalg.LinAlgError):
+        ocp_mod._block_inverse(swap.astype(np.float64))
+    W = ocp_mod._inverse(swap)
+    assert W.dtype == dtype
+    assert np.array_equal(W, swap)
+
+
+def test_singular_pivot_block_still_raises():
+    # [[I, I], [I, I]] is singular: its Schur complement is 0, and the
+    # fallback's LAPACK inverse raises, so the ladder reports the block
+    n = 2 * ocp_mod._INV_LEAF + 2
+    h = n // 2
+    doubled = np.tile(np.eye(h), (2, 2))[None]
+    with pytest.raises(np.linalg.LinAlgError):
+        ocp_mod._inverse(doubled)
+
+
+def test_singular_pivot_blocks_name_both_rungs(monkeypatch):
+    # a factor whose root pivot block (order 68, above a lowered leaf) is
+    # singular fails each rung with "singular pivot block"
+    exact = ocp_mod._inverse
+    monkeypatch.setattr(ocp_mod, "_INV_LEAF", 16)
+    monkeypatch.setattr(ocp_mod, "_inverse", lambda A: exact(np.zeros_like(A) if A.shape[-1] == 68 else A))
+    with pytest.raises(NumericError, match="float32 factor: singular pivot block; float64 factor: singular pivot block"):
+        solve_ocp(make_config(N=32, M=16, alpha=0.3))
+
+
 def _stencil_configs(alpha, M):
     """Constant and sinusoidal speed, the single-interval, equidistant and
     prefix layouts, observed everywhere or on a finite domain.  The prefix
