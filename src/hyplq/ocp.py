@@ -16,7 +16,6 @@ stationarity conditions of the discrete objective (see discrete_objective).
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -127,8 +126,9 @@ class OCPSolution:
     that produced the solution: "nested-dissection" (float32 front factor
     refined in float64) or "nested-dissection-f64" (the same with a
     float64 factor).  refine_steps counts the solves with that factor and
-    factor_bytes is the memory it held, each front that repeats in time
-    counted once as the factor keeps it; neither goes into any artifact.
+    factor_bytes the bytes of its W, Y and X blocks, each repeated front once,
+    without its int32 unknown indices (15.9 beside 297.8 MiB of blocks at
+    L=8, N=1024, M=400).  Neither goes into any artifact.
     """
 
     x: np.ndarray
@@ -343,7 +343,10 @@ class _Fronts:
     origin: tuple
     slot: np.ndarray
     order: np.ndarray
+    per_chunk: int  # slots the factor assembles and factors by one stacked call
+    kept: int  # entries the factor keeps per slot, s^2 + 2 s b
     children: list = dataclasses.field(default_factory=list)
+    frees: list = dataclasses.field(default_factory=list)  # children whose updates die after this group's last chunk
 
     @property
     def count(self) -> int:
@@ -409,8 +412,8 @@ class _DissectionTree:
     _kkt_stencil holds one row per node and level class, so the fronts of a
     group that share a node origin read the same class rows and hold the
     same matrix: they share a slot (see _Fronts; a group touching level 0
-    or M has one member per origin), and the counts below keep each slot
-    once, as _FrontFactor does.
+    or M has one member per origin).  The tree is also the factor's plan
+    (see _Fronts): _FrontFactor runs it, and entries and peak_entries count it.
     """
 
     def __init__(self, N: int, M: int):
@@ -441,6 +444,7 @@ class _DissectionTree:
                     pos = p.table[cell[:, 0], cell[:, 1] % p.table.shape[1]]
                     p.children.append((g, first, _runs(pos)))
                     first += p.count
+                parents[0][0].frees.append(g)  # its first parent root down is the last factored
                 self.groups.append(g)
                 frontier.append((g, parts))
 
@@ -451,36 +455,39 @@ class _DissectionTree:
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
         _, slot, per = np.unique(origin[1], return_inverse=True, return_counts=True)
         order = np.argsort(slot, kind="stable").reshape(-1, per[0])
-        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order)
+        s, b = 2 * len(sep), 2 * len(rim)  # unknowns eliminated and on the perimeter
+        per_chunk = min(len(order), max(1, _CHUNK // (s + b) ** 2))
+        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order, per_chunk, s * s + 2 * s * b)
 
     def entries(self) -> int:
-        """Entries of the factor the fronts keep: each slot's inverse pivot
+        """Entries of the blocks the factor keeps: each slot's inverse pivot
         block and its two Schur multipliers, s^2 + 2 s b with s = 2 ns and
-        b = 2 nb unknowns."""
-        return sum(g.slots * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in self.groups)
+        b = 2 nb unknowns.  The factor also keeps each member's unknown
+        indices, s + b int32 per member, which are not counted here."""
+        return sum(g.slots * g.kept for g in self.groups)
 
     def peak_entries(self) -> int:
-        """Most entries alive at once while _FrontFactor runs and solves,
-        index arrays counted as one entry per index.  While it factors: the
-        factor kept so far, the update matrices not yet added to a parent,
-        and one chunk of slots with a scratch copy of its pivot blocks and
-        its children's updates gathered through their slots.  While it
-        solves: the whole factor, and one group's perimeter pushes with
-        their indices and one chunk's gathered vectors, at most 4 (s + b)
-        per member."""
-        kept = peak = solve = 0
+        """Most entries alive at once while _FrontFactor runs the plan and
+        solves (index arrays one entry per index; the kept unknown indices are
+        left to _SOLVE_SCALE).  Assembling a chunk: the kept blocks, the live
+        updates, the chunk buffer (its largest chunk yet) and one gathered
+        child update; inverting it, after `frees`, a pivot-block copy instead.
+        Solving: the factor, one group's pushes with their indices and one
+        chunk's gathered vectors, at most 4 (s + b) per member."""
+        kept = peak = solve = buffer = 0
         pending: dict = {}
         for g in reversed(self.groups):
-            for done in [c for c in pending if c.depth > g.depth + 1]:
-                del pending[done]
             s, b = 2 * g.ns, 2 * g.nb
-            n2 = s + b
-            m = min(g.slots, max(1, _CHUNK // n2**2))
-            gathered = m * sum(4 * child.nb**2 for child, _, _ in g.children)
+            m = g.per_chunk
+            kept += g.slots * g.kept
             pending[g] = g.slots * b * b
-            kept += g.slots * (s * s + 2 * s * b)
-            peak = max(peak, kept + sum(pending.values()) + m * (n2 * n2 + s * s) + gathered)
-            solve = max(solve, 4 * g.count * n2)
+            buffer = max(buffer, m * (s + b) ** 2)
+            gathered = max((m * 4 * c.nb**2 for c, _, _ in g.children), default=0)
+            peak = max(peak, kept + buffer + sum(pending.values()) + gathered)
+            for c in g.frees:
+                del pending[c]
+            peak = max(peak, kept + buffer + sum(pending.values()) + m * s * s)
+            solve = max(solve, 4 * g.count * (s + b))
         return max(peak, kept + solve)
 
 
@@ -584,15 +591,14 @@ class _FrontFactor:
     it eliminates is inverted by _inverse (np.linalg.inv up to order
     _INV_LEAF, float64 2x2 blocks above), and the update
     F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
-    (J. W. H. Liu, SIAM Review 34, 1992).  A group is processed in chunks of
-    about _CHUNK entries, stacked as (slots, 2n, 2n); the children's
-    updates are read through their slot maps (a slice where the slots run
-    in order) and added by slices, one call per pair of runs for all slots
-    of a chunk.  A group's updates are freed once the last chunk of its
-    last parent group has added them, before that chunk's pivot blocks are
-    inverted.  Kept per chunk:
-    W = F_SS^-1, Y = W F_SB and X = F_BS; per group, the unknowns of each
-    member's eliminated points and perimeter, int32 below 2^31 unknowns.
+    (J. W. H. Liu, SIAM Review 34, 1992).  It runs the tree's plan (see
+    _Fronts), a chunk of `per_chunk` slots stacked as (slots, 2n, 2n) at a
+    time.  Children's updates are read through their slot maps (a slice
+    where the slots run in order) and added by slices, one call per pair of
+    runs for a whole chunk; those of `frees` die after the group's last
+    chunk is assembled, before its pivot blocks are inverted.  Kept: per
+    chunk W = F_SS^-1, Y = W F_SB and X = F_BS; per group the unknowns of
+    each member's eliminated points and perimeter (int32 below 2^31).
 
     Only the first member of each slot is assembled and factored, exactly:
     the members of a slot read the same class rows of kst at the same front
@@ -608,25 +614,21 @@ class _FrontFactor:
         self.dtype = np.dtype(dtype)
         self.groups: list = []
         updates: dict = {}
-        # per group, its entries in the parents' children lists not yet added
-        parents = collections.Counter(c for g in tree.groups for c, _, _ in g.children)
         scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
         for g in reversed(tree.groups):
             src, code, dest = g.template()
             points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
             k, i = np.divmod(points[:, 0], N)
             rows = _level_class(k, M) * N + i  # the stencil rows of each slot's first member
-            ns, nb = g.ns, g.nb
             # the unknowns x, lam of each eliminated point, then of each perimeter point
-            parts = np.split(points.astype(index), [ns], axis=2)
+            parts = np.split(points.astype(index), [g.ns], axis=2)
             here, rim = (np.stack((p, p + half), axis=-1).reshape(*p.shape[:2], -1) for p in parts)
             del points, parts  # so that only the unknowns stay alive while the group is factored
-            s, n2 = 2 * ns, 2 * (ns + nb)
-            upd = np.empty((g.slots, 2 * nb, 2 * nb), dtype=dtype)
-            per = max(1, _CHUNK // n2**2)
+            s, n2 = 2 * g.ns, 2 * (g.ns + g.nb)
+            upd = np.empty((g.slots, 2 * g.nb, 2 * g.nb), dtype=dtype)
             blocks = []
-            for lo in range(0, g.slots, per):
-                hi = min(g.slots, lo + per)
+            for lo in range(0, g.slots, g.per_chunk):
+                hi = min(g.slots, lo + g.per_chunk)
                 m = hi - lo
                 if scratch.size < m * n2 * n2:
                     scratch = np.empty(m * n2 * n2, dtype=dtype)
@@ -645,10 +647,8 @@ class _FrontFactor:
                             ]
                     del U  # a slice of it would keep the whole array alive
                 if hi == g.slots:
-                    for child, _, _ in g.children:
-                        parents[child] -= 1
-                        if not parents[child]:
-                            del updates[child]
+                    for child in g.frees:
+                        del updates[child]
                 W = _inverse(F[:, :s, :s])
                 # one refinement step gives Y = F_SS^-1 F_SB the accuracy of
                 # a solve with the block's LU; W alone loses it on
@@ -668,7 +668,7 @@ class _FrontFactor:
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
     def arrays(self):
-        """The arrays this factor keeps: W, Y and X of every chunk."""
+        """The blocks this factor keeps, W, Y and X of every chunk; not its unknown indices."""
         return (a for *_, blocks in self.groups for block in blocks for a in block[2:])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -744,10 +744,8 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.048 over the sizes of
-# BENCH_18.json, 25,856 to 821,248 unknowns, repeated runs within 1%
-# (BENCH_24.json, measured with child updates freed at their last use;
-# 1.192 in BENCH_23.json before).
+# above a solve that stays on float32): at most 1.111 over the sizes of
+# BENCH_18.json, 25,856 to 821,248 unknowns (BENCH_25.json).
 _SOLVE_SCALE = 1.39
 
 

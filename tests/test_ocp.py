@@ -552,6 +552,36 @@ def test_singular_pivot_blocks_name_both_rungs(monkeypatch):
         solve_ocp(make_config(N=32, M=16, alpha=0.3))
 
 
+def test_pivot_blocks_of_a_float64_rung_solve_invert_like_lapack(monkeypatch):
+    # the 2x2 recursion pivots only inside its leaves, so it is not backward
+    # stable on general blocks; on the KKT fronts of a solve that takes the
+    # float64 rung (c = 50, alpha = 1e-3) every block above the leaf (the
+    # root's, order 404, cond about 7e9) must still invert as LAPACK does
+    blocks = []
+    exact = ocp_mod._inverse
+
+    def recorded(A):
+        if A.dtype == np.float64 and A.shape[-1] > ocp_mod._INV_LEAF:
+            blocks.append(A.copy())
+        return exact(A)
+
+    monkeypatch.setattr(ocp_mod, "_inverse", recorded)
+    grid = Grid1D(1.0, 128)
+    cfg = OCPConfig(
+        grid=grid,
+        tgrid=TimeGrid(5.0, 100),
+        velocity=VelocityField.constant(50.0),
+        alpha=1e-3,
+        control_domain=EQUIDISTANT,
+        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
+    )
+    assert solve_ocp(cfg).ordering == "nested-dissection-f64"
+    assert blocks
+    for A in blocks:
+        W, ref = exact(A), np.linalg.inv(A)
+        assert np.all(np.max(np.abs(W - ref), axis=(1, 2)) <= 1e-7 * np.max(np.abs(ref), axis=(1, 2)))
+
+
 def _stencil_configs(alpha, M):
     """Constant and sinusoidal speed, the single-interval, equidistant and
     prefix layouts, observed everywhere or on a finite domain.  The prefix
@@ -714,6 +744,32 @@ def test_fronts_share_slots_by_node_origin(N, M):
         levels = g.origin[0][:, None] + g.local[: g.ns, 0]
         if np.any((levels == 0) | (levels == M)):
             assert g.slots == g.count
+
+
+@pytest.mark.parametrize("N, M", [(4, 1), (33, 1), (33, 7), (24, 30), (64, 100)])
+def test_tree_plans_the_factor(N, M):
+    tree = ocp_mod._DissectionTree(N, M)
+    # every group but the root is freed once, by a group that reads it, and
+    # no group factored after that one (earlier in root-first order) reads it
+    freed = [c for g in tree.groups for c in g.frees]
+    assert sorted(map(id, freed)) == sorted(map(id, tree.groups[1:]))
+    for i, g in enumerate(tree.groups):
+        for c in g.frees:
+            assert any(child is c for child, _, _ in g.children)
+            assert not any(child is c for p in tree.groups[:i] for child, _, _ in p.children)
+    # a chunk holds at least one slot and no more entries than _CHUNK beyond that
+    for g in tree.groups:
+        n2 = 2 * (g.ns + g.nb)
+        assert 1 <= g.per_chunk <= g.slots
+        assert g.per_chunk == 1 or g.per_chunk * n2**2 <= ocp_mod._CHUNK
+    assert sum(g.slots * g.kept for g in tree.groups) == tree.entries()
+    kst = ocp_mod._kkt_stencil(make_config(N=N, M=M, alpha=0.3))
+    for dtype in (np.float32, np.float64):
+        factor = ocp_mod._factor_fronts(kst, tree, dtype)
+        assert factor.nbytes == np.dtype(dtype).itemsize * tree.entries()
+        # the factor runs the planned chunks
+        for g, (_, _, blocks) in zip(reversed(tree.groups), factor.groups):
+            assert [lo for lo, *_ in blocks] == list(range(0, g.slots, g.per_chunk))
 
 
 @given(
