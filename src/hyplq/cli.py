@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +49,7 @@ from .geometry import (
     domain_to_config,
     parse_domain,
 )
-from .ocp import OCPConfig, bump_initial, check_bump_window, solve_bytes, solve_ocp
+from .ocp import OCPConfig, bump_initial, check_bump_window, factor_plan, solve_bytes, solve_ocp
 from .semigroup import (
     FeedbackProfile,
     continuity_levels,
@@ -337,23 +339,224 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
+# Float text.  repr writes the shortest digits that read back as the float,
+# the nearest of them where several are that short (D. M. Gay, "Correctly
+# rounded binary-decimal and decimal-binary conversions", 1990).  For a finite
+# x = m 2^E != 0 (m < 2^53 an integer) with decimal exponent k, the scaled
+# value V = x 10^(16-k) lies in [1e16, 1e17), and a decimal reads back as x
+# when its scaled value lies within half of Q = 2^E 10^(16-k) of V (a quarter
+# below V at a power of two).  The digits are then those of the integer in
+# that interval with the most trailing zeros, J, the nearer of the two
+# multiples of 10^J next to V: fixed-width arithmetic, as in U. Adams, "Ryu:
+# fast float-to-string conversion" (PLDI 2018), run on whole arrays.  V is
+# known to about 1e-14, so a float whose interval end, or tie between the two
+# multiples, lies within _UNSURE of an integer is left to repr, as are
+# subnormals, zeros, NaN and inf.
+
+# 10^s = (h + l) 2^b with h in [1, 2), as the rows h, l, b of column
+# s - _P10_MIN, for every s = 16 - k a float's k and its fix-up can give.  A
+# column is computed exactly the first time a table needs it (NaN until then).
+_P10_MIN = -293
+_P10 = np.full((3, 635), np.nan)
+_P10_LOCK = threading.Lock()
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a float into 26-bit halves
+_UNSURE = 1e-9
+
+
+def _ten_powers(s: np.ndarray) -> np.ndarray:
+    """The rows h, l, b of 10^s for every s of the array."""
+    at = s - _P10_MIN
+    rows = _P10.take(at, axis=1)
+    missing = np.isnan(rows).any(axis=0)  # a column another thread is filling reads NaN too
+    if missing.any():
+        with _P10_LOCK:
+            for i in np.unique(at[missing]).tolist():
+                t = i + _P10_MIN
+                num, den = (10**t, 1) if t >= 0 else (1, 10**-t)
+                b = num.bit_length() - den.bit_length()
+                num, den = num << max(-b, 0), den << max(b, 0)
+                if num < den:
+                    num, b = num << 1, b - 1
+                h = num / den  # int / int rounds correctly
+                hn, hd = h.as_integer_ratio()
+                _P10[:, i] = h, (num * hd - hn * den) / (den * hd), b
+        rows = _P10.take(at, axis=1)
+    return rows
+
+
+def _scaled(m: np.ndarray, E: np.ndarray, k: np.ndarray):
+    """V = m 2^E 10^(16-k) as an int64 integer part and a float fraction in
+    [0, 1), and Q = 2^E 10^(16-k) rounded to a float.  m holds integers
+    below 2^53.  Q is held to about 2^-106 as qh + ql, and m qh is Dekker's
+    exact two-product p + err, so V is right to about 1e-14."""
+    h, l, b = _ten_powers(16 - k)
+    b = E + b.astype(np.int32)
+    qh = np.ldexp(h, b)
+    p = m * qh
+    c = _SPLIT * qh
+    qa = c - (c - qh)
+    qb = qh - qa
+    c = _SPLIT * m
+    ma = c - (c - m)
+    mb = m - ma
+    err = ((ma * qa - p) + ma * qb + mb * qa) + mb * qb
+    whole = np.floor(p)
+    frac = (p - whole) + err + m * np.ldexp(l, b)
+    carry = np.floor(frac)
+    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry, qh
+
+
+def _near_integer(f: np.ndarray) -> np.ndarray:
+    return np.abs(f - np.rint(f)) < _UNSURE
+
+
+_INT_P10 = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _shortest_digits(ax: np.ndarray):
+    """repr's digits of the finite positive floats of ax: (c, e, n, unsure).
+
+    Digits are the first n of the 17 of int64 c (the rest are zeros), e is
+    the decimal exponent of the first, and where `unsure` is set the digits
+    are not known and repr must write the float."""
+    mant, ex = np.frexp(ax)
+    m, E = np.ldexp(mant, 53), ex - 53
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    V, F, Q = _scaled(m, E, k)
+    off = (V < 10**16).astype(np.int64) - (V >= 10**17)
+    fix = np.flatnonzero(off)
+    if fix.size:  # log10 rounded across a power of ten
+        k[fix] -= off[fix]
+        V[fix], F[fix], Q[fix] = _scaled(m[fix], E[fix], k[fix])
+    unsure = (V < 10**16) | (V >= 10**17) | (ex < -1021)  # subnormal: Q is not m's
+    half = 0.5 * Q
+    top = F + half
+    bottom = F - np.where((mant == 0.5) & (ex > -1021), 0.5 * half, half)
+    unsure |= _near_integer(top) | _near_integer(bottom)
+    # the interval's integers are lo + 1 ... hi; J counts the powers of ten
+    # that still tell lo and hi apart, up to the first digit
+    hi = V + np.floor(top).astype(np.int64)
+    lo = V + np.floor(bottom).astype(np.int64)
+    J = np.zeros(ax.shape, dtype=np.intp)
+    a, b, live = lo // 10, hi // 10, None
+    for j in range(1, 17):
+        apart = a != b
+        live = np.flatnonzero(apart) if live is None else live[apart]
+        if not live.size:
+            break
+        J[live] = j
+        a, b = a[apart] // 10, b[apart] // 10
+    step = _INT_P10[J]
+    below = V // step * step
+    down = below > lo
+    up = below + step <= hi
+    # 2 (V - below) - step: above zero where the multiple above V is nearer
+    lean = (2 * (V - below) - step).astype(np.float64) + 2 * F
+    unsure |= down & up & (np.abs(lean) < 2 * _UNSURE)
+    c = below + (up & (~down | (lean > 0))) * step
+    carry = c == 10**17
+    c[carry] = 10**16
+    return c, k + carry, np.where(carry, 1, 17 - J), unsure
+
+
+# A float's text is gathered from a 32-byte source row: digits 0-7 at bytes
+# 0-7, digit 8 at 16, digits 9-16 at 8-15, the three digits of |e| at 17-19,
+# then "-.e+0" and NULs.  Each (sign, layout, digit count) has a template of
+# source bytes; the layouts are the positional ones of e = -4 ... 15, then
+# e < 0 and e > 0 with two and with three exponent digits.
+_DIGIT_AT = [*range(8), 16, *range(8, 16)]
+_LITERALS = np.frombuffer(b"-.e+0" + bytes(7), dtype="<u4")
+_NEG, _DOT, _EXP, _PLUS, _ZERO, _PAD = range(20, 26)
+_TEXT_WIDTH = 24  # "-1.2345678901234567e-308"
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of 0000 ... 9999 as little-endian uint32, and the templates
+    (by (sign * 24 + layout) * 17 + n - 1, NUL-padded to _TEXT_WIDTH)."""
+    four = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    d, pad = _DIGIT_AT, [_PAD] * _TEXT_WIDTH
+    unsigned = []
+    for layout in range(24):
+        e = layout - 4
+        for n in range(1, 18):
+            if layout >= 20:
+                t = d[:1] + ([_DOT] + d[1:n] if n > 1 else []) + [_EXP, _PLUS if layout >= 22 else _NEG]
+                t += [17, 18, 19] if layout % 2 else [18, 19]
+            elif e >= 0:
+                t = d[: e + 1] + [_DOT] + d[e + 1 : max(n, e + 2)]
+            else:
+                t = [_ZERO, _DOT] + [_ZERO] * (-e - 1) + d[:n]
+            unsigned.append(t)
+    rows = [(t + pad)[:_TEXT_WIDTH] for t in unsigned] + [([_NEG] + t + pad)[:_TEXT_WIDTH] for t in unsigned]
+    return four.astype(np.uint8).view("<u4").ravel(), np.array(rows, dtype=np.intp)
+
+
+# Floats formatted per kernel call.  The call's temporaries peak at about
+# 300 bytes a float, so at 4096 they stay small beside a table block's
+# (_TABLE_ROW_BYTES a row); one call per block raised the writer's peak.
+_TEXT_ROWS = 4096
+
+
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """repr of every float of the 1-d array x, byte for byte, as an object
+    array of str."""
+    text = np.empty(x.size, dtype=object)
+    for lo in range(0, x.size, _TEXT_ROWS):
+        text[lo : lo + _TEXT_ROWS] = _float_texts_chunk(x[lo : lo + _TEXT_ROWS])
+    return text
+
+
+def _float_texts_chunk(x: np.ndarray) -> np.ndarray:
+    """_float_texts of at most _TEXT_ROWS floats."""
+    ax = np.abs(x)
+    special = ~(np.isfinite(x) & (x != 0))
+    ax[special] = 1.0
+    c, e, n, unsure = _shortest_digits(ax)
+    four, templates = _text_tables()
+    src = np.empty((x.size, 8), dtype="<u4")
+    top = c // 10**9
+    low = (c - top * 10**9).astype(np.int32)
+    top = top.astype(np.int32)
+    src[:, 0] = four[top // 10000]
+    src[:, 1] = four[top % 10000]
+    src[:, 2] = four[low % 10**8 // 10000]
+    src[:, 3] = four[low % 10000]
+    ae = np.abs(e)
+    src[:, 4] = (four[ae] & 0xFFFFFF00) | (low // 10**8 + ord("0"))
+    src[:, 5:] = _LITERALS
+    layout = np.where((e >= -4) & (e < 16), e + 4, 20 + 2 * (e > 0) + (ae >= 100))
+    index = templates[(np.signbit(x) * 24 + layout) * 17 + n - 1]
+    index += np.arange(0, 32 * x.size, 32)[:, None]
+    chars = np.take(src.view(np.uint8).ravel(), index)
+    del index, src  # 8 bytes a character, before the uint32 copy's 4
+    text = chars.astype(np.uint32).view(f"U{_TEXT_WIDTH}").ravel().astype(object)  # drops the NUL padding
+    for i in np.flatnonzero(special | unsure).tolist():
+        text[i] = repr(float(x[i]))
+    return text
+
+
 def _format_column(c: np.ndarray) -> list[str]:
-    """repr of every float of c, computed once per distinct bit pattern
-    (not per distinct value, so -0.0 and each NaN keep their own text)."""
+    """repr of every float of c, by _float_texts, computed once per distinct
+    bit pattern (not per distinct value, so -0.0 and each NaN keep their own
+    text)."""
     bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(-1)].tolist()
+    return _float_texts(bits.view(np.float64))[inverse.reshape(-1)].tolist()
 
 
 # Rows formatted and written per chunk, so no table is ever held whole as text.
 _TABLE_BLOCK = 32768
+# Most bytes write_table allocates at once, per row of one block: the traced
+# peak while a CLI-default wave table is written is about 135.
+_TABLE_ROW_BYTES = 256
 
 
 def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) -> None:
     """Write a float table with `# key: value` metadata comment lines.
 
-    Floats are written with shortest round-trip repr, so reading the file
-    back reproduces the exact binary values.  A column is either an array
+    Every float is written as the text of its repr (by _float_texts: the
+    shortest digits that read back as it), so reading the file back
+    reproduces the exact binary values.  A column is either an array
     of floats, or a pair (values, index): its distinct floats, formatted
     once, and a function giving the position in values of each row of an
     array of row numbers.  The row count is that of the float arrays.
@@ -364,8 +567,7 @@ def write_table(path, header: Sequence[str], columns: Sequence, metadata: dict) 
     for c in columns:
         if isinstance(c, tuple):
             values, index = c
-            text = [repr(v) for v in np.asarray(values, dtype=float).reshape(-1).tolist()]
-            cols.append((np.array(text, dtype=object), index))
+            cols.append((_float_texts(np.asarray(values, dtype=float).reshape(-1)), index))
         else:
             cols.append(np.ascontiguousarray(c, dtype=float).reshape(-1))
     sizes = {c.size for c in cols if not isinstance(c, tuple)}
@@ -676,8 +878,10 @@ class _Emitter:
         _write_atomic(self.path(name), [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _solve_gate(cfg: OCPConfig, tol: float):
-    sol = solve_ocp(cfg)
+def _solve_gate(cfg: OCPConfig, tol: float, plan):
+    """solve_ocp(cfg, plan), or NumericError where its residual misses `tol`
+    or its trajectories are not finite."""
+    sol = solve_ocp(cfg, plan)
     if not sol.residual <= tol:
         raise NumericError(f"solver residual {sol.residual:.3e} exceeds the gate {tol:.1e}")
     if not all(np.all(np.isfinite(a)) for a in (sol.x, sol.lam, sol.u)):
@@ -713,8 +917,9 @@ def _unknowns(cfg: OCPConfig) -> int:
     return 2 * cfg.grid.N * (cfg.tgrid.M + 1)
 
 
-def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
-    """How many of `configs` may solve at once with `workers` threads.
+def _pool_width(configs: Sequence[OCPConfig], plans: Sequence, workers: int) -> int:
+    """How many of `configs` may solve at once with `workers` threads; plans
+    holds the factor plan of each.
 
     Largest-first scheduling runs the biggest factorizations together, so
     the width is the most members whose largest estimates fit in the
@@ -722,7 +927,7 @@ def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
     alone does not fit; skips the check where MemAvailable cannot be read.
     """
     width = min(workers, len(configs))
-    sized = sorted(((solve_bytes(c), _unknowns(c)) for c in configs), reverse=True)
+    sized = sorted(((solve_bytes(c, p), _unknowns(c)) for c, p in zip(configs, plans)), reverse=True)
     need = [b for b, _ in sized]
     avail = _require_memory(need[0], f"a KKT solve of {sized[0][1]} unknowns")
     if avail is None:
@@ -741,16 +946,27 @@ def _pool_width(configs: Sequence[OCPConfig], workers: int) -> int:
 
 
 def _solve_members(configs: Sequence[OCPConfig], workers: int, tol: float) -> list:
-    """Gated solutions of every config, in input order.
+    """Gated solutions of every config, in input order, on a pool of up to
+    `workers` threads (fewer where memory is short, see _pool_width).
 
-    All members go to one pool at once, largest unknown count first (ties in
-    input order), so the longest factorizations never start last.  The
-    failure raised is that of the first failing member in input order,
-    whatever order the members finish in.
+    Members of one grid size share one factor plan, built once here: it
+    sizes the pool and plans each of their factors, and is dropped with the
+    last of their solves.  All members go to one pool at once, largest
+    unknown count first (ties in input order), so the longest
+    factorizations never start last.  The failure raised is that of the
+    first failing member in input order, whatever order the members finish
+    in.
     """
+    shared: dict = {}
+    for c in configs:
+        if (c.grid.N, c.tgrid.M) not in shared:
+            shared[c.grid.N, c.tgrid.M] = factor_plan(c)
+    plans = [shared[c.grid.N, c.tgrid.M] for c in configs]
+    del shared
     order = sorted(range(len(configs)), key=lambda i: -_unknowns(configs[i]))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(_solve_gate, configs[i], tol) for i in order}
+    with ThreadPoolExecutor(max_workers=_pool_width(configs, plans, workers)) as pool:
+        futures = {i: pool.submit(_solve_gate, configs[i], tol, plans[i]) for i in order}
+        del plans  # each plan now dies with the last solve that runs it
         try:
             return [futures[i].result() for i in range(len(configs))]
         except BaseException:
@@ -963,7 +1179,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) ->
         raise ValueError(f"workers must be >= 1, got {workers}")
     members = _members(plan)
     with _Emitter(plan.out_dir, f"experiment {plan.experiment}") as em:
-        sols = _solve_members(members, _pool_width(members, workers), tol) if members else []
+        sols = _solve_members(members, workers, tol) if members else []
         return _EXPERIMENTS[plan.experiment](plan, em, members, sols)
 
 
@@ -984,12 +1200,12 @@ def _simulate_bytes(eq: str, n_nodes: int, n_levels: int) -> int:
     one kernel block (width 2N on the wave's doubled circle, N otherwise,
     block = levels_per_block(width)), for the variable-speed equations
     about four more (block, N, 16) Gauss-Legendre temporaries, and about
-    256 bytes of text per row of one table block.
+    _TABLE_ROW_BYTES per row of one table block for the writer.
     """
     arrays, width = (2, 2 * n_nodes) if eq == "wave" else (1, n_nodes)
     temps = 16 + (64 if eq in ("transport-var", "continuity") else 0)
     block = levels_per_block(width) * width
-    return 8 * (arrays * n_levels * n_nodes + temps * block) + 256 * _TABLE_BLOCK
+    return 8 * (arrays * n_levels * n_nodes + temps * block) + _TABLE_ROW_BYTES * _TABLE_BLOCK
 
 
 def _simulate(cfg: dict, out_dir: Optional[str]) -> int:

@@ -41,6 +41,7 @@ __all__ = [
     "bump_initial",
     "check_bump_window",
     "discrete_objective",
+    "factor_plan",
     "rollout_midpoint",
     "solve_error_system",
     "solve_bytes",
@@ -749,11 +750,30 @@ def _subnormals_as_zero():
 _SOLVE_SCALE = 1.39
 
 
-def solve_bytes(config: OCPConfig) -> float:
+def factor_plan(config: OCPConfig) -> _DissectionTree:
+    """The dissection tree that plans the front factor of config's grids.
+    Pass it to solve_bytes and solve_ocp to build it once for several calls
+    on one grid."""
+    return _DissectionTree(config.grid.N, config.tgrid.M)
+
+
+def _plan_of(config: OCPConfig, tree: Optional[_DissectionTree]) -> _DissectionTree:
+    """tree, checked against config's grids, or config's own when None."""
+    if tree is None:
+        return factor_plan(config)
+    if (tree.N, tree.M) != (config.grid.N, config.tgrid.M):
+        raise ValueError(
+            f"a factor plan of N={tree.N}, M={tree.M} for grids of N={config.grid.N}, M={config.tgrid.M}"
+        )
+    return tree
+
+
+def solve_bytes(config: OCPConfig, plan: Optional[_DissectionTree] = None) -> float:
     """Estimated peak memory one solve of config adds, in bytes: _SOLVE_SCALE
     times the float64 entries its front factor holds at once, which the
-    dissection tree counts before anything is factored."""
-    return _SOLVE_SCALE * 8 * _DissectionTree(config.grid.N, config.tgrid.M).peak_entries()
+    dissection tree (`plan`, or one built here) counts before anything is
+    factored."""
+    return _SOLVE_SCALE * 8 * _plan_of(config, plan).peak_entries()
 
 
 def _factor_fronts(kst: np.ndarray, tree: _DissectionTree, dtype) -> _FrontFactor:
@@ -789,11 +809,11 @@ def _refine(
 
 
 def _solve_linear(
-    kst: np.ndarray, rhs: np.ndarray, N: int, M: int
+    kst: np.ndarray, rhs: np.ndarray, N: int, M: int, tree: Optional[_DissectionTree] = None
 ) -> tuple[np.ndarray, str, int, int, float]:
-    """Solve K z = rhs, K's rows in kst; returns z, the ordering that
-    produced it, the number of solves with its factor, the factor's bytes
-    and z's defect.
+    """Solve K z = rhs, K's rows in kst, on the dissection tree of N and M
+    (`tree`, or one built here); returns z, the ordering that produced it,
+    the number of solves with its factor, the factor's bytes and z's defect.
 
     K is factored on the nested-dissection fronts, first in float32 and
     refined in float64; if that misses the defect gate the float32 factor
@@ -802,7 +822,8 @@ def _solve_linear(
     When neither meets the gate, raises NumericError naming how each
     failed: a singular pivot block, or its last defect and step count.
     """
-    tree = _DissectionTree(N, M)
+    if tree is None:
+        tree = _DissectionTree(N, M)
     missed = []
     for dtype, ordering in (
         (np.float32, "nested-dissection"),
@@ -851,12 +872,13 @@ def discrete_objective(
 
 
 def _solve(
-    config: OCPConfig, perturbation: Optional[PerturbationSpec]
+    config: OCPConfig, perturbation: Optional[PerturbationSpec], plan: Optional[_DissectionTree] = None
 ) -> OCPSolution:
     """Write the system's rows, solve and recover the control; the one path behind the solves."""
     N, M = config.grid.N, config.tgrid.M
     rhs = _kkt_rhs(config, perturbation)
-    z, ordering, steps, factor_bytes, residual = _solve_linear(_kkt_stencil(config), rhs, N, M)
+    tree = _plan_of(config, plan)
+    z, ordering, steps, factor_bytes, residual = _solve_linear(_kkt_stencil(config), rhs, N, M, tree)
     x, lam = z.reshape(2, M + 1, N)
     u = np.sqrt(_indicator(config.control_domain, config.grid)) * lam / config.alpha**2
     if config.u_ref is not None:
@@ -868,9 +890,10 @@ def _solve(
     )
 
 
-def solve_ocp(config: OCPConfig) -> OCPSolution:
-    """Solve the optimality system in one shot and recover the control."""
-    return _solve(config, None)
+def solve_ocp(config: OCPConfig, plan: Optional[_DissectionTree] = None) -> OCPSolution:
+    """Solve the optimality system in one shot and recover the control; the
+    front factor runs `plan` (factor_plan(config)) or a plan built here."""
+    return _solve(config, None, plan)
 
 
 def solve_perturbed(

@@ -9,15 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyplq.cli import (
     ExperimentError,
     ExperimentPlan,
     _HEAT_STOPS,
     _PLAN_DEFAULTS,
+    _SIMULATE_DEFAULTS,
     _TABLE_BLOCK,
+    _TABLE_ROW_BYTES,
+    _float_texts,
     _heat_colors,
     _heatmap_series,
+    _shortest_digits,
     emit_plot,
     main,
     plan_from_config,
@@ -30,7 +36,7 @@ from hyplq.cli import (
 )
 from hyplq.geometry import Grid1D, GridFunction, TimeGrid
 from hyplq.ocp import solve_bytes
-from hyplq.semigroup import levels_per_block, transport_free
+from hyplq.semigroup import FeedbackProfile, levels_per_block, transport_free, wave_levels
 
 EQUIDISTANT = "periodic: {period: 1, pattern: [[0, 0.2]]}"
 
@@ -269,6 +275,118 @@ def test_field_table_bytes_match_expanded_axes(tmp_path):
     meta = {"equation": "demo", "L": grid.L, "N": grid.N, "T": tgrid.T, "M": tgrid.M}
     write_table(tmp_path / "expanded.csv", ["t", "w", "value"], axes, meta)
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "expanded.csv").read_bytes()
+
+
+# ------------------------------------------------------------- float text
+
+
+def _left_to_repr(x):
+    """Where _float_texts writes repr's own text instead of its digits."""
+    regular = np.isfinite(x) & (x != 0)
+    return ~regular | _shortest_digits(np.where(regular, np.abs(x), 1.0))[3]
+
+
+def _assert_repr_texts(x):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    assert _float_texts(x).tolist() == [repr(v) for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))  # NaN, inf and subnormals included
+def test_float_texts_match_repr_on_any_floats(values):
+    _assert_repr_texts(np.array(values))
+
+
+def test_float_texts_match_repr_on_a_million_bit_patterns():
+    rng = np.random.default_rng(26)
+    bits = rng.integers(-(2**63), 2**63, size=2**20, dtype=np.int64, endpoint=False)
+    _assert_repr_texts(bits.view(np.float64))
+
+
+def _float_class(name, rng):
+    n = 40_000
+    if name == "normals":
+        return rng.standard_normal(n)
+    if name == "exponents 1e-320 to 1e300":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)
+    if name == "decimals rounded to 0-11 places":
+        return np.concatenate([np.round(rng.uniform(-1e4, 1e4, n // 12), d) for d in range(12)])
+    if name == "integers up to 2^60":
+        return rng.integers(-(2**60), 2**60, n).astype(np.float64)
+    if name == "powers of two and neighbours":
+        p = 2.0 ** np.arange(-1074, 1024)
+        return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
+    if name == "subnormals":
+        return rng.integers(1, 2**52, n).view(np.float64) * rng.choice([-1.0, 1.0], n)
+    if name == "d 10^e":
+        digits, exps = rng.integers(1, 10**6, n), rng.integers(-330, 310, n)
+        return np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exps.tolist())])
+    if name == "zeros, NaN and inf":
+        payload = np.array([0x7FF8000000000001, -0x7FFFFFFFFFFFF, 0x7FF0000000000001], dtype=np.int64)
+        return np.concatenate([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], payload.view(np.float64)])
+    raise ValueError(name)
+
+
+FLOAT_CLASSES = [
+    "normals",
+    "exponents 1e-320 to 1e300",
+    "decimals rounded to 0-11 places",
+    "integers up to 2^60",
+    "powers of two and neighbours",
+    "subnormals",
+    "d 10^e",
+    "zeros, NaN and inf",
+]
+
+
+@pytest.mark.parametrize("name", FLOAT_CLASSES)
+def test_float_texts_match_repr_on_each_class(name):
+    _assert_repr_texts(_float_class(name, np.random.default_rng(len(name))))
+
+
+@pytest.mark.parametrize("name", ["normals", "decimals rounded to 0-11 places"])
+def test_float_texts_write_ordinary_values_without_repr(name):
+    x = _float_class(name, np.random.default_rng(len(name)))
+    assert not _left_to_repr(x[x != 0]).any()
+
+
+@pytest.mark.parametrize("name", ["integers from 2^53", "powers of two", "subnormals", "NaN payloads"])
+def test_values_left_to_repr_get_repr_text(name):
+    rng = np.random.default_rng(len(name))
+    x = {
+        "integers from 2^53": (2**53 + rng.integers(0, 2**60, 20_000)).astype(np.float64),
+        "powers of two": 2.0 ** np.arange(-1074, 1024),
+        "subnormals": rng.integers(1, 2**52, 20_000).view(np.float64),
+        "NaN payloads": _float_class("zeros, NaN and inf", rng)[-3:],
+    }[name]
+    left = _left_to_repr(x)
+    assert left.any()
+    _assert_repr_texts(x[left])
+    _assert_repr_texts(x)
+
+
+def test_two_block_wave_table_writes_within_the_row_estimate(tmp_path):
+    import tracemalloc
+
+    # the wave at CLI defaults (L = 4, 512 nodes, c dt = h, T = 5); its last
+    # two table blocks of levels, where it has spread over the whole ring
+    plan = plan_from_config(dict(_SIMULATE_DEFAULTS))
+    cfg = plan.realize()
+    grid, tgrid = cfg.grid, cfg.tgrid
+    fb = FeedbackProfile(plan.control_domain, plan.feedback_gain)
+    fields = wave_levels(cfg.x0, GridFunction(grid, np.zeros(grid.N)), tgrid.times, plan.velocity[1], fb, grid.L)
+    levels = 2 * _TABLE_BLOCK // grid.N
+    last = TimeGrid(tgrid.dt * (levels - 1), levels - 1)
+    for field in fields:
+        block = np.ascontiguousarray(field[-levels:])
+        write_field_csv(tmp_path / "warm.csv", block, grid, last, {})  # fills the formatter's tables
+        tracemalloc.start()
+        try:
+            write_field_csv(tmp_path / "wave.csv", block, grid, last, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _TABLE_ROW_BYTES * _TABLE_BLOCK
 
 
 def test_table_of_indexed_columns_alone_is_refused(tmp_path):
@@ -660,7 +778,7 @@ def test_non_finite_solve_exits_2(tmp_path, monkeypatch, residual, bad_x):
     import hyplq.cli as cli_mod
     from hyplq.ocp import OCPSolution
 
-    def fake_solve(cfg):
+    def fake_solve(cfg, plan):
         shape = (cfg.tgrid.M + 1, cfg.grid.N)
         x = np.full(shape, np.nan) if bad_x else np.zeros(shape)
         return OCPSolution(
@@ -763,9 +881,9 @@ def test_sweep_submits_largest_first_with_ties_in_input_order(tmp_path, monkeypa
     started = []
     real = cli_mod._solve_gate
 
-    def gate(cfg, tol):
+    def gate(cfg, tol, plan):
         started.append((cfg.grid.L, cfg.alpha))
-        return real(cfg, tol)
+        return real(cfg, tol, plan)
 
     monkeypatch.setattr(cli_mod, "_solve_gate", gate)
     # one worker runs the members in the order they were submitted
@@ -774,6 +892,52 @@ def test_sweep_submits_largest_first_with_ties_in_input_order(tmp_path, monkeypa
     started.clear()
     assert run_experiment(plan_from_config(sweep_config("alpha-sweep", tmp_path / "a")), workers=1) == 0
     assert [a for _, a in started] == [0.125, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("kind, sizes", [("space-time-field", 1), ("alpha-sweep", 1), ("domain-sweep", 3)])
+def test_one_factor_plan_per_grid_size_per_run(tmp_path, monkeypatch, kind, sizes):
+    import gc
+    import weakref
+
+    import hyplq.ocp as ocp_mod
+
+    built = []
+
+    class Counted(ocp_mod._DissectionTree):
+        def __init__(self, N, M):
+            super().__init__(N, M)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ocp_mod, "_DissectionTree", Counted)
+    assert run_experiment(plan_from_config(sweep_config(kind, tmp_path)), workers=2) == 0
+    assert len(built) == sizes
+    gc.collect()
+    assert all(ref() is None for ref in built)  # no plan outlives the run
+
+
+def test_a_factor_plan_of_other_grids_is_refused():
+    from hyplq.ocp import factor_plan, solve_ocp
+
+    plan = plan_from_config(sweep_config("domain-sweep", "unused"))
+    small, large = plan.realize(L=1.0), plan.realize(L=2.0)
+    assert solve_bytes(small, factor_plan(small)) == solve_bytes(small)
+    for call in (solve_bytes, solve_ocp):
+        with pytest.raises(ValueError, match="factor plan of N=32"):
+            call(small, factor_plan(large))
+
+
+def test_members_sharing_a_plan_match_serial_solves_on_many_threads(tmp_path):
+    alphas = {"alpha_values": [0.125, 0.25, 0.5, 1.0, 2.0]}
+    reference = tmp_path / "reference.csv"
+    serial_sweep_table(plan_from_config(sweep_config("alpha-sweep", tmp_path, **alphas)), reference)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = tmp_path / "run"
+        assert run_experiment(plan_from_config(sweep_config("alpha-sweep", out, **alphas)), workers=5) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (out / "alphas.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -787,10 +951,10 @@ def test_domain_sweep_fits_on_the_smallest_member_whatever_finishes_first(tmp_pa
     real_gate, real_sliced = cli_mod._solve_gate, cli_mod.time_sliced_l2
     fitted = []
 
-    def gate(cfg, tol):
+    def gate(cfg, tol, plan):
         if cfg.grid.L == 1.0:
             time.sleep(0.2)  # the smallest member finishes last
-        return real_gate(cfg, tol)
+        return real_gate(cfg, tol, plan)
 
     def sliced(field, grid, tgrid):
         fitted.append(grid.L)
@@ -813,13 +977,13 @@ def test_sweep_raises_the_first_failing_member_in_input_order(tmp_path, capsys, 
 
     real = cli_mod._solve_gate
 
-    def gate(cfg, tol):
+    def gate(cfg, tol, plan):
         if cfg.grid.L == 3.0:  # submitted first, fails at once
             raise NumericError("member L=3 diverged")
         if cfg.grid.L == 2.0:
             time.sleep(0.1)
             raise NumericError("member L=2 diverged")
-        return real(cfg, tol)
+        return real(cfg, tol, plan)
 
     monkeypatch.setattr(cli_mod, "_solve_gate", gate)
     p = tmp_path / "plan.json"
@@ -879,7 +1043,7 @@ def test_sweep_whose_largest_member_cannot_fit_exits_2_without_files(tmp_path, c
     largest = max(solve_bytes(c) for c in cli_mod._members(plan))
     monkeypatch.setattr(cli_mod, "_mem_available", lambda: math.floor(largest) - 1)
 
-    def refuse(cfg):
+    def refuse(cfg, plan):
         raise AssertionError("the preflight must stop the run before any solve")
 
     monkeypatch.setattr(cli_mod, "solve_ocp", refuse)
