@@ -331,8 +331,7 @@ def _write_atomic(path, chunks) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{next(_TMP_IDS)}.tmp")
     try:
         with open(tmp, "x") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -547,7 +546,8 @@ def _format_column(c: np.ndarray) -> list[str]:
 # Rows formatted and written per chunk, so no table is ever held whole as text.
 _TABLE_BLOCK = 32768
 # Most bytes write_table allocates at once, per row of one block: the traced
-# peak while a CLI-default wave table is written is about 135.
+# peak while a CLI-default wave table is written, after a warm write, is
+# about 116.
 _TABLE_ROW_BYTES = 256
 
 

@@ -251,9 +251,6 @@ _DEFECT_GATE = 1e-10
 # Relative defect at which refinement stops: float64 rounding, which later steps do not improve on.
 _DEFECT_FLOOR = 1e-13
 
-# Refinement steps (triangular solves) allowed to one factor.
-_REFINE_STEPS = 8
-
 # Rectangles of at most this many grid points are not dissected further.
 _ND_LEAF = 8
 
@@ -790,22 +787,22 @@ def _refine(
 
     Each step solves for the correction of the current float64 residual
     and measures z's relative sup-norm defect.  Returns z, the number of
-    steps and that defect, once the defect meets _DEFECT_FLOOR, once a step
-    after the first fails to halve it (NaN included) or after _REFINE_STEPS
-    steps.  Stopping at the floor, not at _DEFECT_GATE, keeps z from hanging
-    on rounding that differs with BLAS threads or summation order.
+    steps and that defect, once the defect meets _DEFECT_FLOOR or a step
+    fails to strictly halve it (an infinite or NaN defect included), so at
+    most about log2(first defect / floor) steps run.  Stopping at the
+    floor, not at _DEFECT_GATE, keeps z from hanging on rounding that
+    differs with BLAS threads or summation order.
     """
     z = np.zeros_like(rhs)
     r = rhs
     scale = 1.0 + float(np.max(np.abs(rhs)))
     defect = np.inf
-    for step in range(1, _REFINE_STEPS + 1):
+    for step in itertools.count(1):
         z += factor.solve(r.astype(dtype, copy=False))
         r = _kkt_defect(kst, N, z, rhs)
         last, defect = defect, float(np.max(np.abs(r))) / scale
-        if defect <= _DEFECT_FLOOR or not defect <= 0.5 * last:
-            break
-    return z, step, defect
+        if defect <= _DEFECT_FLOOR or not defect < 0.5 * last:
+            return z, step, defect
 
 
 def _solve_linear(
@@ -840,8 +837,7 @@ def _solve_linear(
         del factor  # free this factor before the next one is made
         if defect <= _DEFECT_GATE:
             return z, ordering, steps, nbytes, defect
-        stop = "stalled" if steps < _REFINE_STEPS else "out of steps"
-        missed.append(f"{rung}: defect {defect:.3e} after {steps} steps ({stop})")
+        missed.append(f"{rung}: defect {defect:.3e} after {steps} steps (stalled)")
     raise NumericError(
         f"no front factor of the {len(rhs)}x{len(rhs)} system met the "
         f"defect gate {_DEFECT_GATE:.0e}: " + "; ".join(missed)

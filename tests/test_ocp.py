@@ -358,22 +358,39 @@ def test_float32_rung_without_control(steps, observed):
 EQUIDISTANT = IntervalUnion(tail=(1.0, ((0.0, 0.2),)))
 
 
-@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.125, 10.0])
-@pytest.mark.parametrize("steps", [1, 10])
-@pytest.mark.parametrize("layout", [EQUIDISTANT, IntervalUnion()], ids=["equidistant", "empty"])
-def test_float64_rung_with_a_real_factor(alpha, steps, layout):
-    # c = 50 over h = 1/128 and dt = 5/steps: the float32 rung stalls, and
-    # the float64 rung meets the gate
-    L, N = 1.0, 128
-    grid = Grid1D(L, N)
-    cfg = OCPConfig(
+LAYOUTS = {"equidistant": EQUIDISTANT, "empty": IntervalUnion()}
+
+
+def _c50_config(layout, steps, alpha):
+    """c = 50 over h = 1/128 and dt = 5/steps, with a bump x0."""
+    grid = Grid1D(1.0, 128)
+    return OCPConfig(
         grid=grid,
         tgrid=TimeGrid(5.0, steps),
         velocity=VelocityField.constant(50.0),
         alpha=alpha,
-        control_domain=layout,
+        control_domain=LAYOUTS[layout],
         x0=bump_initial(0.8, 0.6, grid),
     )
+
+
+def _ids(cases):
+    return [f"{layout}-{steps}-{alpha}" for layout, steps, alpha in cases]
+
+
+# (layout, steps, alpha) of _c50_config where the float32 rung stalls above the gate
+FLOAT32_STALLS = [
+    *[(layout, 1, alpha) for layout in LAYOUTS for alpha in (1e-4, 0.001, 0.01, 0.125, 10.0)],
+    *[("equidistant", 10, alpha) for alpha in (1e-4, 0.001, 0.01)],
+    ("equidistant", 100, 1e-4),
+]
+
+
+@pytest.mark.parametrize("layout, steps, alpha", FLOAT32_STALLS, ids=_ids(FLOAT32_STALLS))
+def test_float64_rung_with_a_real_factor(layout, steps, alpha):
+    # the float32 rung stalls, and the float64 rung meets the gate
+    cfg = _c50_config(layout, steps, alpha)
+    N = cfg.grid.N
     K, rhs = assemble_kkt(cfg, None)
     kst = _decode(K, N)
     tree = ocp_mod._DissectionTree(N, steps)
@@ -386,6 +403,31 @@ def test_float64_rung_with_a_real_factor(alpha, steps, layout):
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection-f64"
     assert sol.residual <= 1e-10
+
+
+# (layout, steps, alpha) of _c50_config whose float32 rung halves its defect
+# for more than 8 steps on its way to the rounding floor
+FLOAT32_PAST_EIGHT_STEPS = [
+    ("equidistant", 10, 0.125),
+    ("equidistant", 10, 10.0),
+    *[("empty", 10, alpha) for alpha in (1e-4, 0.001, 0.01, 0.125, 10.0)],
+    ("equidistant", 100, 0.001),
+]
+
+
+@pytest.mark.parametrize("layout, steps, alpha", FLOAT32_PAST_EIGHT_STEPS, ids=_ids(FLOAT32_PAST_EIGHT_STEPS))
+def test_float32_rung_meets_the_floor_without_a_step_cap(layout, steps, alpha):
+    # no step count stops refinement, so these stay on the float32 factor
+    # and end within a decade of the rounding floor; no float64 factor is made
+    cfg = _c50_config(layout, steps, alpha)
+    N = cfg.grid.N
+    K, rhs = assemble_kkt(cfg, None)
+    z, ordering, solves, _, defect = ocp_mod._solve_linear(_decode(K, N), rhs, N, steps)
+    assert ordering == "nested-dissection"
+    assert solves > 8
+    assert defect <= 10 * ocp_mod._DEFECT_FLOOR
+    assert _defect(K, z, rhs) == defect
+    assert np.max(np.abs(z - _reference(K, rhs))) <= 1e-9
 
 
 @given(
@@ -555,8 +597,8 @@ def test_singular_pivot_blocks_name_both_rungs(monkeypatch):
 def test_pivot_blocks_of_a_float64_rung_solve_invert_like_lapack(monkeypatch):
     # the 2x2 recursion pivots only inside its leaves, so it is not backward
     # stable on general blocks; on the KKT fronts of a solve that takes the
-    # float64 rung (c = 50, alpha = 1e-3) every block above the leaf (the
-    # root's, order 404, cond about 7e9) must still invert as LAPACK does
+    # float64 rung (c = 50, alpha = 1e-4) every block above the leaf (the
+    # root's, order 404) must still invert as LAPACK does
     blocks = []
     exact = ocp_mod._inverse
 
@@ -566,15 +608,7 @@ def test_pivot_blocks_of_a_float64_rung_solve_invert_like_lapack(monkeypatch):
         return exact(A)
 
     monkeypatch.setattr(ocp_mod, "_inverse", recorded)
-    grid = Grid1D(1.0, 128)
-    cfg = OCPConfig(
-        grid=grid,
-        tgrid=TimeGrid(5.0, 100),
-        velocity=VelocityField.constant(50.0),
-        alpha=1e-3,
-        control_domain=EQUIDISTANT,
-        x0=GridFunction(grid, np.sin(2 * np.pi * grid.nodes)),
-    )
+    cfg = _c50_config("equidistant", 100, 1e-4)
     assert solve_ocp(cfg).ordering == "nested-dissection-f64"
     assert blocks
     for A in blocks:
@@ -889,6 +923,19 @@ def test_both_rungs_missing_the_gate_exit_2_without_files(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def test_refinement_ends_when_the_solves_overflow(monkeypatch):
+    # with all-ones rows every product with an infinite z is +inf, so the
+    # defect is infinite from the first step on and never halves (inf <=
+    # 0.5 * inf holds, inf < 0.5 * inf does not): each rung stops after its
+    # first solve
+    N, M = 8, 2
+    kst = np.ones((3 * N, 36))
+    rhs = np.ones(2 * N * (M + 1))
+    monkeypatch.setattr(ocp_mod, "_factor_fronts", lambda kst, tree, dtype: _ConstantFactor(np.inf))
+    with pytest.raises(NumericError, match=r"float32 factor: defect inf after 1 steps \(stalled\); float64 factor: defect inf after 1 steps"):
+        ocp_mod._solve_linear(kst, rhs, N, M)
+
+
 class _Damped:
     """A factor whose solves return `gain` times the exact correction, so
     each refinement step leaves 1 - gain of the error.  It counts its
@@ -917,8 +964,9 @@ class _Damped:
         ((1.0, 1.0), "nested-dissection", None),
         # leaves 0.7 of the error: the second step fails to halve the defect
         ((0.3, 1.0), "nested-dissection-f64", 2),
-        # leaves 0.4: every step halves, but the gate is 25 steps away
-        ((0.6, 1.0), "nested-dissection-f64", 8),
+        # leaves 0.4: every step more than halves, so no step count stops
+        # it short of the floor
+        ((0.6, 1.0), "nested-dissection", 32),
         # both rungs stall at their second step
         ((0.3, 0.3), None, 2),
     ],
@@ -942,8 +990,8 @@ def test_precision_ladder(monkeypatch, gains, want, float32_steps):
         sol = solve_ocp(cfg)
         assert sol.ordering == want
         assert sol.residual <= 1e-10
-    # at most _REFINE_STEPS solves per rung, and never two factors alive
-    assert all(n <= 8 for n in steps.values())
+        assert ("float64" in steps) == (want == "nested-dissection-f64")
+    # never two factors alive
     if float32_steps is not None:
         assert steps["float32"] == float32_steps
     assert _Damped.most_live == 1
