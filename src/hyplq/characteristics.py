@@ -188,7 +188,7 @@ def _table(vel: VelocityField, L: float, kind: str) -> _Table:
     """The ``kind`` table of this field on [0, L], built once per field.
 
     ``"time"`` integrates 1/c (travel time), ``"log_speed"`` integrates
-    c'/c, on equal panels of width about L/256.
+    c'/c, on 256 equal panels.
     """
     key = (kind, float(L))
     tab = vel._tables.get(key)
@@ -200,7 +200,7 @@ def _table(vel: VelocityField, L: float, kind: str) -> _Table:
     else:
         dv = vel.derivative
         f = lambda y: dv(y) / ev(y)
-    edges = np.linspace(0.0, L, int(math.ceil(L / (L / 256.0))) + 1)
+    edges = np.linspace(0.0, L, 257)
     cum = np.concatenate([[0.0], np.cumsum(_gl(f, edges[:-1], edges[1:]))])
     tab = vel._tables[key] = _Table(f, edges, cum, float(cum[-1]))
     return tab

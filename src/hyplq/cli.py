@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -353,34 +352,29 @@ def _write_atomic(path, chunks) -> None:
 # subnormals, zeros, NaN and inf.
 
 # 10^s = (h + l) 2^b with h in [1, 2), as the rows h, l, b of column
-# s - _P10_MIN, for every s = 16 - k a float's k and its fix-up can give.  A
-# column is computed exactly the first time a table needs it (NaN until then).
+# s - _P10_MIN, for every s = 16 - k a float's k and its fix-up can give.
 _P10_MIN = -293
-_P10 = np.full((3, 635), np.nan)
-_P10_LOCK = threading.Lock()
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a float into 26-bit halves
 _UNSURE = 1e-9
 
 
-def _ten_powers(s: np.ndarray) -> np.ndarray:
-    """The rows h, l, b of 10^s for every s of the array."""
-    at = s - _P10_MIN
-    rows = _P10.take(at, axis=1)
-    missing = np.isnan(rows).any(axis=0)  # a column another thread is filling reads NaN too
-    if missing.any():
-        with _P10_LOCK:
-            for i in np.unique(at[missing]).tolist():
-                t = i + _P10_MIN
-                num, den = (10**t, 1) if t >= 0 else (1, 10**-t)
-                b = num.bit_length() - den.bit_length()
-                num, den = num << max(-b, 0), den << max(b, 0)
-                if num < den:
-                    num, b = num << 1, b - 1
-                h = num / den  # int / int rounds correctly
-                hn, hd = h.as_integer_ratio()
-                _P10[:, i] = h, (num * hd - hn * den) / (den * hd), b
-        rows = _P10.take(at, axis=1)
-    return rows
+@functools.cache
+def _ten_powers() -> np.ndarray:
+    """The rows h, l, b of 10^s for s = _P10_MIN ... _P10_MIN + 634, each
+    column computed exactly from Python ints."""
+    cols = []
+    for t in range(_P10_MIN, _P10_MIN + 635):
+        num, den = (10**t, 1) if t >= 0 else (1, 10**-t)
+        b = num.bit_length() - den.bit_length()
+        num, den = num << max(-b, 0), den << max(b, 0)
+        if num < den:
+            num, b = num << 1, b - 1
+        h = num / den  # int / int rounds correctly
+        hn, hd = h.as_integer_ratio()
+        cols.append((h, (num * hd - hn * den) / (den * hd), b))
+    table = np.ascontiguousarray(np.array(cols).T)
+    table.flags.writeable = False
+    return table
 
 
 def _scaled(m: np.ndarray, E: np.ndarray, k: np.ndarray):
@@ -388,7 +382,7 @@ def _scaled(m: np.ndarray, E: np.ndarray, k: np.ndarray):
     [0, 1), and Q = 2^E 10^(16-k) rounded to a float.  m holds integers
     below 2^53.  Q is held to about 2^-106 as qh + ql, and m qh is Dekker's
     exact two-product p + err, so V is right to about 1e-14."""
-    h, l, b = _ten_powers(16 - k)
+    h, l, b = _ten_powers().take(16 - k - _P10_MIN, axis=1)
     b = E + b.astype(np.int32)
     qh = np.ldexp(h, b)
     p = m * qh
@@ -488,7 +482,10 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray]:
                 t = [_ZERO, _DOT] + [_ZERO] * (-e - 1) + d[:n]
             unsigned.append(t)
     rows = [(t + pad)[:_TEXT_WIDTH] for t in unsigned] + [([_NEG] + t + pad)[:_TEXT_WIDTH] for t in unsigned]
-    return four.astype(np.uint8).view("<u4").ravel(), np.array(rows, dtype=np.intp)
+    tables = four.astype(np.uint8).view("<u4").ravel(), np.array(rows, dtype=np.intp)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 # Floats formatted per kernel call.  The call's temporaries peak at about
@@ -1190,6 +1187,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1, tol: float = 1e-8) ->
 _EQUATIONS = ("transport", "transport-var", "continuity", "wave")
 # Plan keys whose simulate default differs from the plan's: no control.
 _SIMULATE_DEFAULTS = {"control_domain": {"finite": []}, "feedback_gain": 0.0}
+# Plan keys simulate has no use for: it runs no experiment, solve or plot.
+_PLAN_ONLY = ("experiment", "alpha", "observation_domain", "l_values", "alpha_values", "plot")
 
 
 def _simulate_bytes(eq: str, n_nodes: int, n_levels: int) -> int:
@@ -1214,6 +1213,7 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     eq = cfg.pop("equation", None)
     if eq not in _EQUATIONS:
         raise ValueError(f"equation must be one of {_EQUATIONS}, got {eq!r}")
+    _reject_unknown(cfg, {*_PLAN_DEFAULTS, "comment"}.difference(_PLAN_ONLY), "config")
     plan = plan_from_config(cfg, out_dir=out_dir)
     if eq in ("transport", "wave") and plan.velocity[0] != "constant":
         raise ValueError(f"{eq} uses a constant velocity; use transport-var")

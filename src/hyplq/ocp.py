@@ -786,23 +786,26 @@ def _refine(
     factor of K held in `dtype`; K's rows are kst's, on N nodes.
 
     Each step solves for the correction of the current float64 residual
-    and measures z's relative sup-norm defect.  Returns z, the number of
-    steps and that defect, once the defect meets _DEFECT_FLOOR or a step
-    fails to strictly halve it (an infinite or NaN defect included), so at
-    most about log2(first defect / floor) steps run.  Stopping at the
-    floor, not at _DEFECT_GATE, keeps z from hanging on rounding that
-    differs with BLAS threads or summation order.
+    and measures z's relative sup-norm defect.  Refinement ends once the
+    defect meets _DEFECT_FLOOR or a step fails to strictly halve it (an
+    infinite or NaN defect included), so at most about log2(first defect /
+    floor) steps run; it returns the iterate of least defect, the number of
+    steps and that defect.  Stopping at the floor, not at _DEFECT_GATE,
+    keeps z from hanging on rounding that differs with BLAS threads or
+    summation order.
     """
     z = np.zeros_like(rhs)
     r = rhs
     scale = 1.0 + float(np.max(np.abs(rhs)))
     defect = np.inf
     for step in itertools.count(1):
-        z += factor.solve(r.astype(dtype, copy=False))
+        z = z + factor.solve(r.astype(dtype, copy=False))
         r = _kkt_defect(kst, N, z, rhs)
         last, defect = defect, float(np.max(np.abs(r))) / scale
+        if step == 1 or defect < least:
+            best, least = z, defect
         if defect <= _DEFECT_FLOOR or not defect < 0.5 * last:
-            return z, step, defect
+            return best, step, least
 
 
 def _solve_linear(

@@ -88,7 +88,7 @@ def test_plan_validation():
 def test_seed_is_not_a_plan_key(tmp_path, capsys, command):
     cfg = small_config(seed=0)
     if command == "simulate":
-        del cfg["experiment"]
+        del cfg["experiment"], cfg["alpha"]
         cfg["equation"] = "transport"
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -363,6 +363,42 @@ def test_values_left_to_repr_get_repr_text(name):
     assert left.any()
     _assert_repr_texts(x[left])
     _assert_repr_texts(x)
+
+
+def test_kernel_tables_are_built_once_and_read_only_under_threads():
+    import threading
+
+    import hyplq.cli as cli_mod
+
+    cli_mod._ten_powers.cache_clear()
+    cli_mod._text_tables.cache_clear()
+    rng = np.random.default_rng(29)
+    edges = np.linspace(-320, 300, 9)  # one exponent range per thread
+    chunks = [rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(lo, hi, 5000) for lo, hi in zip(edges, edges[1:])]
+    texts = [None] * len(chunks)
+    start = threading.Barrier(len(chunks), timeout=60)
+
+    def run(i):
+        start.wait()
+        texts[i] = _float_texts(chunks[i]).tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(chunks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for x, text in zip(chunks, texts):
+        assert text == [repr(v) for v in x.tolist()]
+    assert cli_mod._ten_powers().shape == (3, 635)
+    for table in (cli_mod._ten_powers(), *cli_mod._text_tables()):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_two_block_wave_table_writes_within_the_row_estimate(tmp_path):
@@ -737,6 +773,48 @@ def test_alpha_sweep_ordering(tmp_path):
     # peak control strength shrinks
     assert np.all(np.diff(named["final_state_norm"]) > 0)
     assert np.all(np.diff(named["peak_control"]) < 0)
+
+
+# experiment, its extra plan keys, its plot and the plot's labels and title
+PLOTTED_EXPERIMENTS = {
+    "sliced-norms": ({"time": {"T": 0.6, "steps": 24}}, "profile.svg", ("w", "L2 over time", "per-node time norm")),
+    "domain-sweep": (
+        {"l_values": [1.0, 2.0, 3.0], "grid": {"L": 1.0, "nodes_per_unit": 16}, "time": {"T": 0.5, "steps": 12}},
+        "reports.svg",
+        ("L", "weighted norm", "domain sweep"),
+    ),
+    "alpha-sweep": ({"alpha_values": [0.125, 0.5, 2.0]}, "alphas.svg", ("alpha", "value", "control weight sweep")),
+}
+
+
+@pytest.mark.parametrize("experiment", PLOTTED_EXPERIMENTS)
+def test_experiment_plots_are_byte_stable_and_labeled(tmp_path, experiment):
+    over, name, texts = PLOTTED_EXPERIMENTS[experiment]
+    runs = []
+    for run in ("a", "b"):
+        cfg = small_config(experiment=experiment, plot=True, out_dir=str(tmp_path / run), **over)
+        assert run_experiment(plan_from_config(cfg)) == 0
+        runs.append((tmp_path / run / name).read_bytes())
+    assert runs[0] == runs[1]
+    svg = runs[0].decode()
+    assert svg.startswith("<svg") and "<polyline" in svg
+    for text in texts:
+        assert f">{text}</text>" in svg
+
+
+def test_domain_sweep_of_two_sizes_is_an_insufficient_family(tmp_path):
+    cfg = small_config(
+        experiment="domain-sweep",
+        l_values=[1.0, 2.0],
+        grid={"L": 1.0, "nodes_per_unit": 16},
+        time={"T": 0.5, "steps": 12},
+        out_dir=str(tmp_path / "run"),
+    )
+    assert run_experiment(plan_from_config(cfg)) == 0
+    meta, _, cols = read_table(tmp_path / "run" / "reports.csv")
+    assert meta["bounded"] == "insufficient-family"
+    assert "trend" not in meta
+    assert np.array_equal(cols[0], [1.0, 2.0])
 
 
 def test_stabilizability_demo_verdicts(tmp_path):
@@ -1412,6 +1490,29 @@ def test_simulate_constant_speed_equation_rejects_variable_velocity(tmp_path, ca
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 3
     assert "constant velocity" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("experiment", "domain-sweep"),
+        ("alpha", -1),
+        ("observation_domain", {"finite": [[0.0, 0.5]]}),
+        ("l_values", [1.0, 2.0]),
+        ("alpha_values", [0.5]),
+        ("plot", True),
+    ],
+)
+def test_simulate_rejects_plan_only_keys(tmp_path, capsys, key, value):
+    # simulate runs no experiment, solve or plot, so these plan keys would
+    # be ignored or fail with a plan's message
+    cfg = {"equation": "transport", "grid": {"L": 1.0, "nodes_per_unit": 16}, "time": {"T": 0.25, "steps": 2}}
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps({**cfg, key: value}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 3
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decay_fit_subcommand(tmp_path, capsys):

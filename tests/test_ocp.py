@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -934,6 +937,75 @@ def test_refinement_ends_when_the_solves_overflow(monkeypatch):
     monkeypatch.setattr(ocp_mod, "_factor_fronts", lambda kst, tree, dtype: _ConstantFactor(np.inf))
     with pytest.raises(NumericError, match=r"float32 factor: defect inf after 1 steps \(stalled\); float64 factor: defect inf after 1 steps"):
         ocp_mod._solve_linear(kst, rhs, N, M)
+
+
+class _Scheduled:
+    """A factor whose i-th solve returns gains[i] times the exact correction."""
+
+    nbytes = 0
+
+    def __init__(self, lu, gains):
+        self.lu, self.gains, self.solves = lu, gains, 0
+
+    def solve(self, rhs):
+        gain = self.gains[self.solves]
+        self.solves += 1
+        return gain * self.lu.solve(rhs.astype(np.float64))
+
+
+def test_refinement_returns_its_least_defect_iterate(monkeypatch):
+    # the second step lands at 5e-11, under the gate and over the floor, and
+    # the third one throws the defect back to 5e-8: the rung returns the
+    # second iterate and passes
+    cfg = make_config(N=32, M=16, alpha=0.3)
+    K, rhs = assemble_kkt(cfg, None)
+    lu = splu(K.tocsc())
+    gains = [1 - 1e-6, 1 - 1e-4, -1e3]
+    monkeypatch.setattr(ocp_mod, "_factor_fronts", lambda kst, tree, dtype: _Scheduled(lu, gains))
+    z, ordering, steps, _, defect = ocp_mod._solve_linear(_decode(K, 32), rhs, 32, 16)
+    assert ordering == "nested-dissection"
+    assert steps == 3
+    assert 1e-13 < defect <= 1e-10
+    assert _defect(K, z, rhs) == defect
+
+
+_LEAST_DEFECT = """
+import json
+import numpy as np
+import hyplq.ocp as ocp_mod
+from hyplq.characteristics import VelocityField
+from hyplq.geometry import Grid1D, IntervalUnion, TimeGrid
+seen = []
+measure = ocp_mod._kkt_defect
+def spy(kst, N, z, rhs):
+    r = measure(kst, N, z, rhs)
+    seen.append(float(np.max(np.abs(r))) / (1.0 + float(np.max(np.abs(rhs)))))
+    return r
+ocp_mod._kkt_defect = spy
+grid = Grid1D(1.0, 128)
+sol = ocp_mod.solve_ocp(ocp_mod.OCPConfig(
+    grid=grid, tgrid=TimeGrid(5.0, 400), velocity=VelocityField.constant(50.0), alpha=1e-3,
+    control_domain=IntervalUnion(tail=(1.0, ((0.0, 0.2),))), x0=ocp_mod.bump_initial(0.8, 0.6, grid)))
+print(json.dumps({"seen": seen, "steps": sol.refine_steps, "residual": sol.residual, "ordering": sol.ordering}))
+"""
+
+
+def test_refinement_keeps_the_better_iterate_of_a_late_rise():
+    # on one BLAS thread, the float32 rung of this c = 50 solve ran its
+    # defect 4.00e-13 -> 1.99e-13 -> 2.84e-13 and returned the last
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAST_DEFECT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["ordering"] == "nested-dissection"
+    assert report["steps"] == len(report["seen"]) == 9
+    assert report["residual"] == min(report["seen"]) < report["seen"][-1]
+    assert report["residual"] == pytest.approx(1.99e-13, abs=5e-16)
 
 
 class _Damped:
