@@ -306,6 +306,25 @@ def _rectangle(nk: int, ni: int, top: bool, bottom: bool):
     return sep, rim, halves
 
 
+def _cylinder(nk: int, top: bool, bottom: bool, N: int):
+    """Local geometry of nk levels of the whole ring of N >= 4 nodes, as
+    _rectangle's; its box starts one level before it at node 0 and its
+    perimeter is the row above and the row below (none beyond level 0/M).
+    It is cut by the smaller separator (A. George, SIAM J. Numer. Anal. 10,
+    1973): while N < 2 nk the middle level, into two cylinders on whose
+    perimeter it lies, else nodes 0 and N/2 of every level, into two
+    rectangles."""
+    if N < 2 * nk:
+        h = nk // 2
+        sep = [(h + 1, c) for c in range(N)]
+        halves = [((h, top, False), 0, 0), ((nk - h - 1, False, bottom), h + 1, 0)]
+    else:
+        sep = [(r, c) for c in (0, N // 2) for r in range(1, nk + 1)]
+        halves = [((nk, b - a - 1, top, bottom), 0, a) for a, b in ((0, N // 2), (N // 2, N))]
+    rows = ([] if top else [0]) + ([] if bottom else [nk + 1])
+    return sep, [(r, c) for r in rows for c in range(N)], halves
+
+
 def _runs(pos: np.ndarray) -> list:
     """Cut the parent-front positions of a child's perimeter into maximal
     runs of consecutive positions: (child start, parent start, length)."""
@@ -316,7 +335,8 @@ def _runs(pos: np.ndarray) -> list:
 
 @dataclass(eq=False)
 class _Fronts:
-    """The fronts of one rectangle shape at one depth of the dissection tree.
+    """The fronts of one rectangle or cylinder shape at one depth of the
+    dissection tree.
 
     Every member has the same local points, translated (periodically in the
     node index): ns eliminated points, then nb perimeter points.  Its local
@@ -330,7 +350,8 @@ class _Fronts:
     to its slot and `order` lists the members by slot, one row per slot and
     the first member of the slot in column 0.  The members of one node
     origin share one, and every origin has the same number of members;
-    where rectangles touch level 0 or M that number is one.
+    where fronts touch level 0 or M that number is one.  Cylinders all have
+    node origin 0, so a group of them has one slot.
     """
 
     depth: int
@@ -399,13 +420,16 @@ class _DissectionTree:
     Unknown x^k_i sits in column k*N + i of K and lam^k_i in column
     N(M+1) + k*N + i; the grid points couple only to neighbours with |dk|,
     |di| <= 1 (periodically in i), so one grid line separates a rectangle.
-    The ring is cut at nodes 0 and N/2, and those two columns form the root
-    front; each remaining rectangle is bisected along its longer side by a
-    grid line, down to leaves of at most _ND_LEAF points.  A front holds the
-    points eliminated there and the perimeter of its rectangle, the only
-    points outside the rectangle that it couples to.  Fronts of one shape at
-    one depth form a group that is assembled and factored by stacked calls.
-    `groups` runs from the root down.
+    The root is the whole grid as a cylinder, nk = M + 1 levels of the ring
+    (_cylinder); a cylinder is cut by its smaller separator: one level of N
+    points while N < 2 nk, into cylinders of about half the levels, else
+    the nodes 0 and N/2 of its nk levels, into two rectangles.  Each
+    rectangle is bisected along its longer side by a grid line, down to
+    leaves of at most _ND_LEAF points.  A front holds the points eliminated
+    there and the perimeter of its cylinder or rectangle, the only points
+    outside it that it couples to.  Fronts of one shape at one depth form a
+    group that is assembled and factored by stacked calls.  `groups` runs
+    from the root down.
 
     _kkt_stencil holds one row per node and level class, so the fronts of a
     group that share a node origin read the same class rows and hold the
@@ -416,12 +440,10 @@ class _DissectionTree:
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
-        cuts = (0, N // 2)
-        sep = [(r, c) for c in cuts for r in range(1, M + 2)]
-        root = self._group(0, sep, [], (np.array([-1]), np.array([0])), (M + 3, N))
-        halves = [((M + 1, b - a - 1, True, True), 0, a) for a, b in ((0, N // 2), (N // 2, N))]
+        sep, rim, parts = _cylinder(M + 1, True, True, N)
+        root = self._group(0, sep, rim, (np.array([-1]), np.array([0])), (M + 3, N))
         self.groups = [root]
-        frontier = [(root, halves)]
+        frontier = [(root, parts)]
         while frontier:
             depth = frontier[0][0].depth + 1
             sources: dict = {}
@@ -430,12 +452,17 @@ class _DissectionTree:
                     sources.setdefault(shape, []).append((parent, dr, dc))
             frontier = []
             for shape, parents in sources.items():
-                sep, rim, parts = _rectangle(*shape)
+                if len(shape) == 4:  # a rectangle (nk, ni, top, bottom)
+                    sep, rim, parts = _rectangle(*shape)
+                    box = (shape[0] + 2, shape[1] + 2)
+                else:  # a cylinder (nk, top, bottom)
+                    sep, rim, parts = _cylinder(*shape, N)
+                    box = (shape[0] + 2, N)
                 origin = (
                     np.concatenate([p.origin[0] + dr for p, dr, _ in parents]),
                     np.concatenate([(p.origin[1] + dc) % N for p, _, dc in parents]),
                 )
-                g = self._group(depth, sep, rim, origin, (shape[0] + 2, shape[1] + 2))
+                g = self._group(depth, sep, rim, origin, box)
                 first = 0
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
@@ -742,8 +769,8 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.111 over the sizes of
-# BENCH_18.json, 25,856 to 821,248 unknowns (BENCH_25.json).
+# above a solve that stays on float32): at most 1.155 over the sizes of
+# BENCH_18.json, 25,856 to 821,248 unknowns (BENCH_30.json).
 _SOLVE_SCALE = 1.39
 
 
