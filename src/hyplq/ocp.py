@@ -127,9 +127,9 @@ class OCPSolution:
     that produced the solution: "nested-dissection" (float32 front factor
     refined in float64) or "nested-dissection-f64" (the same with a
     float64 factor).  refine_steps counts the solves with that factor and
-    factor_bytes the bytes of its W, Y and X blocks, each repeated front once,
-    without its int32 unknown indices (15.9 beside 297.8 MiB of blocks at
-    L=8, N=1024, M=400).  Neither goes into any artifact.
+    factor_bytes the bytes of its W, Y and X blocks, each distinct front once,
+    without its int32 unknown indices (15.9 beside 60.4 MiB of blocks at
+    L=8, N=1024, M=400 on a layout of period 1).  Neither goes into any artifact.
     """
 
     x: np.ndarray
@@ -254,8 +254,8 @@ _DEFECT_FLOOR = 1e-13
 # Rectangles of at most this many grid points are not dissected further.
 _ND_LEAF = 8
 
-# Front entries assembled and factored by one stacked call (at least one front).
-_CHUNK = 1 << 20
+# Bytes of the fronts assembled and factored by one stacked call (at least one front).
+_CHUNK_BYTES = 1 << 21
 
 # Pivot blocks of at most this order are inverted by one LAPACK call; larger
 # ones by 2x2 blocks (_inverse), whose products run at matmul speed.
@@ -325,6 +325,13 @@ def _cylinder(nk: int, top: bool, bottom: bool, N: int):
     return sep, [(r, c) for r in rows for c in range(N)], halves
 
 
+def _per_chunk(slots: int, n2: int, itemsize: int) -> int:
+    """Fronts of order n2 of `itemsize` bytes per entry that one stacked
+    call assembles and factors: _CHUNK_BYTES of them, at least one and at
+    most `slots`."""
+    return min(slots, max(1, _CHUNK_BYTES // (itemsize * n2 * n2)))
+
+
 def _runs(pos: np.ndarray) -> list:
     """Cut the parent-front positions of a child's perimeter into maximal
     runs of consecutive positions: (child start, parent start, length)."""
@@ -346,10 +353,10 @@ class _Fronts:
     (child group, its first member, runs) per child, whose members follow
     this group's members in order.
 
-    Members that share a front matrix share a slot: `slot` maps each member
-    to its slot and `order` lists the members by slot, one row per slot and
-    the first member of the slot in column 0.  The members of one node
-    origin share one, and every origin has the same number of members;
+    Members whose fronts hold the same matrix share a slot, which the
+    factor decides from K (_front_slots).  The members of one node origin
+    always do: `slot` maps each member to its node origin's slot, and
+    `slots` counts them.  Every origin has the same number of members;
     where fronts touch level 0 or M that number is one.  Cylinders all have
     node origin 0, so a group of them has one slot.
     """
@@ -361,8 +368,7 @@ class _Fronts:
     table: np.ndarray
     origin: tuple
     slot: np.ndarray
-    order: np.ndarray
-    per_chunk: int  # slots the factor assembles and factors by one stacked call
+    slots: int
     kept: int  # entries the factor keeps per slot, s^2 + 2 s b
     children: list = dataclasses.field(default_factory=list)
     frees: list = dataclasses.field(default_factory=list)  # children whose updates die after this group's last chunk
@@ -370,10 +376,6 @@ class _Fronts:
     @property
     def count(self) -> int:
         return len(self.origin[0])
-
-    @property
-    def slots(self) -> int:
-        return len(self.order)
 
     def points(self, N: int) -> np.ndarray:
         """Grid point k*N + i of every local point of every member."""
@@ -433,9 +435,12 @@ class _DissectionTree:
 
     _kkt_stencil holds one row per node and level class, so the fronts of a
     group that share a node origin read the same class rows and hold the
-    same matrix: they share a slot (see _Fronts; a group touching level 0
-    or M has one member per origin).  The tree is also the factor's plan
-    (see _Fronts): _FrontFactor runs it, and entries and peak_entries count it.
+    same matrix (a group touching level 0 or M has one member per origin).
+    The tree does not depend on K, so it keeps only these node-origin slots
+    (see _Fronts); the factor shares fronts across space as K allows
+    (_front_slots), never in more slots than these.  The tree is also the
+    factor's plan: _FrontFactor runs it, and entries and peak_entries
+    count it with one front per node-origin slot, a bound on any factor of it.
     """
 
     def __init__(self, N: int, M: int):
@@ -478,32 +483,34 @@ class _DissectionTree:
         local = np.array(sep + rim, dtype=np.intp).reshape(-1, 2)
         table = np.full(box, -1, dtype=np.intp)
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
-        _, slot, per = np.unique(origin[1], return_inverse=True, return_counts=True)
-        order = np.argsort(slot, kind="stable").reshape(-1, per[0])
+        _, slot = np.unique(origin[1], return_inverse=True)
         s, b = 2 * len(sep), 2 * len(rim)  # unknowns eliminated and on the perimeter
-        per_chunk = min(len(order), max(1, _CHUNK // (s + b) ** 2))
-        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, order, per_chunk, s * s + 2 * s * b)
+        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, int(slot.max()) + 1, s * s + 2 * s * b)
 
     def entries(self) -> int:
-        """Entries of the blocks the factor keeps: each slot's inverse pivot
-        block and its two Schur multipliers, s^2 + 2 s b with s = 2 ns and
-        b = 2 nb unknowns.  The factor also keeps each member's unknown
-        indices, s + b int32 per member, which are not counted here."""
+        """Entries of the blocks a factor keeps with one front per node-origin
+        slot: each slot's inverse pivot block and its two Schur multipliers,
+        s^2 + 2 s b with s = 2 ns and b = 2 nb unknowns.  A factor that
+        shares fronts across space keeps fewer.  The factor also keeps each
+        member's unknown indices, s + b int32 per member, not counted here."""
         return sum(g.slots * g.kept for g in self.groups)
 
     def peak_entries(self) -> int:
-        """Most entries alive at once while _FrontFactor runs the plan and
-        solves (index arrays one entry per index; the kept unknown indices are
-        left to _SOLVE_SCALE).  Assembling a chunk: the kept blocks, the live
-        updates, the chunk buffer (its largest chunk yet) and one gathered
-        child update; inverting it, after `frees`, a pivot-block copy instead.
+        """Most float64 entries alive at once while _FrontFactor runs the
+        plan with one front per node-origin slot and solves (index arrays one
+        entry per index; the kept unknown indices are left to _SOLVE_SCALE);
+        a factor that shares fronts across space, or holds float32 in the
+        same chunk bytes, holds no more bytes.  Assembling a chunk: the kept
+        blocks, the live updates, the chunk buffer (its largest chunk yet,
+        _CHUNK_BYTES unless one front is larger) and one gathered child
+        update; inverting it, after `frees`, a pivot-block copy instead.
         Solving: the factor, one group's pushes with their indices and one
         chunk's gathered vectors, at most 4 (s + b) per member."""
         kept = peak = solve = buffer = 0
         pending: dict = {}
         for g in reversed(self.groups):
             s, b = 2 * g.ns, 2 * g.nb
-            m = g.per_chunk
+            m = _per_chunk(g.slots, s + b, 8)
             kept += g.slots * g.kept
             pending[g] = g.slots * b * b
             buffer = max(buffer, m * (s + b) ** 2)
@@ -608,6 +615,48 @@ def _block_inverse(A: np.ndarray) -> np.ndarray:
     return W
 
 
+def _front_slots(kst: np.ndarray, tree: _DissectionTree, dtype) -> list:
+    """Each group's slot of each member (groups root first, as tree.groups)
+    for a factor of kst's K held in `dtype`: members whose fronts hold the
+    same matrix in dtype share one.  Slots are numbered by member count,
+    fewest first, so that slots of equal count run together.
+
+    A front reads the rows of K at the points of its box, and its
+    children's boxes lie inside it.  The members of a group have the same
+    level classes across their box rows (they all touch level 0, level M
+    or neither, at the same box rows), so two members whose box columns
+    hold nodes of equal class, node by node, hold the same front, their
+    children too.  A node's class is its three level-class rows rounded to
+    dtype, compared bit for bit; the class of the w columns from a node is
+    the pair of classes of the 2^j columns from its two ends, 2^j <= w <
+    2^(j+1), and those come from doubling j times (R. M. Karp, R. E.
+    Miller and A. L. Rosenberg, STOC 1972).  Where every node is its own
+    class, the slots are the tree's node-origin slots.
+    """
+    N = tree.N
+    bits = kst[:, _USED].astype(dtype).view(f"u{np.dtype(dtype).itemsize}")
+    rows = np.ascontiguousarray(bits.reshape(3, N, -1).transpose(1, 0, 2)).reshape(N, -1)
+    cls = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(), return_inverse=True)[1]
+    if cls.max() == N - 1:
+        return [g.slot for g in tree.groups]
+    span = [cls]  # span[j][i]: the class of the 2^j nodes from node i, for every 2^j <= N
+    while 2 ** len(span) <= N:
+        c = span[-1]
+        span.append(np.unique(c * N + np.roll(c, -(2 ** (len(span) - 1))), return_inverse=True)[1])
+    slots = []
+    for g in tree.groups:
+        w = g.table.shape[1]  # at most N
+        c, step = span[w.bit_length() - 1], w - 2 ** (w.bit_length() - 1)
+        node = np.empty(g.slots, dtype=np.intp)
+        node[g.slot] = g.origin[1]
+        key = np.unique(c[node] * N + c[(node + step) % N], return_inverse=True)[1][g.slot]
+        count = np.bincount(key)
+        rank = np.empty_like(count)
+        rank[np.argsort(count, kind="stable")] = np.arange(len(count))
+        slots.append(rank[key])
+    return slots
+
+
 class _FrontFactor:
     """Multifrontal LU of K on the dissection tree, held in `dtype`.
 
@@ -617,19 +666,22 @@ class _FrontFactor:
     _INV_LEAF, float64 2x2 blocks above), and the update
     F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
     (J. W. H. Liu, SIAM Review 34, 1992).  It runs the tree's plan (see
-    _Fronts), a chunk of `per_chunk` slots stacked as (slots, 2n, 2n) at a
-    time.  Children's updates are read through their slot maps (a slice
-    where the slots run in order) and added by slices, one call per pair of
-    runs for a whole chunk; those of `frees` die after the group's last
-    chunk is assembled, before its pivot blocks are inverted.  Kept: per
-    chunk W = F_SS^-1, Y = W F_SB and X = F_BS; per group the unknowns of
-    each member's eliminated points and perimeter (int32 below 2^31).
+    _Fronts) on its own slots (_front_slots): the slots of one member count
+    in chunks stacked as (slots, 2n, 2n), _CHUNK_BYTES at a time
+    (_per_chunk).  Children's updates are read through their slot maps (a
+    slice where the slots run in order) and added by slices, one call per
+    pair of runs for a whole chunk; those of `frees` die after the group's
+    last chunk is assembled, before its pivot blocks are inverted.  Kept:
+    per chunk W = F_SS^-1, Y = W F_SB and X = F_BS; per group the unknowns
+    of each member's eliminated points and perimeter (int32 below 2^31), by
+    slot.
 
     Only the first member of each slot is assembled and factored, exactly:
-    the members of a slot read the same class rows of kst at the same front
-    positions, their children's updates are equal by induction up the tree,
-    and their fronts are equal bit for bit.  The solve applies each slot's
-    W, Y and X to all of its members.
+    the members of a slot read the same rows of kst, rounded to `dtype`,
+    at the same front positions, their children's updates are equal by
+    induction up the tree, and their fronts are equal bit for bit.  The
+    solve applies each slot's W, Y and X to all of its members, a chunk's
+    members stacked as (slots, members per slot, unknowns).
     """
 
     def __init__(self, kst: np.ndarray, tree: _DissectionTree, dtype):
@@ -638,22 +690,28 @@ class _FrontFactor:
         index = np.int32 if 2 * half < 2**31 else np.intp
         self.dtype = np.dtype(dtype)
         self.groups: list = []
-        updates: dict = {}
+        updates: dict = {}  # each factored group's slot of each member and its slots' updates
         scratch = np.empty(0, dtype=dtype)  # the fronts of one chunk, reused
-        for g in reversed(tree.groups):
+        for g, slot in zip(reversed(tree.groups), reversed(_front_slots(kst, tree, self.dtype))):
             src, code, dest = g.template()
-            points = g.points(N)[g.order]  # by slot, (slots, members per slot, points)
-            k, i = np.divmod(points[:, 0], N)
+            order = np.argsort(slot, kind="stable")  # the members by slot
+            count = np.bincount(slot)
+            start = np.concatenate(([0], np.cumsum(count)))  # each slot's first place in order
+            lead = order[start[:-1]]  # each slot's first member
+            points = g.points(N)[order]
+            k, i = np.divmod(points[start[:-1]], N)
             rows = _level_class(k, M) * N + i  # the stencil rows of each slot's first member
             # the unknowns x, lam of each eliminated point, then of each perimeter point
-            parts = np.split(points.astype(index), [g.ns], axis=2)
-            here, rim = (np.stack((p, p + half), axis=-1).reshape(*p.shape[:2], -1) for p in parts)
+            parts = np.split(points.astype(index), [g.ns], axis=1)
+            here, rim = (np.stack((p, p + half), axis=-1).reshape(len(p), -1) for p in parts)
             del points, parts  # so that only the unknowns stay alive while the group is factored
             s, n2 = 2 * g.ns, 2 * (g.ns + g.nb)
-            upd = np.empty((g.slots, 2 * g.nb, 2 * g.nb), dtype=dtype)
+            upd = np.empty((len(count), 2 * g.nb, 2 * g.nb), dtype=dtype)
+            per = _per_chunk(len(count), n2, self.dtype.itemsize)
+            ends = [*(np.flatnonzero(np.diff(count)) + 1).tolist(), len(count)]  # of the runs of equal count
+            chunks = [(lo, min(b, lo + per)) for a, b in zip([0, *ends], ends) for lo in range(a, b, per)]
             blocks = []
-            for lo in range(0, g.slots, g.per_chunk):
-                hi = min(g.slots, lo + g.per_chunk)
+            for lo, hi in chunks:
                 m = hi - lo
                 if scratch.size < m * n2 * n2:
                     scratch = np.empty(m * n2 * n2, dtype=dtype)
@@ -661,17 +719,18 @@ class _FrontFactor:
                 F.fill(0)
                 F.reshape(m, n2 * n2)[:, dest] = kst[rows[lo:hi, src], code]
                 for child, first, runs in g.children:
-                    at = child.slot[first + g.order[lo:hi, 0]]
+                    held, done = updates[child]
+                    at = held[first + lead[lo:hi]]
                     if np.array_equal(at, np.arange(at[0], at[0] + m)):
                         at = slice(at[0], at[0] + m)
-                    U = updates[child][at]
+                    U = done[at]
                     for ur, vr, lr in runs:
                         for uc, vc, lc in runs:
                             F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
                                 :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
                             ]
                     del U  # a slice of it would keep the whole array alive
-                if hi == g.slots:
+                if hi == len(count):
                     for child in g.frees:
                         del updates[child]
                 W = _inverse(F[:, :s, :s])
@@ -687,8 +746,8 @@ class _FrontFactor:
                 X = np.ascontiguousarray(F[:, s:, :s])
                 np.matmul(X, Y, out=upd[lo:hi])
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
-                blocks.append((lo, hi, W, Y, X))
-            updates[g] = upd
+                blocks.append((int(start[lo]), int(start[hi]), W, Y, X))
+            updates[g] = (slot, upd)
             self.groups.append((here, rim, blocks))
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
@@ -703,15 +762,17 @@ class _FrontFactor:
         # acting on its members side by side; one scatter per group, in slot order
         for here, rim, blocks in self.groups:
             push = np.empty(rim.shape, dtype=self.dtype)
-            for lo, hi, W, Y, X in blocks:
-                y = np.matmul(W[:, None], z[here[lo:hi]][..., None])
-                z[here[lo:hi]] = y[..., 0]
-                np.matmul(X[:, None], y, out=push[lo:hi, ..., None])
+            for a, b, W, Y, X in blocks:
+                at = here[a:b].reshape(len(W), -1, here.shape[1])  # (slots, members per slot, s)
+                y = np.matmul(W[:, None], z[at][..., None])
+                z[at] = y[..., 0]
+                np.matmul(X[:, None], y, out=push[a:b].reshape(*at.shape[:2], rim.shape[1], 1))
             np.subtract.at(z, rim, push)
         # backward, down the tree: z_S = y_S - Y z_B
         for here, rim, blocks in reversed(self.groups):
-            for lo, hi, W, Y, X in blocks:
-                z[here[lo:hi]] -= np.matmul(Y[:, None], z[rim[lo:hi]][..., None])[..., 0]
+            for a, b, W, Y, X in blocks:
+                at = here[a:b].reshape(len(W), -1, here.shape[1])
+                z[at] -= np.matmul(Y[:, None], z[rim[a:b].reshape(*at.shape[:2], rim.shape[1])][..., None])[..., 0]
         return z
 
 

@@ -1144,12 +1144,15 @@ def test_solve_estimate_scales_the_float64_front_count():
         cfg = small_config(grid={"L": L, "nodes_per_unit": nodes_per_unit}, time={"T": 5.0, "steps": steps})
         return plan_from_config(cfg).realize(L=L)
 
-    # the tree counts exactly what a float64 factor keeps, each front that
-    # repeats in time once, and the estimate scales the peak of that count,
-    # which holds the kept factor too
+    # a float64 factor keeps exactly its own slots' fronts, at most what the
+    # tree counts with each front that repeats in time once, and the
+    # estimate scales the peak of that count, which holds the kept factor too
     cfg = member(1.0, 32, 24)
     tree = ocp_mod._DissectionTree(cfg.grid.N, cfg.tgrid.M)
-    assert ocp_mod._FrontFactor(ocp_mod._kkt_stencil(cfg), tree, np.float64).nbytes == 8 * tree.entries()
+    kst = ocp_mod._kkt_stencil(cfg)
+    slots = ocp_mod._front_slots(kst, tree, np.dtype(np.float64))
+    own = sum((int(slot.max()) + 1) * g.kept for g, slot in zip(tree.groups, slots))
+    assert ocp_mod._FrontFactor(kst, tree, np.float64).nbytes == 8 * own <= 8 * tree.entries()
     assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
     assert tree.peak_entries() > tree.entries()
     assert solve_bytes(cfg) == ocp_mod._SOLVE_SCALE * 8 * tree.peak_entries()

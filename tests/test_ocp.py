@@ -726,71 +726,128 @@ def test_stencil_rows_repeat_in_time_on_the_used_codes(N, M, alpha_exponent, c, 
         assert np.array_equal(lv[:, 0, ..., 2, :], lv[:, 0, ..., 1, :])
 
 
+def _one_slot_per_member(kst, tree, dtype):
+    return [np.arange(g.count) for g in tree.groups]
+
+
+def _factor_slots(factor):
+    """The slots of each group of a factor, root last as it factors them."""
+    return [sum(len(W) for _, _, W, _, _ in blocks) for _, _, blocks in factor.groups]
+
+
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-11), (np.float64, 1e-14)], ids=["float32", "float64"])
-@pytest.mark.parametrize("M", [1, 2, 12])
-def test_shared_fronts_solve_like_one_slot_per_member(M, dtype, rtol):
+@pytest.mark.parametrize("M", [1, 2, 12, 100])
+def test_shared_fronts_solve_like_one_slot_per_member(monkeypatch, M, dtype, rtol):
+    # constant speed shares fronts across space (the periodic layout's
+    # nodes repeat every 16, and no node of the empty layout differs from
+    # another); a sinusoidal speed shares only the time translates
     N = 32
     grid = Grid1D(1.0, N)
-    cfg = OCPConfig(
-        grid=grid,
-        tgrid=TimeGrid(1.0, M),
-        velocity=sinusoidal_velocity(2.0, 0.5, 1.0),
-        alpha=0.3,
-        control_domain=PERIODIC,
-        observation_domain=FINITE,
-        x0=bump_initial(0.4, 0.5, grid),
-    )
-    kst, rhs = ocp_mod._kkt_stencil(cfg), ocp_mod._kkt_rhs(cfg, None)
-    tree = ocp_mod._DissectionTree(N, M)
-    alone = ocp_mod._DissectionTree(N, M)
-    for g in alone.groups:
-        g.slot = np.arange(g.count)
-        g.order = g.slot[:, None]
-    shared = ocp_mod._factor_fronts(kst, tree, dtype)
-    single = ocp_mod._factor_fronts(kst, alone, dtype)
     size = np.dtype(dtype).itemsize
-    assert shared.nbytes == size * tree.entries()
-    assert single.nbytes == size * _unshared_entries(tree)
-    # M <= 2 leaves no rectangle that misses both level 0 and level M
-    assert (tree.entries() < _unshared_entries(tree)) == (M > 2)
-    # the factor keeps every member's unknowns as int32, and each unknown of
-    # K is eliminated at exactly one front
-    here = np.concatenate([h.ravel() for h, _, _ in shared.groups])
-    assert here.dtype == np.int32
-    assert np.array_equal(np.sort(here), np.arange(len(rhs)))
-    # every member's W, Y and X equal its slot's bit for bit
-    for g, (_, _, blocks), (_, _, own) in zip(reversed(tree.groups), shared.groups, single.groups):
-        for k in (2, 3, 4):
-            kept = np.concatenate([b[k] for b in blocks])
-            every = np.concatenate([b[k] for b in own])
-            assert np.array_equal(every[g.order], np.broadcast_to(kept[:, None], every[g.order].shape))
-    # the shared slots scatter their perimeter pushes in slot order, not in
-    # member order, so the refined solutions agree to what a float32 factor
-    # leaves after the gate (3.4e-13 at M = 12) or to float64 rounding
-    z, steps, defect = ocp_mod._refine(kst, N, rhs, shared, dtype)
-    z_alone, steps_alone, _ = ocp_mod._refine(kst, N, rhs, single, dtype)
-    assert defect <= 1e-10
-    assert steps == steps_alone
-    assert np.max(np.abs(z - z_alone)) <= rtol * np.max(np.abs(z_alone))
+    for velocity, layout, alpha in itertools.product(
+        [VelocityField.constant(2.0), sinusoidal_velocity(2.0, 0.5, 1.0)],
+        [PERIODIC, FINITE, IntervalUnion()],
+        [1e-3, 0.125, 10.0],
+    ):
+        cfg = OCPConfig(
+            grid=grid,
+            tgrid=TimeGrid(1.0, M),
+            velocity=velocity,
+            alpha=alpha,
+            control_domain=layout,
+            observation_domain=FINITE,
+            x0=bump_initial(0.4, 0.5, grid),
+        )
+        kst, rhs = ocp_mod._kkt_stencil(cfg), ocp_mod._kkt_rhs(cfg, None)
+        tree = ocp_mod._DissectionTree(N, M)
+        slots = ocp_mod._front_slots(kst, tree, np.dtype(dtype))
+        shared = ocp_mod._factor_fronts(kst, tree, dtype)
+        with monkeypatch.context() as m:
+            m.setattr(ocp_mod, "_front_slots", _one_slot_per_member)
+            single = ocp_mod._factor_fronts(kst, tree, dtype)
+        assert _factor_slots(shared) == [int(slot.max()) + 1 for slot in reversed(slots)]
+        assert shared.nbytes == size * sum(n * g.kept for n, g in zip(_factor_slots(shared), reversed(tree.groups)))
+        assert shared.nbytes <= size * tree.entries()
+        assert single.nbytes == size * _unshared_entries(tree)
+        # M <= 2 leaves no rectangle that misses both level 0 and level M
+        assert (tree.entries() < _unshared_entries(tree)) == (M > 2)
+        if velocity.is_constant and layout != FINITE:
+            assert shared.nbytes < size * tree.entries()
+        # the factor keeps every member's unknowns as int32, and each unknown
+        # of K is eliminated at exactly one front
+        here = np.concatenate([h.ravel() for h, _, _ in shared.groups])
+        assert here.dtype == np.int32
+        assert np.array_equal(np.sort(here), np.arange(len(rhs)))
+        # every member's W, Y and X equal its slot's bit for bit
+        for slot, (_, _, blocks), (_, _, own) in zip(reversed(slots), shared.groups, single.groups):
+            for k in (2, 3, 4):
+                kept = np.concatenate([b[k] for b in blocks])
+                every = np.concatenate([b[k] for b in own])
+                assert np.array_equal(every.view(np.uint8), kept[slot].view(np.uint8))
+        # the shared slots scatter their perimeter pushes in slot order, not
+        # in member order, so the refined solutions agree to what a float32
+        # factor leaves after the gate (3.4e-13 at M = 12) or to float64
+        # rounding, on the same rung and in the same steps
+        z, steps, defect = ocp_mod._refine(kst, N, rhs, shared, dtype)
+        z_alone, steps_alone, defect_alone = ocp_mod._refine(kst, N, rhs, single, dtype)
+        assert steps == steps_alone
+        assert (defect <= ocp_mod._DEFECT_GATE) == (defect_alone <= ocp_mod._DEFECT_GATE)
+        if defect <= ocp_mod._DEFECT_GATE:
+            assert np.max(np.abs(z - z_alone)) <= rtol * np.max(np.abs(z_alone))
+
+
+def _box_keys(kst, g, N, M, dtype):
+    """Each member's front, named apart from _front_slots: the level classes
+    of its box rows and the three level-class rows, rounded to dtype, of the
+    nodes across its box columns."""
+    rows = kst[:, ocp_mod._USED].astype(dtype).reshape(3, N, -1).transpose(1, 0, 2)
+    nrows, ncols = g.table.shape
+    return [
+        (tuple(ocp_mod._level_class(np.arange(level, level + nrows), M).tolist()), rows[(node + np.arange(ncols)) % N].tobytes())
+        for level, node in zip(*g.origin)
+    ]
 
 
 @pytest.mark.parametrize("N, M", [(4, 1), (16, 2), (32, 12), (24, 30), (64, 100)])
 def test_fronts_share_slots_by_node_origin(N, M):
-    # every group puts the members of one node origin in one slot; a group
-    # whose rectangles reach level 0 or M has one member per node origin,
-    # so there every member keeps its own slot
+    # the tree puts the members of one node origin in one slot, all of them
+    # with the same number of members; a group whose rectangles reach level
+    # 0 or M has one member per node origin
     tree = ocp_mod._DissectionTree(N, M)
     for g in tree.groups:
         nodes = g.origin[1]
-        assert np.all(nodes[g.order] == nodes[g.order[:, :1]])
-        assert np.array_equal(np.sort(g.order.ravel()), np.arange(g.count))
-        assert np.array_equal(g.slot[g.order], np.broadcast_to(np.arange(g.slots)[:, None], g.order.shape))
-        assert g.slots == len(np.unique(nodes))
+        _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+        assert np.array_equal(g.slot, inverse)
+        assert g.slots == len(first)
+        assert len(set(np.bincount(g.slot).tolist())) == 1
         levels = g.origin[0][:, None] + g.local[: g.ns, 0]
         if np.any((levels == 0) | (levels == M)):
             assert g.slots == g.count
-
-
+    # the factor's slots: members hold equal box keys exactly when they
+    # share a slot, slots are numbered by member count, and there are never
+    # more of them than node-origin slots; where every node is its own class
+    # (a sinusoidal speed) they are the node-origin slots
+    grid = Grid1D(1.0, N)
+    for velocity, layout in itertools.product(
+        [VelocityField.constant(2.0), sinusoidal_velocity(2.0, 0.5, 1.0)],
+        [PERIODIC, FINITE, IntervalUnion()],
+    ):
+        cfg = OCPConfig(
+            grid=grid, tgrid=TimeGrid(1.0, M), velocity=velocity, alpha=0.3,
+            control_domain=layout, x0=GridFunction(grid, np.zeros(N)),
+        )
+        kst = ocp_mod._kkt_stencil(cfg)
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            slots = ocp_mod._front_slots(kst, tree, dtype)
+            for g, slot in zip(tree.groups, slots):
+                keys = _box_keys(kst, g, N, M, dtype)
+                # a group's members share the level classes of their box rows
+                assert len({levels for levels, _ in keys}) == 1
+                assert len(set(zip(slot.tolist(), keys))) == len(set(keys)) == int(slot.max()) + 1
+                assert np.all(np.diff(np.bincount(slot)) >= 0)
+                assert int(slot.max()) + 1 <= g.slots
+                if not velocity.is_constant:
+                    assert np.array_equal(slot, g.slot)
 @pytest.mark.parametrize("N, M", [(4, 1), (33, 1), (33, 7), (24, 30), (64, 100)])
 def test_tree_plans_the_factor(N, M):
     tree = ocp_mod._DissectionTree(N, M)
@@ -802,19 +859,37 @@ def test_tree_plans_the_factor(N, M):
         for c in g.frees:
             assert any(child is c for child, _, _ in g.children)
             assert not any(child is c for p in tree.groups[:i] for child, _, _ in p.children)
-    # a chunk holds at least one slot and no more entries than _CHUNK beyond that
-    for g in tree.groups:
-        n2 = 2 * (g.ns + g.nb)
-        assert 1 <= g.per_chunk <= g.slots
-        assert g.per_chunk == 1 or g.per_chunk * n2**2 <= ocp_mod._CHUNK
     assert sum(g.slots * g.kept for g in tree.groups) == tree.entries()
-    kst = ocp_mod._kkt_stencil(make_config(N=N, M=M, alpha=0.3))
-    for dtype in (np.float32, np.float64):
-        factor = ocp_mod._factor_fronts(kst, tree, dtype)
-        assert factor.nbytes == np.dtype(dtype).itemsize * tree.entries()
-        # the factor runs the planned chunks
-        for g, (_, _, blocks) in zip(reversed(tree.groups), factor.groups):
-            assert [lo for lo, *_ in blocks] == list(range(0, g.slots, g.per_chunk))
+    # a layout, and the empty one, whose nodes all fall in one class
+    for control in [((0.0, 0.3),), None]:
+        kst = ocp_mod._kkt_stencil(make_config(N=N, M=M, alpha=0.3, control=control))
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            factor = ocp_mod._factor_fronts(kst, tree, dtype)
+            slots = ocp_mod._front_slots(kst, tree, dtype)
+            # the factor keeps one front per slot of its own, at most what the
+            # tree counts with one front per node-origin slot
+            own = sum((int(slot.max()) + 1) * g.kept for g, slot in zip(tree.groups, slots))
+            assert factor.nbytes == dtype.itemsize * own <= dtype.itemsize * tree.entries()
+            for g, slot, (_, _, blocks) in zip(reversed(tree.groups), reversed(slots), factor.groups):
+                # the chunks run every member once, in slot order; each holds
+                # slots of one member count, and as many of them as 2 MiB of
+                # fronts hold (at least one) unless its run of that count ends
+                n2 = 2 * (g.ns + g.nb)
+                count = np.bincount(slot)
+                start = np.cumsum([0, *count])
+                per = ocp_mod._per_chunk(len(count), n2, dtype.itemsize)
+                assert per == len(count) or per == 1 or (per + 1) * n2**2 * dtype.itemsize > 2**21
+                lo = 0
+                for a, b, W, Y, X in blocks:
+                    hi = lo + len(W)
+                    assert (a, b) == (start[lo], start[hi])
+                    assert len(set(count[lo:hi].tolist())) == 1
+                    assert len(W) == per or hi == len(count) or count[hi] != count[lo]
+                    # no chunk buffer holds more than 2 MiB, unless it holds one front
+                    assert len(W) == 1 or len(W) * n2**2 * dtype.itemsize <= 2**21
+                    assert W.shape == (len(W), 2 * g.ns, 2 * g.ns) and X.shape == (len(W), 2 * g.nb, 2 * g.ns)
+                    lo = hi
+                assert lo == len(count)
 
 
 @given(
@@ -872,9 +947,9 @@ def test_root_is_the_smaller_separator(N, M):
     # every grid point is eliminated exactly once
     eliminated = np.concatenate([g.points(N)[:, : g.ns].ravel() for g in tree.groups])
     assert np.array_equal(np.sort(eliminated), np.arange(N * (M + 1)))
-    # every group's slots hold the same number of members
+    # every group's node-origin slots hold the same number of members
     for g in tree.groups:
-        assert np.all(np.bincount(g.slot) == g.order.shape[1])
+        assert len(set(np.bincount(g.slot).tolist())) == 1
 
 
 def test_refinement_rescues_inexact_factor(monkeypatch):
@@ -916,10 +991,12 @@ def test_solve_reports_refinement_steps_and_factor_bytes():
     sol = solve_ocp(cfg)
     assert sol.ordering == "nested-dissection"
     assert 1 <= sol.refine_steps <= 8
-    # the float32 factor keeps 4 bytes per entry the dissection tree counts,
-    # each shared front once
+    # the float32 factor keeps 4 bytes per entry of each of its slots' fronts,
+    # fewer than the dissection tree counts with one per node-origin slot
     tree = ocp_mod._DissectionTree(32, 16)
-    assert sol.factor_bytes == 4 * tree.entries()
+    slots = ocp_mod._front_slots(ocp_mod._kkt_stencil(cfg), tree, np.dtype(np.float32))
+    assert sol.factor_bytes == 4 * sum((int(slot.max()) + 1) * g.kept for g, slot in zip(tree.groups, slots))
+    assert sol.factor_bytes < 4 * tree.entries()
     assert tree.entries() < _unshared_entries(tree)
     # the fields are optional, so solutions made elsewhere need not name them
     bare = OCPSolution(x=sol.x, lam=sol.lam, u=sol.u, objective=0.0, residual=0.0, ordering="nested-dissection")
@@ -1020,7 +1097,7 @@ def spy(kst, N, z, rhs):
 ocp_mod._kkt_defect = spy
 grid = Grid1D(1.0, 128)
 sol = ocp_mod.solve_ocp(ocp_mod.OCPConfig(
-    grid=grid, tgrid=TimeGrid(5.0, 100), velocity=VelocityField.constant(50.0), alpha=1e-3,
+    grid=grid, tgrid=TimeGrid(5.0, 100), velocity=VelocityField.constant(50.0), alpha=5e-4,
     control_domain=IntervalUnion(tail=(1.0, ((0.0, 0.2),))), x0=ocp_mod.bump_initial(0.8, 0.6, grid)))
 print(json.dumps({"seen": seen, "steps": sol.refine_steps, "residual": sol.residual, "ordering": sol.ordering}))
 """
@@ -1028,7 +1105,7 @@ print(json.dumps({"seen": seen, "steps": sol.refine_steps, "residual": sol.resid
 
 def test_refinement_keeps_the_better_iterate_of_a_late_rise():
     # on one BLAS thread, the float32 rung of this c = 50 solve runs its
-    # defect 1.24e-11 -> 3.256e-13 -> 3.41e-13; it keeps the 3.256e-13 iterate
+    # defect 5.6e-13 -> 2.274e-13 -> 2.61e-13; it keeps the 2.274e-13 iterate
     proc = subprocess.run(
         [sys.executable, "-c", _LEAST_DEFECT],
         capture_output=True,
@@ -1039,9 +1116,9 @@ def test_refinement_keeps_the_better_iterate_of_a_late_rise():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["ordering"] == "nested-dissection"
-    assert report["steps"] == len(report["seen"]) == 9
+    assert report["steps"] == len(report["seen"]) == 11
     assert report["residual"] == min(report["seen"]) < report["seen"][-1]
-    assert report["residual"] == pytest.approx(3.256e-13, abs=5e-16)
+    assert report["residual"] == pytest.approx(2.274e-13, abs=5e-16)
 
 
 class _Damped:
