@@ -830,8 +830,9 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.155 over the sizes of
-# BENCH_18.json, 25,856 to 821,248 unknowns (BENCH_30.json).
+# above a solve that stays on float32): at most 1.138 over the sizes of
+# BENCH_18.json, 25,856 to 821,248 unknowns, and three sinusoidal-speed
+# sizes, whose fronts are not shared across space (BENCH_32.json).
 _SOLVE_SCALE = 1.39
 
 
