@@ -503,7 +503,9 @@ class _DissectionTree:
         same chunk bytes, holds no more bytes.  Assembling a chunk: the kept
         blocks, the live updates, the chunk buffer (its largest chunk yet,
         _CHUNK_BYTES unless one front is larger) and one gathered child
-        update; inverting it, after `frees`, a pivot-block copy instead.
+        update; inverting it, after `frees`, the pivot blocks' float64 copy
+        instead, which _inverse inverts in place beside one temporary of
+        half their order (left to _SOLVE_SCALE).
         Solving: the factor, one group's pushes with their indices and one
         chunk's gathered vectors, at most 4 (s + b) per member."""
         kept = peak = solve = buffer = 0
@@ -560,7 +562,8 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
     (x, lam; level; node: di = -1, 0, 1 but node 0 takes node N - 1 last and
     node N - 1 takes node 0 first), over the offsets _kkt_stencil writes (an
     entry that is 0 adds a zero product, which leaves the sum as it is).
-    Each level multiplies by the rows of its level class."""
+    Each level multiplies by the rows of its level class; the defect is
+    returned in the array that summed K z."""
     lv = kst.T.reshape(2, 3, 3, 2, 3, N)  # tr, dk + 1, di + 1, tc, level class, node
     used = _USED.reshape(2, 3, 3, 2)
     zl = z.reshape(2, -1, N)
@@ -572,47 +575,57 @@ def _kkt_defect(kst: np.ndarray, N: int, z: np.ndarray, rhs: np.ndarray) -> np.n
             for d in sorted((d for d in (-1, 0, 1) if used[tr, dk + 1, d + 1, tc]), key=lambda d: (i0 + d) % N):
                 zs = zl[tc, k0 + dk : k1 + dk, (i0 + d) % N :][:, : i1 - i0]
                 kz[tr, k0:k1, i0:i1] += lv[tr, dk + 1, d + 1, tc, :, i0:i1][cls[k0:k1]] * zs
-    return rhs - kz.ravel()
+    kz = kz.ravel()
+    return np.subtract(rhs, kz, out=kz)
 
 
 def _inverse(A: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of square blocks A, in A's dtype.
+    """The inverses of a stack of square blocks A, in A's dtype; A is left
+    as it is.
 
     Blocks of order at most _INV_LEAF go to np.linalg.inv (partial pivoting
-    inside the block).  Larger ones are inverted by 2x2 blocks in float64,
-    W11 = A11^-1, Y = W11 A12 and S^-1 = (A22 - A21 Y)^-1, recursively, so
-    that most of the work is matrix products.  The recursion pivots only
-    inside its leaves.  Run in float64, the accuracy that costs stays below
-    a float32 factor's rounding; run in float32, it changed the rung or the
-    refinement steps of most solves tried (BENCH_24.json).  When a leading
-    block is singular or the result is not finite, the whole stack goes to
-    np.linalg.inv, which raises LinAlgError when A itself is singular.
+    inside the block).  Larger ones are inverted by 2x2 blocks in one
+    float64 copy of A, in place (_block_inverse), so that most of the work
+    is matrix products and the workspace is that copy plus one temporary of
+    half A's order.  The recursion pivots only inside its leaves.  Run in
+    float64, the accuracy that costs stays below a float32 factor's
+    rounding; run in float32, it changed the rung or the refinement steps
+    of most solves tried (BENCH_24.json).  When a leading block is singular
+    or the result is not finite, the whole stack goes to np.linalg.inv,
+    which raises LinAlgError when A itself is singular.
     """
     if A.shape[-1] <= _INV_LEAF:
         return np.linalg.inv(A)
+    W = A.astype(np.float64)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            W = _block_inverse(A.astype(np.float64, copy=False)).astype(A.dtype, copy=False)
+            _block_inverse(W)
+            W = W.astype(A.dtype, copy=False)
     except np.linalg.LinAlgError:
         return np.linalg.inv(A)
     return W if np.isfinite(W).all() else np.linalg.inv(A)
 
 
-def _block_inverse(A: np.ndarray) -> np.ndarray:
-    """_inverse's float64 recursion on a stack of blocks A."""
+def _block_inverse(A: np.ndarray) -> None:
+    """_inverse's float64 recursion, in place on a stack of blocks A =
+    [[A11, A12], [A21, A22]]: W11 = A11^-1 into A11, Y = W11 A12 into A12,
+    S = A22 - A21 Y and then Z = S^-1 into A22, V = Z A21 W11 into A21, then
+    W11 + Y V into A11, -Y Z into A12 and -V into A21.  Each product is one
+    temporary of at most half A's order a side."""
     n = A.shape[-1]
     if n <= _INV_LEAF:
-        return np.linalg.inv(A)
+        A[...] = np.linalg.inv(A)
+        return
     h = n // 2
-    W = np.empty_like(A)
-    W11 = _block_inverse(A[..., :h, :h])
-    Y = W11 @ A[..., :h, h:]
-    Z = W[..., h:, h:] = _block_inverse(A[..., h:, h:] - A[..., h:, :h] @ Y)
-    V = Z @ (A[..., h:, :h] @ W11)  # S^-1 A21 W11
-    np.negative(V, out=W[..., h:, :h])
-    np.negative(Y @ Z, out=W[..., :h, h:])
-    np.add(W11, Y @ V, out=W[..., :h, :h])
-    return W
+    A11, A12, A21, A22 = A[..., :h, :h], A[..., :h, h:], A[..., h:, :h], A[..., h:, h:]
+    _block_inverse(A11)
+    A12[...] = A11 @ A12
+    A22 -= A21 @ A12
+    _block_inverse(A22)
+    np.matmul(A22, A21 @ A11, out=A21)
+    A11 += A12 @ A21
+    np.negative(A12 @ A22, out=A12)
+    np.negative(A21, out=A21)
 
 
 def _front_slots(kst: np.ndarray, tree: _DissectionTree, dtype) -> list:
@@ -672,9 +685,13 @@ class _FrontFactor:
     slice where the slots run in order) and added by slices, one call per
     pair of runs for a whole chunk; those of `frees` die after the group's
     last chunk is assembled, before its pivot blocks are inverted.  Kept:
-    per chunk W = F_SS^-1, Y = W F_SB and X = F_BS; per group the unknowns
-    of each member's eliminated points and perimeter (int32 below 2^31), by
-    slot.
+    per chunk W = F_SS^-1, Y = W F_SB and X = F_BS, each an array of its
+    own; per group the unknowns of each member's eliminated points and
+    perimeter (int32 below 2^31), by slot.  Its other storage is bounded:
+    one chunk buffer (the largest chunk yet) and, while pivot blocks are
+    inverted, their float64 copy plus one temporary of half their order
+    (_inverse).  The root has no perimeter, so its pivot block is copied
+    out of the buffer and the buffer freed before the inverse.
 
     Only the first member of each slot is assembled and factored, exactly:
     the members of a slot read the same rows of kst, rounded to `dtype`,
@@ -733,17 +750,21 @@ class _FrontFactor:
                 if hi == len(count):
                     for child in g.frees:
                         del updates[child]
+                if not g.nb:  # the root, with no perimeter: free the buffer before the inverse
+                    F, scratch = F.copy(), np.empty(0, dtype=dtype)
                 W = _inverse(F[:, :s, :s])
                 # one refinement step gives Y = F_SS^-1 F_SB the accuracy of
                 # a solve with the block's LU; W alone loses it on
-                # ill-conditioned blocks, and that error grows up the tree
+                # ill-conditioned blocks, and that error grows up the tree.
+                # Nothing reads F_SB after it, so the defect overwrites it
                 Y = W @ F[:, :s, s:]
-                Y += W @ (F[:, :s, s:] - F[:, :s, :s] @ Y)
+                np.subtract(F[:, :s, s:], F[:, :s, :s] @ Y, out=F[:, :s, s:])
+                Y += W @ F[:, :s, s:]
                 # BLAS worker threads do not share this thread's subnormal
                 # flush; a pass through a ufunc here zeroes what they left
                 np.multiply(W, 1, out=W)
                 np.multiply(Y, 1, out=Y)
-                X = np.ascontiguousarray(F[:, s:, :s])
+                X = F[:, s:, :s].copy()  # owned: at the root a view of no entries would keep F alive
                 np.matmul(X, Y, out=upd[lo:hi])
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
                 blocks.append((int(start[lo]), int(start[hi]), W, Y, X))
@@ -756,8 +777,9 @@ class _FrontFactor:
         return (a for *_, blocks in self.groups for block in blocks for a in block[2:])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """K^-1 r in this factor's dtype, r given in K's unknown order."""
-        z = np.array(r, dtype=self.dtype)
+        """K^-1 r in this factor's dtype, r given in K's unknown order; an r
+        already in that dtype is overwritten with the result."""
+        z = np.asarray(r, dtype=self.dtype)
         # forward, up the tree: y_S = W r_S, then r_B -= X y_S, a slot's blocks
         # acting on its members side by side; one scatter per group, in slot order
         for here, rim, blocks in self.groups:
@@ -830,9 +852,9 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.138 over the sizes of
+# above a solve that stays on float32): at most 1.147 over the sizes of
 # BENCH_18.json, 25,856 to 821,248 unknowns, and three sinusoidal-speed
-# sizes, whose fronts are not shared across space (BENCH_32.json).
+# sizes, whose fronts are not shared across space (BENCH_33.json).
 _SOLVE_SCALE = 1.39
 
 
@@ -868,6 +890,11 @@ def _factor_fronts(kst: np.ndarray, tree: _DissectionTree, dtype) -> _FrontFacto
         return _FrontFactor(kst, tree, dtype)
 
 
+def _sup_norm(v: np.ndarray) -> float:
+    """max |v| (NaN if v holds one), without an array of |v|."""
+    return abs(float(np.maximum(v.max(), -v.min())))
+
+
 def _refine(
     kst: np.ndarray, N: int, rhs: np.ndarray, factor, dtype
 ) -> tuple[np.ndarray, int, float]:
@@ -885,12 +912,12 @@ def _refine(
     """
     z = np.zeros_like(rhs)
     r = rhs
-    scale = 1.0 + float(np.max(np.abs(rhs)))
+    scale = 1.0 + _sup_norm(rhs)
     defect = np.inf
     for step in itertools.count(1):
-        z = z + factor.solve(r.astype(dtype, copy=False))
+        z = z + factor.solve(r.astype(dtype))  # a copy, which the solve overwrites
         r = _kkt_defect(kst, N, z, rhs)
-        last, defect = defect, float(np.max(np.abs(r))) / scale
+        last, defect = defect, _sup_norm(r) / scale
         if step == 1 or defect < least:
             best, least = z, defect
         if defect <= _DEFECT_FLOOR or not defect < 0.5 * last:

@@ -583,6 +583,74 @@ def test_inverse_falls_back_when_a_leading_block_is_singular(dtype):
     assert np.array_equal(W, swap)
 
 
+def _out_of_place_inverse(A):
+    """The 2x2 recursion as it ran before it inverted in place: the
+    reference _block_inverse must match bit for bit."""
+    n = A.shape[-1]
+    if n <= ocp_mod._INV_LEAF:
+        return np.linalg.inv(A)
+    h = n // 2
+    W = np.empty_like(A)
+    W11 = _out_of_place_inverse(A[..., :h, :h])
+    Y = W11 @ A[..., :h, h:]
+    Z = W[..., h:, h:] = _out_of_place_inverse(A[..., h:, h:] - A[..., h:, :h] @ Y)
+    V = Z @ (A[..., h:, :h] @ W11)
+    np.negative(V, out=W[..., h:, :h])
+    np.negative(Y @ Z, out=W[..., :h, h:])
+    np.add(W11, Y @ V, out=W[..., :h, :h])
+    return W
+
+
+@pytest.mark.parametrize("n", [129, 256, 257, 404, 804])
+def test_block_inverse_in_place_is_the_out_of_place_recursion(n):
+    # same products in the same order, so the same bits, at even and odd
+    # orders and at one and two levels of recursion
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((3, n, n)) + 2 * np.sqrt(n) * np.eye(n)
+    W = A.copy()
+    assert ocp_mod._block_inverse(W) is None
+    assert np.array_equal(W, _out_of_place_inverse(A))
+    for dtype in (np.float32, np.float64):
+        B = A.astype(dtype)
+        assert np.array_equal(ocp_mod._inverse(B), _out_of_place_inverse(B.astype(np.float64)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("singular_lead", [False, True])
+def test_inverse_leaves_its_input_as_it_is(dtype, singular_lead):
+    # the float64 rung reads F_SS again after its inverse, so the in-place
+    # recursion must work on a copy, also when the fallback takes over
+    n = 2 * ocp_mod._INV_LEAF + 2
+    rng = np.random.default_rng(7)
+    A = (rng.standard_normal((2, n, n)) + 2 * np.sqrt(n) * np.eye(n)).astype(dtype)
+    if singular_lead:
+        A[:, : n // 2, : n // 2] = 0
+    before = A.copy()
+    W = ocp_mod._inverse(A)
+    assert np.array_equal(A, before)
+    assert W.dtype == dtype and not np.shares_memory(W, A)
+    if singular_lead:
+        assert np.array_equal(W, np.linalg.inv(before))
+
+
+@pytest.mark.parametrize("N, M, cut", [(80, 40, "time"), (80, 32, "ring")])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_factor_owns_what_it_keeps(N, M, cut, dtype):
+    # every kept block owns its bytes: a view (the root's X of no rows was
+    # one, of the chunk buffer) would keep a whole front buffer alive that
+    # nbytes does not count.  Both roots have a pivot block above the
+    # inverse leaf
+    tree = ocp_mod._DissectionTree(N, M)
+    root = tree.groups[0]
+    assert root.nb == 0 and 2 * root.ns > ocp_mod._INV_LEAF
+    assert root.ns == (N if cut == "time" else 2 * (M + 1))
+    factor = ocp_mod._factor_fronts(ocp_mod._kkt_stencil(make_config(N=N, M=M, alpha=0.3)), tree, dtype)
+    kept = list(factor.arrays())
+    assert kept[-1].shape == (1, 0, 2 * root.ns)  # the root's X
+    assert all(a.base is None and a.dtype == dtype for a in kept)
+    assert factor.nbytes == sum(a.nbytes for a in kept)
+
+
 def test_singular_pivot_block_still_raises():
     # [[I, I], [I, I]] is singular: its Schur complement is 0, and the
     # fallback's LAPACK inverse raises, so the ladder reports the block
