@@ -325,19 +325,27 @@ def _cylinder(nk: int, top: bool, bottom: bool, N: int):
     return sep, [(r, c) for r in rows for c in range(N)], halves
 
 
-def _per_chunk(slots: int, n2: int, itemsize: int) -> int:
-    """Fronts of order n2 of `itemsize` bytes per entry that one stacked
+def _per_chunk(slots: int, entries: int, itemsize: int) -> int:
+    """Fronts of `entries` entries of `itemsize` bytes that one stacked
     call assembles and factors: _CHUNK_BYTES of them, at least one and at
     most `slots`."""
-    return min(slots, max(1, _CHUNK_BYTES // (itemsize * n2 * n2)))
+    return min(slots, max(1, _CHUNK_BYTES // (itemsize * entries)))
 
 
-def _runs(pos: np.ndarray) -> list:
+def _runs(pos: np.ndarray, steps=(1,)) -> list:
     """Cut the parent-front positions of a child's perimeter into maximal
-    runs of consecutive positions: (child start, parent start, length)."""
-    cut = np.flatnonzero(np.diff(pos) != 1) + 1
-    bounds = [0, *cut.tolist(), len(pos)]
-    return [(a, int(pos[a]), b - a) for a, b in zip(bounds, bounds[1:])]
+    runs of one step, each step one of `steps` (a run of one has step 1):
+    (child start, parent start, length, step)."""
+    pos = pos.tolist()
+    runs, a = [], 0
+    while a < len(pos):
+        step = pos[a + 1] - pos[a] if a + 1 < len(pos) and pos[a + 1] - pos[a] in steps else 1
+        b = a + 1
+        while b < len(pos) and pos[b] - pos[b - 1] == step:
+            b += 1
+        runs.append((a, pos[a], b - a, step))
+        a = b
+    return runs
 
 
 @dataclass(eq=False)
@@ -349,9 +357,22 @@ class _Fronts:
     node index): ns eliminated points, then nb perimeter points.  Its local
     unknowns are x and lam of each local point in turn.  `table` maps each
     cell of the shared box to its local point (-1 outside the front);
-    `origin` holds each member's box origin (level, node); `children` lists
-    (child group, its first member, runs) per child, whose members follow
-    this group's members in order.
+    `origin` holds each member's box origin (level, node).
+
+    A front is rectangular.  Its columns are all its local unknowns; its
+    rows are the equations of its eliminated unknowns, then its inward
+    perimeter equations (`inward`, positions among the 2 nb perimeter
+    unknowns, in perimeter order; see rows).  A state equation reaches
+    levels k - 1 and k and an adjoint one k and k + 1, so the state
+    equations of the row above and the adjoint ones of the row below,
+    corners included, couple neither to a point of the rectangle nor to
+    its fill, and are no rows of it.  `children` lists (child group, its
+    first member, row runs, column runs) per child, whose members follow
+    this group's members in order: the child's update rows (its inward
+    equations) land on this front's rows in runs of step 1, or of step 2
+    where only one unknown of a point is a row here, and its columns (its
+    perimeter points, two unknowns each) on this front's points in runs of
+    step 1.
 
     Members whose fronts hold the same matrix share a slot, which the
     factor decides from K (_front_slots).  The members of one node origin
@@ -369,13 +390,23 @@ class _Fronts:
     origin: tuple
     slot: np.ndarray
     slots: int
-    kept: int  # entries the factor keeps per slot, s^2 + 2 s b
+    inward: np.ndarray
+    kept: int  # entries the factor keeps per slot, s^2 + s b + b_in s
     children: list = dataclasses.field(default_factory=list)
     frees: list = dataclasses.field(default_factory=list)  # children whose updates die after this group's last chunk
 
     @property
     def count(self) -> int:
         return len(self.origin[0])
+
+    def rows(self) -> np.ndarray:
+        """The front row of each local unknown, -1 where its equation is no
+        row of the front (an outward perimeter equation)."""
+        s = 2 * self.ns
+        row = np.full(s + 2 * self.nb, -1, dtype=np.intp)
+        row[:s] = np.arange(s)
+        row[s + self.inward] = np.arange(s, s + len(self.inward))
+        return row
 
     def points(self, N: int) -> np.ndarray:
         """Grid point k*N + i of every local point of every member."""
@@ -388,11 +419,13 @@ class _Fronts:
 
         A front owns the entries with one end at a point it eliminates and
         the other inside the front.  Returns (local point, stencil code,
-        flat index in the front) per entry, the same for every member; only
-        the stencil codes _kkt_stencil writes (_USED) are kept.
+        flat index in the front, rows by columns) per entry, the same for
+        every member; only the stencil codes _kkt_stencil writes (_USED) are
+        kept, and they hold no outward perimeter equation.
         """
         ns, nb = self.ns, self.nb
         n2 = 2 * (ns + nb)
+        row = self.rows()
         # every 3x3 neighbour q of every eliminated point a, by offset o
         box = self.local[:ns, None, :] + _OFFSETS
         q = self.table[box[..., 0], box[..., 1] % self.table.shape[1]]
@@ -408,8 +441,8 @@ class _Fronts:
         code = np.concatenate([fwd.ravel(), rev.ravel()])
         dest = np.concatenate(
             [
-                ((2 * a[:, None] + tr) * n2 + 2 * q[:, None] + tc).ravel(),
-                ((2 * q[out, None] + tr) * n2 + 2 * a[out, None] + tc).ravel(),
+                (row[2 * a[:, None] + tr] * n2 + 2 * q[:, None] + tc).ravel(),
+                (row[2 * q[out, None] + tr] * n2 + 2 * a[out, None] + tc).ravel(),
             ]
         )
         keep = _USED[code]
@@ -429,9 +462,14 @@ class _DissectionTree:
     rectangle is bisected along its longer side by a grid line, down to
     leaves of at most _ND_LEAF points.  A front holds the points eliminated
     there and the perimeter of its cylinder or rectangle, the only points
-    outside it that it couples to.  Fronts of one shape at one depth form a
-    group that is assembled and factored by stacked calls.  `groups` runs
-    from the root down.
+    outside it that it couples to.  Its rows are the equations of the
+    points it eliminates and its inward perimeter equations, its columns
+    the unknowns of all its points (see _Fronts): s + b_in rows by s + b
+    columns, with s = 2 ns, b = 2 nb and b_in the inward equations, which
+    the tree derives once per group from the box (rows 0 and nk + 1 are the
+    rows above and below).  Fronts of one shape at one depth form a group
+    that is assembled and factored by stacked calls.  `groups` runs from
+    the root down.
 
     _kkt_stencil holds one row per node and level class, so the fronts of a
     group that share a node origin read the same class rows and hold the
@@ -472,7 +510,9 @@ class _DissectionTree:
                 for p, dr, dc in parents:
                     cell = g.local[g.ns :] + (dr, dc)
                     pos = p.table[cell[:, 0], cell[:, 1] % p.table.shape[1]]
-                    p.children.append((g, first, _runs(pos)))
+                    # the parent's row of each of the child's update rows
+                    rows = p.rows()[2 * pos[g.inward // 2] + g.inward % 2]
+                    p.children.append((g, first, _runs(rows, (1, 2)), _runs(pos)))
                     first += p.count
                 parents[0][0].frees.append(g)  # its first parent root down is the last factored
                 self.groups.append(g)
@@ -485,38 +525,48 @@ class _DissectionTree:
         table[local[:, 0], local[:, 1]] = np.arange(len(local))
         _, slot = np.unique(origin[1], return_inverse=True)
         s, b = 2 * len(sep), 2 * len(rim)  # unknowns eliminated and on the perimeter
-        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, int(slot.max()) + 1, s * s + 2 * s * b)
+        # a state equation of box row r reaches rows r - 1 and r, an adjoint
+        # one (t = 1) r and r + 1: inward where one of them is a row of the
+        # rectangle or cylinder, 1..box[0] - 2
+        reach = np.repeat(local[len(sep) :, 0], 2) + np.tile([0, 1], len(rim))
+        inward = np.flatnonzero((reach >= 1) & (reach <= box[0] - 1))
+        kept = s * s + s * b + len(inward) * s
+        return _Fronts(depth, len(sep), len(rim), local, table, origin, slot, int(slot.max()) + 1, inward, kept)
 
     def entries(self) -> int:
         """Entries of the blocks a factor keeps with one front per node-origin
-        slot: each slot's inverse pivot block and its two Schur multipliers,
-        s^2 + 2 s b with s = 2 ns and b = 2 nb unknowns.  A factor that
-        shares fronts across space keeps fewer.  The factor also keeps each
-        member's unknown indices, s + b int32 per member, not counted here."""
+        slot: each slot's inverse pivot block W and its Schur multipliers Y
+        and X, s^2 + s b + b_in s with s = 2 ns eliminated unknowns, b = 2 nb
+        perimeter unknowns and b_in inward perimeter equations.  A factor
+        that shares fronts across space keeps fewer.  Not counted here: the
+        unknown indices the factor keeps, s + b int32 per member (see
+        peak_entries)."""
         return sum(g.slots * g.kept for g in self.groups)
 
     def peak_entries(self) -> int:
         """Most float64 entries alive at once while _FrontFactor runs the
-        plan with one front per node-origin slot and solves (index arrays one
-        entry per index; the kept unknown indices are left to _SOLVE_SCALE);
-        a factor that shares fronts across space, or holds float32 in the
-        same chunk bytes, holds no more bytes.  Assembling a chunk: the kept
-        blocks, the live updates, the chunk buffer (its largest chunk yet,
-        _CHUNK_BYTES unless one front is larger) and one gathered child
-        update; inverting it, after `frees`, the pivot blocks' float64 copy
-        instead, which _inverse inverts in place beside one temporary of
-        half their order (left to _SOLVE_SCALE).
-        Solving: the factor, one group's pushes with their indices and one
-        chunk's gathered vectors, at most 4 (s + b) per member."""
+        plan with one front per node-origin slot and solves (index arrays
+        one entry per index, the kept int32 ones half an entry); a factor
+        that shares fronts across space, or holds float32 in the same chunk
+        bytes, holds no more bytes.  Kept: the blocks (entries) and each
+        member's unknown indices, s + b int32.  Assembling a chunk: what is
+        kept, the live updates (b_in by b per slot), the chunk buffer (its
+        largest chunk yet of s + b_in by s + b fronts, _CHUNK_BYTES unless
+        one front is larger) and one gathered child update; inverting it,
+        after `frees`, the pivot blocks' float64 copy instead, which
+        _inverse inverts in place beside one temporary of half their order
+        (left to _SOLVE_SCALE).  Solving: what is kept, one group's pushes
+        with their indices and one chunk's gathered vectors, at most
+        4 (s + b) per member."""
         kept = peak = solve = buffer = 0
         pending: dict = {}
         for g in reversed(self.groups):
-            s, b = 2 * g.ns, 2 * g.nb
-            m = _per_chunk(g.slots, s + b, 8)
-            kept += g.slots * g.kept
-            pending[g] = g.slots * b * b
-            buffer = max(buffer, m * (s + b) ** 2)
-            gathered = max((m * 4 * c.nb**2 for c, _, _ in g.children), default=0)
+            s, b, bi = 2 * g.ns, 2 * g.nb, len(g.inward)
+            m = _per_chunk(g.slots, (s + bi) * (s + b), 8)
+            kept += g.slots * g.kept + g.count * (g.ns + g.nb)  # and s + b int32 indices per member
+            pending[g] = g.slots * bi * b
+            buffer = max(buffer, m * (s + bi) * (s + b))
+            gathered = max((m * len(c.inward) * 2 * c.nb for c, *_ in g.children), default=0)
             peak = max(peak, kept + buffer + sum(pending.values()) + gathered)
             for c in g.frees:
                 del pending[c]
@@ -677,17 +727,24 @@ class _FrontFactor:
     and its children's update matrices; the pivot block F_SS of the unknowns
     it eliminates is inverted by _inverse (np.linalg.inv up to order
     _INV_LEAF, float64 2x2 blocks above), and the update
-    F_BB - F_BS F_SS^-1 F_SB of its perimeter unknowns goes to its parent
-    (J. W. H. Liu, SIAM Review 34, 1992).  It runs the tree's plan (see
-    _Fronts) on its own slots (_front_slots): the slots of one member count
-    in chunks stacked as (slots, 2n, 2n), _CHUNK_BYTES at a time
-    (_per_chunk).  Children's updates are read through their slot maps (a
-    slice where the slots run in order) and added by slices, one call per
-    pair of runs for a whole chunk; those of `frees` die after the group's
-    last chunk is assembled, before its pivot blocks are inverted.  Kept:
-    per chunk W = F_SS^-1, Y = W F_SB and X = F_BS, each an array of its
-    own; per group the unknowns of each member's eliminated points and
-    perimeter (int32 below 2^31), by slot.  Its other storage is bounded:
+    F_BB - F_BS F_SS^-1 F_SB goes to its parent (J. W. H. Liu, SIAM Review
+    34, 1992).  Fronts are rectangular (see _Fronts): rows S and the inward
+    perimeter equations B_in, columns S and every perimeter unknown B, so
+    X = F_BS is b_in x s and the update b_in x b; the rows dropped are 0 in
+    every X and update of a square front (T. A. Davis, I. S. Duff, SIAM J.
+    Matrix Anal. Appl. 18, 1997, give each front its own row and column
+    sets for such patterns).  It runs the tree's plan on its own slots
+    (_front_slots): the slots of one member count in chunks stacked as
+    (slots, s + b_in, s + b), _CHUNK_BYTES at a time (_per_chunk).
+    Children's updates are read through their slot maps (a slice where the
+    slots run in order) and added by slices, one call per pair of a row run
+    and a column run for a whole chunk; those of `frees` die after the
+    group's last chunk is assembled, before its pivot blocks are inverted.
+    Kept: per chunk W = F_SS^-1, Y = W F_SB and X = F_BS, each an array of
+    its own; per group the unknowns of each member's eliminated points and
+    perimeter (int32 below 2^31), by slot, and the inward equations'
+    positions among the perimeter unknowns, which the solve pushes X y
+    into.  Its other storage is bounded:
     one chunk buffer (the largest chunk yet) and, while pivot blocks are
     inverted, their float64 copy plus one temporary of half their order
     (_inverse).  The root has no perimeter, so its pivot block is copied
@@ -723,28 +780,29 @@ class _FrontFactor:
             here, rim = (np.stack((p, p + half), axis=-1).reshape(len(p), -1) for p in parts)
             del points, parts  # so that only the unknowns stay alive while the group is factored
             s, n2 = 2 * g.ns, 2 * (g.ns + g.nb)
-            upd = np.empty((len(count), 2 * g.nb, 2 * g.nb), dtype=dtype)
-            per = _per_chunk(len(count), n2, self.dtype.itemsize)
+            n1 = s + len(g.inward)  # rows: the eliminated unknowns, then the inward perimeter equations
+            upd = np.empty((len(count), len(g.inward), 2 * g.nb), dtype=dtype)
+            per = _per_chunk(len(count), n1 * n2, self.dtype.itemsize)
             ends = [*(np.flatnonzero(np.diff(count)) + 1).tolist(), len(count)]  # of the runs of equal count
             chunks = [(lo, min(b, lo + per)) for a, b in zip([0, *ends], ends) for lo in range(a, b, per)]
             blocks = []
             for lo, hi in chunks:
                 m = hi - lo
-                if scratch.size < m * n2 * n2:
-                    scratch = np.empty(m * n2 * n2, dtype=dtype)
-                F = scratch[: m * n2 * n2].reshape(m, n2, n2)
+                if scratch.size < m * n1 * n2:
+                    scratch = np.empty(m * n1 * n2, dtype=dtype)
+                F = scratch[: m * n1 * n2].reshape(m, n1, n2)
                 F.fill(0)
-                F.reshape(m, n2 * n2)[:, dest] = kst[rows[lo:hi, src], code]
-                for child, first, runs in g.children:
+                F.reshape(m, n1 * n2)[:, dest] = kst[rows[lo:hi, src], code]
+                for child, first, row_runs, col_runs in g.children:
                     held, done = updates[child]
                     at = held[first + lead[lo:hi]]
                     if np.array_equal(at, np.arange(at[0], at[0] + m)):
                         at = slice(at[0], at[0] + m)
                     U = done[at]
-                    for ur, vr, lr in runs:
-                        for uc, vc, lc in runs:
-                            F[:, 2 * vr : 2 * (vr + lr), 2 * vc : 2 * (vc + lc)] += U[
-                                :, 2 * ur : 2 * (ur + lr), 2 * uc : 2 * (uc + lc)
+                    for ur, vr, lr, sr in row_runs:
+                        for uc, vc, lc, _ in col_runs:
+                            F[:, vr : vr + sr * lr : sr, 2 * vc : 2 * (vc + lc)] += U[
+                                :, ur : ur + lr, 2 * uc : 2 * (uc + lc)
                             ]
                     del U  # a slice of it would keep the whole array alive
                 if hi == len(count):
@@ -769,7 +827,7 @@ class _FrontFactor:
                 np.subtract(F[:, s:, s:], upd[lo:hi], out=upd[lo:hi])
                 blocks.append((int(start[lo]), int(start[hi]), W, Y, X))
             updates[g] = (slot, upd)
-            self.groups.append((here, rim, blocks))
+            self.groups.append((here, rim, g.inward, blocks))
         self.nbytes = sum(a.nbytes for a in self.arrays())
 
     def arrays(self):
@@ -780,18 +838,19 @@ class _FrontFactor:
         """K^-1 r in this factor's dtype, r given in K's unknown order; an r
         already in that dtype is overwritten with the result."""
         z = np.asarray(r, dtype=self.dtype)
-        # forward, up the tree: y_S = W r_S, then r_B -= X y_S, a slot's blocks
-        # acting on its members side by side; one scatter per group, in slot order
-        for here, rim, blocks in self.groups:
-            push = np.empty(rim.shape, dtype=self.dtype)
+        # forward, up the tree: y_S = W r_S, then r_B -= X y_S on the inward
+        # equations, a slot's blocks acting on its members side by side; one
+        # scatter per group, in slot order
+        for here, rim, inward, blocks in self.groups:
+            push = np.empty((len(rim), len(inward)), dtype=self.dtype)
             for a, b, W, Y, X in blocks:
                 at = here[a:b].reshape(len(W), -1, here.shape[1])  # (slots, members per slot, s)
                 y = np.matmul(W[:, None], z[at][..., None])
                 z[at] = y[..., 0]
-                np.matmul(X[:, None], y, out=push[a:b].reshape(*at.shape[:2], rim.shape[1], 1))
-            np.subtract.at(z, rim, push)
+                np.matmul(X[:, None], y, out=push[a:b].reshape(*at.shape[:2], len(inward), 1))
+            np.subtract.at(z, rim[:, inward], push)
         # backward, down the tree: z_S = y_S - Y z_B
-        for here, rim, blocks in reversed(self.groups):
+        for here, rim, _, blocks in reversed(self.groups):
             for a, b, W, Y, X in blocks:
                 at = here[a:b].reshape(len(W), -1, here.shape[1])
                 z[at] -= np.matmul(Y[:, None], z[rim[a:b].reshape(*at.shape[:2], rim.shape[1])][..., None])[..., 0]
@@ -852,9 +911,9 @@ def _subnormals_as_zero():
 # Peak RSS of one solve_ocp call above the RSS before it, per byte of the
 # float64 entries _DissectionTree.peak_entries counts, on the float64 rung (a
 # float32 factor that missed its gate, then the float64 one, which peaks
-# above a solve that stays on float32): at most 1.147 over the sizes of
+# above a solve that stays on float32): at most 1.127 over the sizes of
 # BENCH_18.json, 25,856 to 821,248 unknowns, and three sinusoidal-speed
-# sizes, whose fronts are not shared across space (BENCH_33.json).
+# sizes, whose fronts are not shared across space (BENCH_34.json).
 _SOLVE_SCALE = 1.39
 
 

@@ -1153,7 +1153,9 @@ def test_solve_estimate_scales_the_float64_front_count():
     slots = ocp_mod._front_slots(kst, tree, np.dtype(np.float64))
     own = sum((int(slot.max()) + 1) * g.kept for g, slot in zip(tree.groups, slots))
     assert ocp_mod._FrontFactor(kst, tree, np.float64).nbytes == 8 * own <= 8 * tree.entries()
-    assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb) for g in tree.groups)
+    # W, Y and X without the state rows of the row above and the adjoint rows of the row below
+    outward = [np.count_nonzero(np.isin(g.local[g.ns :, 0], (0, g.table.shape[0] - 1))) for g in tree.groups]
+    assert tree.entries() < sum(g.count * (4 * g.ns**2 + 8 * g.ns * g.nb - 2 * g.ns * o) for g, o in zip(tree.groups, outward))
     assert tree.peak_entries() > tree.entries()
     assert solve_bytes(cfg) == ocp_mod._SOLVE_SCALE * 8 * tree.peak_entries()
     # the sweep-pool benchmark's two largest members (L = 2.5 and 2 at 128
